@@ -19,20 +19,17 @@
 //! gate watches the skip win.
 //!
 //! `main` also drives the **large-scale cohort workloads** (1k jobs /
-//! 100 GPUs up to 100k jobs / 10k GPUs) through all three stepping
-//! modes — the event-queue core, the compat stepper with round
-//! skipping, and the plain fixed-round compat stepper — recording per
-//! size the simulated round count, each mode's executed (dispatched)
+//! 100 GPUs up to 100k jobs / 10k GPUs) through both stepping modes —
+//! the stepper with round skipping and the plain fixed-round stepper —
+//! recording per size the simulated round count, each mode's executed
 //! round count (`rounds/large_*`, deterministically gated), wall times,
-//! and peak RSS (`mem/*`, informational). The workload is built so the
-//! modes separate: cohorts of identical single-GPU jobs arrive at
-//! irregular multi-round gaps, so each cohort's completions land in one
-//! round (few event boundaries for the core), while a sparse set of 3×
+//! and peak RSS (`mem/*`, informational). Cohorts of identical
+//! single-GPU jobs arrive at irregular multi-round gaps, so each
+//! cohort's completions land in one round, while a sparse set of 3×
 //! slow GPUs seeds long-running stragglers that later cohorts' SRTF
-//! keys overtake at staggered rounds — in-prefix order changes the core
-//! replays through but the skip mode must execute. The 100k-size run
-//! asserts the tentpole acceptance: the core dispatches ≥5× fewer
-//! rounds than compat mode executes.
+//! keys overtake at staggered rounds — order changes the skip mode must
+//! stop at. The 100k-size run asserts that skipping executes ≥2× fewer
+//! rounds than fixed-round stepping.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
@@ -192,8 +189,8 @@ fn bench_sticky_drain(c: &mut Criterion) {
 const LARGE_IDEAL_S: f64 = 60_000.0;
 
 /// GPUs with `g % SLOW_GPU_PERIOD == 1` run 3× slow: rare enough that
-/// stragglers stay a small minority (cheap for the core's kinetic
-/// reorder), common enough that some are always in flight.
+/// stragglers stay a small minority, common enough that some are always
+/// in flight.
 const SLOW_GPU_PERIOD: usize = 64;
 
 /// The large-workload sizes: jobs, nodes (× 4 GPUs), and cohort size.
@@ -254,11 +251,9 @@ fn quantized_profile(gpus: usize) -> Arc<VariabilityProfile> {
     ))
 }
 
-/// The three stepping modes the large benches compare.
+/// The two stepping modes the large benches compare.
 #[derive(Clone, Copy)]
 enum Stepping {
-    /// Discrete-event core (`SimConfig::event_core`).
-    EventCore,
     /// Compat stepper with provably-stable round skipping.
     CompatSkip,
     /// Plain fixed-round compat stepper.
@@ -268,7 +263,6 @@ enum Stepping {
 impl Stepping {
     fn label(self) -> &'static str {
         match self {
-            Stepping::EventCore => "event_core",
             Stepping::CompatSkip => "compat_skip",
             Stepping::CompatFixed => "compat_fixed",
         }
@@ -288,29 +282,24 @@ fn large_scenario(
         .placement(PackedPlacement::deterministic())
         .sticky(true);
     match mode {
-        Stepping::EventCore => s.event_core(true),
         Stepping::CompatSkip => s.event_driven(true),
         Stepping::CompatFixed => s.event_driven(false),
     }
 }
 
-/// Run the large cohort workloads through all three modes, appending
-/// round-count, wall-time, and peak-RSS entries; asserts the tentpole
-/// dispatch win at the 100k size.
+/// Run the large cohort workloads through both modes, appending
+/// round-count, wall-time, and peak-RSS entries; asserts the skip win at
+/// the 100k size.
 fn large_scale_accounting(entries: &mut Vec<(String, f64)>) {
     for &(label, num_jobs, nodes, cohort) in LARGE_SCALES {
         let topo = ClusterTopology::new(nodes, 4);
         let prof = quantized_profile(topo.total_gpus());
         let trace = cohort_trace(num_jobs, cohort);
-        let mut executed = [0usize; 3];
-        let mut simulated = [0usize; 3];
-        for (i, mode) in [
-            Stepping::EventCore,
-            Stepping::CompatSkip,
-            Stepping::CompatFixed,
-        ]
-        .into_iter()
-        .enumerate()
+        let mut executed = [0usize; 2];
+        let mut simulated = [0usize; 2];
+        for (i, mode) in [Stepping::CompatSkip, Stepping::CompatFixed]
+            .into_iter()
+            .enumerate()
         {
             pal_bench::memory::reset_peak_rss();
             let start = Instant::now();
@@ -333,33 +322,21 @@ fn large_scale_accounting(entries: &mut Vec<(String, f64)>) {
             }
         }
         eprintln!(
-            "{label}: {} simulated rounds; executed event_core {} / compat_skip {} / compat_fixed {}",
-            simulated[0], executed[0], executed[1], executed[2]
+            "{label}: {} simulated rounds; executed compat_skip {} / compat_fixed {}",
+            simulated[0], executed[0], executed[1]
         );
-        // All three modes simulate the same virtual-time span.
+        // Both modes simulate the same virtual-time span.
         assert_eq!(
             simulated[0], simulated[1],
             "{label}: simulated rounds differ"
         );
-        assert_eq!(
-            simulated[0], simulated[2],
-            "{label}: simulated rounds differ"
-        );
         entries.push((format!("rounds/{label}/simulated"), simulated[0] as f64));
         if label == "large_100k" {
-            // Tentpole acceptance: at 100k jobs / 10k GPUs the event
-            // core dispatches ≥5× fewer rounds than compat mode executes.
-            assert!(
-                executed[2] >= 5 * executed[0],
-                "event core dispatched {} rounds vs compat's {} (< 5x win)",
-                executed[0],
-                executed[2]
-            );
-            // And it must beat PR 4's skip mode with real margin: the
-            // in-prefix order changes skipping bails on are replayed.
+            // At 100k jobs / 10k GPUs skipping executes ≥2× fewer rounds
+            // than fixed-round stepping.
             assert!(
                 executed[1] >= 2 * executed[0],
-                "event core dispatched {} rounds vs skip mode's {} (< 2x win)",
+                "skip mode executed {} rounds vs fixed's {} (< 2x win)",
                 executed[0],
                 executed[1]
             );

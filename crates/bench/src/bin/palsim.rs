@@ -1,13 +1,12 @@
 //! `palsim` — command-line driver for simulations.
 //!
-//! Five modes:
+//! Four subcommands:
 //!
 //! ```text
 //! palsim run <campaign.toml|.json> [--csv] [--sequential] [--spill <dir>] [--metrics <dir>]
 //! palsim what-if <campaign.toml|.json> --fork-at <seconds> [--csv] [--export <dir>]
 //! palsim resume <spill-dir> [--csv]
 //! palsim check <file-or-dir> [...]
-//! palsim [--trace sia|synergy] [--policy pal] [...]        (legacy one-off)
 //! ```
 //!
 //! `run` executes a declarative campaign file (see `configs/` for
@@ -27,12 +26,12 @@
 //! spill back up, re-running only the never-completed cells — the final
 //! output is byte-identical to an uninterrupted run. `check` parses and
 //! validates files — or every `.toml`/`.json` in a directory — without
-//! running any cell. Bad arguments and unparseable configs exit nonzero
-//! with a one-line diagnostic (`file:line:col: message` for syntax
-//! errors, with a `caused by:` chain for wrapped errors); runtime
-//! simulation failures exit 1, usage errors exit 2. Results go to
-//! stdout; progress (cell and worker counts) goes to stderr, so piped
-//! CSV stays clean.
+//! running any cell. Bad arguments and invalid configs exit 2 with a
+//! one-line diagnostic (`file:line:col: message` for syntax errors, with
+//! a `caused by:` chain for wrapped errors); runtime simulation failures
+//! exit 1. A bare `palsim` or an unknown subcommand prints the usage and
+//! exits 2. Results go to stdout; progress (cell and worker counts) goes
+//! to stderr, so piped CSV stays clean.
 //!
 //! Examples:
 //!
@@ -42,23 +41,22 @@
 //! palsim what-if configs/paper_sweep.toml --fork-at 86400 --csv
 //! palsim resume out/sweep --csv
 //! palsim check configs/
-//! palsim --trace sia --workload 5 --policy pal
 //! ```
 
-use pal::{AdaptivePal, PalPlacement, PmFirstPlacement};
-use pal_bench::{longhorn_profile, PROFILE_SEED};
-use pal_cluster::{ClusterTopology, LocalityModel};
+use pal_bench::{longhorn_profile, LONGHORN_MEASURED_GPUS, PROFILE_SEED};
 use pal_config::{
     campaign_from_path, render_chain, resume_spilled, save_state, spilled_config, spilled_results,
-    MetricsDir, Registry, SpillSink,
+    ConfigError, MetricsDir, Registry, SpillSink,
 };
-use pal_gpumodel::GpuSpec;
-use pal_sim::placement::{PackedPlacement, RandomPlacement};
-use pal_sim::sched::{Fifo, Las, SchedulingPolicy, Srsf, Srtf};
-use pal_sim::{CampaignResult, MemorySink, PlacementPolicy, Scenario};
-use pal_trace::{ModelCatalog, SiaPhillyConfig, SynergyConfig, Trace};
+use pal_sim::{CampaignResult, MemorySink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: palsim run <campaign.toml|.json> [--csv] [--sequential] [--spill <dir>] [--metrics <dir>]
+       palsim what-if <campaign.toml|.json> --fork-at <seconds> [--csv] [--export <dir>]
+       palsim resume <spill-dir> [--csv]
+       palsim check <campaign-file-or-dir> [...]";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +65,14 @@ fn main() -> ExitCode {
         Some("what-if") => cmd_what_if(&argv[1..]),
         Some("resume") => cmd_resume(&argv[1..]),
         Some("check") => cmd_check(&argv[1..]),
-        _ => legacy_main(&argv),
+        Some(other) if other != "--help" && other != "-h" => {
+            eprintln!("palsim: unknown subcommand `{other}`\n{USAGE}");
+            ExitCode::from(2)
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
     }
 }
 
@@ -78,6 +83,18 @@ fn cli_registry() -> Registry {
     let mut registry = Registry::with_builtins();
     registry.register_profile("longhorn", |args, ctx| {
         let seed = args.get_or("seed", PROFILE_SEED)?;
+        // The profile samples per-GPU scores without repetition from the
+        // measured cluster, so it cannot cover a larger one.
+        if ctx.gpus > LONGHORN_MEASURED_GPUS {
+            return Err(ConfigError::BadParam {
+                context: args.context().to_string(),
+                message: format!(
+                    "the Longhorn profile covers at most {LONGHORN_MEASURED_GPUS} GPUs \
+                     (the measured cluster), got a {}-GPU cluster",
+                    ctx.gpus
+                ),
+            });
+        }
         Ok(longhorn_profile(ctx.gpus, seed))
     });
     registry
@@ -552,220 +569,33 @@ fn cmd_check(argv: &[String]) -> ExitCode {
         }
     }
     if failed {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy one-off mode: flags building a single scenario directly.
-// ---------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pal_config::{build_campaign, parse_campaign_str};
 
-#[derive(Debug)]
-struct Args {
-    trace: String,
-    workload: u32,
-    load: f64,
-    jobs: Option<usize>,
-    nodes: usize,
-    gpus_per_node: usize,
-    policy: String,
-    sched: String,
-    locality: f64,
-    seed: u64,
-    csv: bool,
-    wait_times: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            trace: "sia".into(),
-            workload: 1,
-            load: 10.0,
-            jobs: None,
-            nodes: 16,
-            gpus_per_node: 4,
-            policy: "pal".into(),
-            sched: "fifo".into(),
-            locality: 1.5,
-            seed: PROFILE_SEED,
-            csv: false,
-            wait_times: false,
-        }
-    }
-}
-
-const LEGACY_USAGE: &str = "usage: palsim run <campaign.toml|.json> [--csv] [--sequential] \
-[--spill <dir>]\n\
-     | palsim resume <spill-dir> [--csv]\n\
-     | palsim check <campaign-file-or-dir> [...]\n\
-     | palsim [--trace sia|synergy] [--workload 1..8] [--load JPH] \
-[--jobs N] [--nodes N] [--gpus-per-node N] \
-[--policy random-sticky|random|gandiva|tiresias|pmfirst|pal|adaptive-pal] \
-[--sched fifo|las|srtf|srsf] [--locality L] [--seed S] [--csv] [--wait-times]";
-
-/// Parse legacy flags; `Err` carries the one-line diagnostic.
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> Result<&String, String> {
-            i += 1;
-            argv.get(i)
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("flag {flag}: bad value `{v}`"))
-        }
-        match flag {
-            "--trace" => args.trace = value()?.clone(),
-            "--workload" => args.workload = parsed(flag, value()?)?,
-            "--load" => args.load = parsed(flag, value()?)?,
-            "--jobs" => args.jobs = Some(parsed(flag, value()?)?),
-            "--nodes" => args.nodes = parsed(flag, value()?)?,
-            "--gpus-per-node" => args.gpus_per_node = parsed(flag, value()?)?,
-            "--policy" => args.policy = value()?.clone(),
-            "--sched" => args.sched = value()?.clone(),
-            "--locality" => args.locality = parsed(flag, value()?)?,
-            "--seed" => args.seed = parsed(flag, value()?)?,
-            "--csv" => args.csv = true,
-            "--wait-times" => args.wait_times = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag: {other}")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn build_trace(args: &Args) -> Result<Trace, String> {
-    let catalog = ModelCatalog::table2(&GpuSpec::v100());
-    match args.trace.as_str() {
-        "sia" => {
-            if !(1..=8).contains(&args.workload) {
-                return Err(format!("--workload must be in 1..8, got {}", args.workload));
-            }
-            let mut cfg = SiaPhillyConfig::default();
-            if let Some(n) = args.jobs {
-                cfg.num_jobs = n;
-            }
-            Ok(cfg.generate(args.workload, &catalog))
-        }
-        "synergy" => {
-            let mut cfg = SynergyConfig::default().at_load(args.load);
-            if let Some(n) = args.jobs {
-                cfg.num_jobs = n;
-            }
-            Ok(cfg.generate(&catalog))
-        }
-        other => Err(format!("unknown trace family: {other}")),
-    }
-}
-
-fn legacy_main(argv: &[String]) -> ExitCode {
-    let usage_err = |msg: &str| {
-        if !msg.is_empty() {
-            eprintln!("palsim: {msg}");
-        }
-        eprintln!("{LEGACY_USAGE}");
-        ExitCode::from(2)
-    };
-    let args = match parse_args(argv) {
-        Ok(a) => a,
-        Err(msg) => return usage_err(&msg),
-    };
-    if args.nodes == 0 || args.gpus_per_node == 0 {
-        return usage_err("--nodes and --gpus-per-node must be positive");
-    }
-    let topo = ClusterTopology::new(args.nodes, args.gpus_per_node);
-    let profile = longhorn_profile(topo.total_gpus(), args.seed);
-    let locality = LocalityModel::uniform(args.locality);
-    let trace = match build_trace(&args) {
-        Ok(t) => t,
-        Err(msg) => return usage_err(&msg),
-    };
-
-    let (sticky, policy): (bool, Box<dyn PlacementPolicy + Send>) = match args.policy.as_str() {
-        "random-sticky" => (true, Box::new(RandomPlacement::new(args.seed))),
-        "random" => (false, Box::new(RandomPlacement::new(args.seed))),
-        "gandiva" => (false, Box::new(PackedPlacement::randomized(args.seed))),
-        "tiresias" => (true, Box::new(PackedPlacement::randomized(args.seed))),
-        "pmfirst" => (false, Box::new(PmFirstPlacement::new(&profile))),
-        "pal" => (false, Box::new(PalPlacement::new(&profile))),
-        "adaptive-pal" => (false, Box::new(AdaptivePal::new(&profile))),
-        other => return usage_err(&format!("unknown policy: {other}")),
-    };
-    let sched: Box<dyn SchedulingPolicy + Send + Sync> = match args.sched.as_str() {
-        "fifo" => Box::new(Fifo),
-        "las" => Box::new(Las::default()),
-        "srtf" => Box::new(Srtf),
-        "srsf" => Box::new(Srsf),
-        other => return usage_err(&format!("unknown scheduler: {other}")),
-    };
-
-    let r = match Scenario::new(trace, topo)
-        .profile(profile)
-        .locality(locality)
-        .scheduler_boxed(sched)
-        .placement_boxed(policy)
-        .sticky(sticky)
-        .run()
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("palsim: simulation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if args.csv {
-        println!("job_id,model,class,gpu_demand,arrival_s,first_start_s,finish_s,jct_s,wait_s,migrations,preemptions");
-        for rec in &r.records {
-            println!(
-                "{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.1},{},{}",
-                rec.id.index(),
-                rec.model,
-                rec.class.label(),
-                rec.gpu_demand,
-                rec.arrival,
-                rec.first_start,
-                rec.finish,
-                rec.jct(),
-                rec.wait_time(),
-                rec.migrations,
-                rec.preemptions
+    #[test]
+    fn longhorn_profile_rejects_clusters_above_the_measured_one() {
+        let build = |nodes: usize| {
+            let src = format!(
+                "profile = {{ kind = \"longhorn\" }}\npolicy = [\"pal\"]\n\
+                 [cluster]\nnodes = {nodes}\ngpus_per_node = 4\n\
+                 [[scenario]]\ntag = \"t\"\ntrace = {{ kind = \"synergy\", num_jobs = 4 }}\n"
             );
-        }
-        return ExitCode::SUCCESS;
+            let file = parse_campaign_str(&src, "<inline>").unwrap();
+            build_campaign(&file, &cli_registry(), Path::new("."))
+        };
+        let Err(err) = build(625) else {
+            panic!("2,500 GPUs exceed the measured cluster");
+        };
+        assert!(matches!(err, ConfigError::BadParam { .. }), "{err}");
+        assert!(err.to_string().contains("448"), "{err}");
+        assert!(build(LONGHORN_MEASURED_GPUS / 4).is_ok());
     }
-
-    println!("trace      : {} ({} jobs)", r.trace, r.records.len());
-    println!(
-        "cluster    : {} nodes x {} GPUs",
-        args.nodes, args.gpus_per_node
-    );
-    println!("scheduler  : {}", r.scheduler);
-    println!("placement  : {}", r.placement);
-    println!("locality   : L_across = {}", args.locality);
-    println!("avg JCT    : {:.2} h", r.avg_jct() / 3600.0);
-    println!("p99 JCT    : {:.2} h", r.p99_jct() / 3600.0);
-    println!("makespan   : {:.2} h", r.makespan() / 3600.0);
-    println!(
-        "utilization: {:.3} (effective), {:.3} (occupancy)",
-        r.utilization(),
-        r.occupancy()
-    );
-    println!("migrations : {}", r.total_migrations());
-    println!("rounds     : {}", r.rounds);
-    if args.wait_times {
-        println!("\njob_id,wait_h");
-        for (id, w) in r.wait_times() {
-            println!("{id},{:.3}", w / 3600.0);
-        }
-    }
-    ExitCode::SUCCESS
 }

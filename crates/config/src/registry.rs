@@ -429,6 +429,65 @@ fn open_trace_file(path: &Path) -> Result<BufReader<File>, ConfigError> {
         })
 }
 
+/// The checks below run in the builders so that a parameter outside a
+/// generator's domain is a typed [`ConfigError::BadParam`], never one of
+/// the generator's `assert!`s.
+///
+/// `key` read as an `f64` (or `default`) and required to satisfy `valid`,
+/// which the error message describes as `domain`.
+fn checked(
+    args: &Args,
+    key: &str,
+    default: f64,
+    domain: &str,
+    valid: fn(f64) -> bool,
+) -> Result<f64, ConfigError> {
+    let value: f64 = args.get_or(key, default)?;
+    if valid(value) {
+        Ok(value)
+    } else {
+        Err(args.bad(format!("`{key}` must be {domain}, got {value}")))
+    }
+}
+
+fn positive_finite(v: f64) -> bool {
+    v > 0.0 && v.is_finite()
+}
+
+fn positive(args: &Args, key: &str, default: f64) -> Result<f64, ConfigError> {
+    checked(args, key, default, "positive and finite", positive_finite)
+}
+
+/// The arrival rate `key` scaled by the swept load; the product is checked
+/// too, so a zero or non-finite load cannot reach the generator either.
+fn arrival_rate(args: &Args, ctx: &TraceCtx, key: &str, default: f64) -> Result<f64, ConfigError> {
+    let load = ctx.load.unwrap_or(1.0);
+    let rate = positive(args, key, default)? * load;
+    if positive_finite(rate) {
+        Ok(rate)
+    } else {
+        Err(args.bad(format!(
+            "`{key}` × load must be positive and finite, got {rate} (load {load})"
+        )))
+    }
+}
+
+fn fraction(args: &Args, default: f64) -> Result<f64, ConfigError> {
+    checked(args, "single_gpu_fraction", default, "in [0, 1]", |v| {
+        (0.0..=1.0).contains(&v)
+    })
+}
+
+fn sigma(args: &Args, default: f64) -> Result<f64, ConfigError> {
+    checked(
+        args,
+        "duration_sigma",
+        default,
+        "non-negative and finite",
+        |v| v >= 0.0 && v.is_finite(),
+    )
+}
+
 fn register_builtin_traces(r: &mut Registry) {
     r.register_trace("sia-philly", |args, ctx| {
         let d = SiaPhillyConfig::default();
@@ -441,11 +500,15 @@ fn register_builtin_traces(r: &mut Registry) {
         }
         let cfg = SiaPhillyConfig {
             num_jobs: args.get_or("num_jobs", d.num_jobs)?,
-            arrival_rate_per_hour: args.get_or("arrival_rate_per_hour", d.arrival_rate_per_hour)?
-                * ctx.load.unwrap_or(1.0),
-            single_gpu_fraction: args.get_or("single_gpu_fraction", d.single_gpu_fraction)?,
-            median_duration_s: args.get_or("median_duration_s", d.median_duration_s)?,
-            duration_sigma: args.get_or("duration_sigma", d.duration_sigma)?,
+            arrival_rate_per_hour: arrival_rate(
+                args,
+                ctx,
+                "arrival_rate_per_hour",
+                d.arrival_rate_per_hour,
+            )?,
+            single_gpu_fraction: fraction(args, d.single_gpu_fraction)?,
+            median_duration_s: positive(args, "median_duration_s", d.median_duration_s)?,
+            duration_sigma: sigma(args, d.duration_sigma)?,
             max_duration_s: args.get_or("max_duration_s", d.max_duration_s)?,
         };
         Ok(cfg.generate(workload_id, &catalog()))
@@ -454,10 +517,10 @@ fn register_builtin_traces(r: &mut Registry) {
         let d = SynergyConfig::default();
         let cfg = SynergyConfig {
             num_jobs: args.get_or("num_jobs", d.num_jobs)?,
-            jobs_per_hour: args.get_or("jobs_per_hour", d.jobs_per_hour)? * ctx.load.unwrap_or(1.0),
-            single_gpu_fraction: args.get_or("single_gpu_fraction", d.single_gpu_fraction)?,
-            median_duration_s: args.get_or("median_duration_s", d.median_duration_s)?,
-            duration_sigma: args.get_or("duration_sigma", d.duration_sigma)?,
+            jobs_per_hour: arrival_rate(args, ctx, "jobs_per_hour", d.jobs_per_hour)?,
+            single_gpu_fraction: fraction(args, d.single_gpu_fraction)?,
+            median_duration_s: positive(args, "median_duration_s", d.median_duration_s)?,
+            duration_sigma: sigma(args, d.duration_sigma)?,
             max_duration_s: args.get_or("max_duration_s", d.max_duration_s)?,
             seed: args.get_or("seed", d.seed)?,
         };
@@ -467,13 +530,19 @@ fn register_builtin_traces(r: &mut Registry) {
         let d = HeavyTailConfig::default();
         let cfg = HeavyTailConfig {
             num_jobs: args.get_or("num_jobs", d.num_jobs)?,
-            jobs_per_hour: args.get_or("jobs_per_hour", d.jobs_per_hour)? * ctx.load.unwrap_or(1.0),
-            alpha: args.get_or("alpha", d.alpha)?,
-            min_duration_s: args.get_or("min_duration_s", d.min_duration_s)?,
-            max_duration_s: args.get_or("max_duration_s", d.max_duration_s)?,
-            single_gpu_fraction: args.get_or("single_gpu_fraction", d.single_gpu_fraction)?,
+            jobs_per_hour: arrival_rate(args, ctx, "jobs_per_hour", d.jobs_per_hour)?,
+            alpha: positive(args, "alpha", d.alpha)?,
+            min_duration_s: positive(args, "min_duration_s", d.min_duration_s)?,
+            max_duration_s: positive(args, "max_duration_s", d.max_duration_s)?,
+            single_gpu_fraction: fraction(args, d.single_gpu_fraction)?,
             seed: args.get_or("seed", d.seed)?,
         };
+        if cfg.min_duration_s > cfg.max_duration_s {
+            return Err(args.bad(format!(
+                "`min_duration_s` ({}) must not exceed `max_duration_s` ({})",
+                cfg.min_duration_s, cfg.max_duration_s
+            )));
+        }
         Ok(cfg.generate(&catalog()))
     });
     r.register_trace("empty", |args, _ctx| {
@@ -767,6 +836,47 @@ mod tests {
         let span1 = t1.jobs.last().unwrap().arrival;
         let span2 = t2.jobs.last().unwrap().arrival;
         assert!(span2 < span1 * 0.75, "span1={span1} span2={span2}");
+    }
+
+    #[test]
+    fn bad_rates_and_loads_are_rejected_in_the_builder() {
+        let r = Registry::with_builtins();
+        let base_dir = Path::new(".");
+        let build = |kind: &str, params: &Value, load| {
+            let args = Args::new(format!("trace `{kind}`"), params).unwrap();
+            (r.trace(kind).unwrap())(&args, &TraceCtx { load, base_dir })
+        };
+        let rate = |v: f64| args_map(vec![("jobs_per_hour", Value::Float(v))]);
+        for kind in ["synergy", "heavy-tail"] {
+            for v in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+                let err = build(kind, &rate(v), None).unwrap_err();
+                assert!(
+                    err.to_string().contains("jobs_per_hour"),
+                    "{kind} {v}: {err}"
+                );
+            }
+            // A zero or non-finite load zeroes (or poisons) the scaled rate.
+            let ok = args_map(vec![("num_jobs", Value::Int(2))]);
+            for load in [0.0, f64::NAN, f64::INFINITY] {
+                assert!(build(kind, &ok, Some(load)).is_err(), "{kind} load {load}");
+            }
+            assert!(build(kind, &ok, Some(2.0)).is_ok());
+        }
+        let heavy = |entries| build("heavy-tail", &args_map(entries), None);
+        assert!(heavy(vec![("alpha", Value::Float(0.0))]).is_err());
+        assert!(heavy(vec![("alpha", Value::Float(-1.5))]).is_err());
+        assert!(heavy(vec![("min_duration_s", Value::Float(0.0))]).is_err());
+        let err = heavy(vec![
+            ("min_duration_s", Value::Float(10.0)),
+            ("max_duration_s", Value::Float(5.0)),
+        ])
+        .unwrap_err();
+        assert!(err.to_string().contains("max_duration_s"), "{err}");
+        assert!(heavy(vec![
+            ("min_duration_s", Value::Float(5.0)),
+            ("max_duration_s", Value::Float(5.0)),
+        ])
+        .is_ok());
     }
 
     #[test]

@@ -87,18 +87,14 @@ fn sim_section() -> impl Strategy<Value = SimSection> {
         opt(float()),
         opt(1usize..100_000),
         opt(0u8..2),
-        opt(0u8..2),
     )
         .prop_map(
-            |(round_duration, sticky, migration_overhead, max_rounds, event_driven, event_core)| {
-                SimSection {
-                    round_duration,
-                    sticky: sticky.map(|b| b == 1),
-                    migration_overhead,
-                    max_rounds,
-                    event_driven: event_driven.map(|b| b == 1),
-                    event_core: event_core.map(|b| b == 1),
-                }
+            |(round_duration, sticky, migration_overhead, max_rounds, event_driven)| SimSection {
+                round_duration,
+                sticky: sticky.map(|b| b == 1),
+                migration_overhead,
+                max_rounds,
+                event_driven: event_driven.map(|b| b == 1),
             },
         )
 }

@@ -24,32 +24,17 @@ pub struct SimConfig {
     /// Safety cap on simulated rounds; exceeding it is a simulator bug or a
     /// pathological configuration and panics rather than spinning forever.
     pub max_rounds: usize,
-    /// Event-driven round skipping: after a sticky round in which every
-    /// prefix job keeps running, the engine fast-replays the rounds up to
-    /// the next *event* — arrival, completion, or scheduler priority
-    /// crossing — executing only the bookkeeping (progress accrual,
-    /// telemetry, policy observations) those rounds would have produced.
-    /// Outcomes are bit-identical to fixed-round stepping; only
+    /// Event-driven round skipping, the engine's one fast path: after a
+    /// sticky round in which every prefix job keeps running, the engine
+    /// fast-replays the rounds up to the next *event* — arrival,
+    /// completion, or scheduler priority crossing — executing only the
+    /// bookkeeping (progress accrual, telemetry, policy observations)
+    /// those rounds would have produced. Outcomes are bit-identical to
+    /// fixed-round stepping; only
     /// [`executed_rounds`](crate::SimResult::executed_rounds) drops.
-    /// Defaults to on.
+    /// Defaults to on; `false` selects fixed-round stepping, the reference
+    /// oracle the goldens and proptests compare against.
     pub event_driven: bool,
-    /// Discrete-event engine core: between decision rounds the engine
-    /// advances a binary-heap event queue of arrivals, running-job
-    /// completions, and scheduler priority crossings — maintaining the
-    /// scheduling order *kinetically* (pairwise crossing certificates,
-    /// adjacent swaps) instead of re-verifying it at every skipped
-    /// boundary, and dispatching a full decision round only when the
-    /// schedulable prefix actually changes. Strictly stronger than
-    /// `event_driven` skipping: order shifts that keep the prefix set are
-    /// replayed instead of executed, so saturated sticky runs dispatch
-    /// many times fewer rounds. Outcomes stay bit-identical; only
-    /// [`executed_rounds`](crate::SimResult::executed_rounds) drops.
-    /// Requires a scheduler with
-    /// [`incremental_keys`](crate::sched::SchedulingPolicy::incremental_keys)
-    /// support and sticky placement (it falls back to `event_driven`
-    /// skipping otherwise). Defaults to off (the round stepper is the
-    /// bit-exact compat mode the goldens pin).
-    pub event_core: bool,
 }
 
 impl Default for SimConfig {
@@ -60,7 +45,6 @@ impl Default for SimConfig {
             migration_overhead: 30.0,
             max_rounds: 2_000_000,
             event_driven: true,
-            event_core: false,
         }
     }
 }
@@ -75,16 +59,6 @@ impl SimConfig {
     pub fn sticky() -> Self {
         SimConfig {
             sticky: true,
-            ..Default::default()
-        }
-    }
-
-    /// Sticky config driven by the discrete-event engine core (the
-    /// configuration the large-scale benches run).
-    pub fn sticky_events() -> Self {
-        SimConfig {
-            sticky: true,
-            event_core: true,
             ..Default::default()
         }
     }

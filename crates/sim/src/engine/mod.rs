@@ -9,31 +9,32 @@
 //!   allocation.
 //! - `round`: `step_round` — one scheduling round (admission → ordering
 //!   → prefix marking → placement → execution → telemetry), advancing an
-//!   `EngineState` by one epoch — and, with event-driven stepping on
-//!   (the default), `skip_stable_rounds`, which fast-replays the rounds
-//!   between a sticky round and the next event (arrival, completion, or
-//!   scheduler priority crossing) in one hop, bit-identically to
-//!   stepping them; only `executed_rounds` records the difference.
-//! - `events`: the discrete-event engine core
-//!   ([`SimConfig::event_core`]) — a binary-heap event queue of
-//!   arrivals, completion certificates, and priority-crossing
-//!   certificates that maintains the scheduling order *kinetically*
-//!   (adjacent swaps at certified crossings instead of per-round
-//!   re-sorts) and dispatches a decision round only when the
-//!   schedulable prefix set changes, replaying everything in between
-//!   over dense SoA job arrays.
+//!   `EngineState` by one epoch — and `skip_stable_rounds`, the one fast
+//!   path (see below).
 //! - `telemetry`: the `Telemetry` accumulators (GPUs-in-use series,
 //!   busy GPU-seconds, per-round policy compute time) and the final
 //!   [`SimResult`](crate::SimResult) assembly.
 //! - `stepper`: [`Simulation`], the public pause-inspect-resume driver
 //!   returned by [`Scenario::start`](crate::Scenario::start).
 //!
+//! The engine steps in one of two modes, chosen by
+//! [`SimConfig::event_driven`]:
+//!
+//! - *event-driven* (the default): after a sticky round in which every
+//!   prefix job kept running, `skip_stable_rounds` fast-replays the rounds
+//!   up to the next event (arrival, completion, or scheduler priority
+//!   crossing) in one hop;
+//! - *fixed-round* (`event_driven = false`): every round is executed. This
+//!   is the reference oracle the goldens and proptests compare against.
+//!
+//! Both modes give bit-identical outcomes; only `executed_rounds` records
+//! the difference.
+//!
 //! [`crate::Scenario::run`] and [`crate::Campaign`] are thin drivers over
 //! the stepper. (The former positional `Simulator::run*` entry points,
 //! deprecated in 0.2, have been removed — build a [`crate::Scenario`]
 //! instead.)
 
-mod events;
 mod round;
 mod state;
 mod stepper;

@@ -436,17 +436,13 @@ pub(crate) fn step_round(
     // an event — arrival, completion, or a scheduler priority crossing —
     // so fast-replay those rounds' bookkeeping in one hop. Non-sticky
     // rounds re-place (and so re-randomize, for seeded policies) every
-    // running job each round and are never skipped. The event core
-    // (kinetic order + certificate heaps, `engine::events`) subsumes the
-    // per-boundary order probe and additionally replays through order
-    // shifts that keep the prefix set; it needs the scheduler's
-    // incremental-key hooks, so other schedulers fall back to probing.
-    if ctx.config.sticky && finished_this_round == 0 && !st.active_queue.is_empty() {
-        if ctx.config.event_core && scheduler.incremental_keys() {
-            super::events::hop_to_next_event(st, obs, ctx, scheduler, placement);
-        } else if ctx.config.event_driven {
-            skip_stable_rounds(st, obs, ctx, scheduler, placement);
-        }
+    // running job each round and are never skipped.
+    if ctx.config.event_driven
+        && ctx.config.sticky
+        && finished_this_round == 0
+        && !st.active_queue.is_empty()
+    {
+        skip_stable_rounds(st, obs, ctx, scheduler, placement);
     }
 
     // Serving processing is continuous-time and depends only on the clock
@@ -499,26 +495,19 @@ fn emit_round(st: &EngineState, obs: &mut Observer<'_>, running: usize) {
 /// order — which, the order being total, holds exactly when
 /// [`SchedulingPolicy::order_into`] would reproduce the sequence.
 ///
-/// For schedulers declaring [`SchedulingPolicy::incremental_keys`], only
-/// *running* jobs' keys are re-derived: that contract freezes the key of
-/// a job that is not running (its remaining work and attained service
-/// cannot move), so the cached value is already exact and the probe cost
-/// drops from O(active) key evaluations per boundary to O(prefix).
-/// Value-identical either way.
+/// Only *running* jobs' keys are re-derived: the
+/// [`SchedulingPolicy::order_stable_rounds`] contract freezes the key of a
+/// job that is not running (its remaining work and attained service
+/// cannot move), so the cached value is already exact and the probe costs
+/// O(prefix) key evaluations per boundary rather than O(active).
 fn order_still_holds(
     scheduler: &dyn SchedulingPolicy,
     jobs: &[crate::job_state::ActiveJob],
     progress_per_round: &[f64],
     sorted: &mut [crate::sched::SchedKey],
 ) -> bool {
-    if scheduler.incremental_keys() {
-        for k in sorted.iter_mut() {
-            if progress_per_round[k.job] > 0.0 {
-                k.key = scheduler.key(&jobs[k.job]);
-            }
-        }
-    } else {
-        for k in sorted.iter_mut() {
+    for k in sorted.iter_mut() {
+        if progress_per_round[k.job] > 0.0 {
             k.key = scheduler.key(&jobs[k.job]);
         }
     }

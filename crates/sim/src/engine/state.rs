@@ -9,7 +9,6 @@
 //! only when jobs are admitted or finish, and every per-round temporary
 //! lives in [`RoundScratch`] so a steady-state round allocates nothing.
 
-use super::events::EventCore;
 use crate::job_state::ActiveJob;
 use crate::placement::PlacementRequest;
 use crate::sched::SchedKey;
@@ -48,9 +47,6 @@ pub(crate) struct EngineState {
     pub(crate) active_demand: usize,
     /// Reusable per-round buffers.
     pub(crate) scratch: RoundScratch,
-    /// The discrete-event core's persistent buffers (kinetic order,
-    /// certificate heaps, SoA hot fields) — see [`super::events`].
-    pub(crate) event_core: EventCore,
 }
 
 /// Per-round temporaries, allocated once and reused every round.
@@ -129,7 +125,6 @@ impl EngineState {
                 progress_per_round: vec![0.0; n],
                 ..Default::default()
             },
-            event_core: EventCore::default(),
             jobs,
         }
     }

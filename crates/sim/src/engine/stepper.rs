@@ -336,8 +336,8 @@ impl Simulation {
         self.state.executed_rounds = state.executed_rounds;
         self.state.active_queue = state.active_queue.clone();
         self.state.active_demand = state.active_demand;
-        // Scratch and the event core are derived, per-executed-round
-        // state: reset them exactly as `EngineState::new` builds them.
+        // Scratch is derived, per-executed-round state: reset it exactly
+        // as `EngineState::new` builds it.
         let n = state.jobs.len();
         self.state.scratch = RoundScratch {
             in_prefix: vec![false; n],
@@ -347,7 +347,6 @@ impl Simulation {
             progress_per_round: vec![0.0; n],
             ..Default::default()
         };
-        self.state.event_core = Default::default();
         self.telemetry.gpus_in_use = state.gpus_in_use.clone();
         self.telemetry.busy_gpu_seconds = state.busy_gpu_seconds;
         self.telemetry.placement_compute_times = state.placement_compute_times.clone();

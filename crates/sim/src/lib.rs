@@ -74,6 +74,6 @@ pub use placement::{
     Allocation, PlacementCtx, PlacementPolicy, PlacementRequest, RoundObservation,
 };
 pub use scenario::Scenario;
-pub use sched::{KeyState, SchedKey, SchedulingPolicy};
+pub use sched::{SchedKey, SchedulingPolicy};
 pub use serving::{BatcherConfig, ServingJob, ServingMetrics, ServingSnapshot};
 pub use state::{ReplicaState, ServingState, SimState, STATE_FORMAT_VERSION};

@@ -201,20 +201,6 @@ impl Scenario {
         self
     }
 
-    /// Enable or disable the discrete-event engine core (defaults to off;
-    /// see [`SimConfig::event_core`]). With a sticky config and an
-    /// incremental-key scheduler, the engine advances event-to-event —
-    /// arrivals, completions, priority crossings — and dispatches full
-    /// decision rounds only when the schedulable prefix changes; results
-    /// are bit-identical to the round stepper, with far fewer
-    /// [`SimResult::executed_rounds`].
-    ///
-    /// [`SimResult::executed_rounds`]: crate::SimResult::executed_rounds
-    pub fn event_core(mut self, enabled: bool) -> Self {
-        self.config.event_core = enabled;
-        self
-    }
-
     /// The effective policy-visible profile: the one set via
     /// [`profile`](Scenario::profile), or the flat default.
     ///

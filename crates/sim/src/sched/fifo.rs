@@ -27,18 +27,6 @@ impl SchedulingPolicy for Fifo {
         // Arrival times never change: the order holds until the queue does.
         usize::MAX
     }
-
-    fn incremental_keys(&self) -> bool {
-        true
-    }
-
-    fn key_parts(&self, spec: &pal_trace::JobSpec, _remaining: f64, _attained: f64) -> f64 {
-        spec.arrival
-    }
-
-    fn crossing_rounds(&self, _lo: &super::KeyState, _hi: &super::KeyState, _dt: f64) -> usize {
-        usize::MAX // arrival keys never move
-    }
 }
 
 #[cfg(test)]

@@ -70,33 +70,6 @@ impl SchedulingPolicy for Las {
         }
         stable
     }
-
-    fn incremental_keys(&self) -> bool {
-        true
-    }
-
-    fn key_parts(&self, _spec: &pal_trace::JobSpec, _remaining: f64, attained: f64) -> f64 {
-        if attained < self.threshold_gpu_seconds {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
-    fn crossing_rounds(&self, lo: &super::KeyState, hi: &super::KeyState, dt: f64) -> usize {
-        // Keys only move *up* (0 → 1 at the demotion threshold), so the
-        // pair can invert only when `lo` demotes: past `hi`'s key if `hi`
-        // sits in the high queue, or into a tie-breaker comparison if both
-        // end up demoted. Either way, re-checking at `lo`'s crossing is
-        // sufficient; `hi` demoting first only widens the gap.
-        let _ = hi;
-        if lo.key >= 1.0 || lo.progress_per_round <= 0.0 {
-            return usize::MAX; // already demoted, or frozen while waiting
-        }
-        let per_round = lo.gpu_demand * dt;
-        let to_cross = (self.threshold_gpu_seconds - lo.attained_service) / per_round;
-        (to_cross.ceil() as usize).max(1)
-    }
 }
 
 #[cfg(test)]

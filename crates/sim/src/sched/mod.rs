@@ -17,7 +17,7 @@ pub use srsf::Srsf;
 pub use srtf::Srtf;
 
 use crate::job_state::ActiveJob;
-use pal_trace::{JobId, JobSpec};
+use pal_trace::JobId;
 
 /// The cached sort key of one queued job: the policy's primary key plus
 /// the universal tie-breakers (arrival time, then job id), computed once
@@ -141,6 +141,13 @@ pub trait SchedulingPolicy {
     /// with an ordering not derived from [`key`](SchedulingPolicy::key)
     /// must keep the conservative default of `0` ("may change every
     /// round"), which disables skipping under that policy.
+    ///
+    /// Returning nonzero also asserts the *frozen-waiting-key* contract:
+    /// the key of a job that is not running never changes on its own
+    /// (waiting jobs' remaining work and attained service are frozen). The
+    /// per-boundary re-check relies on it to re-derive only running jobs'
+    /// keys, so each skipped boundary costs O(prefix) key evaluations
+    /// rather than O(active). All four built-in policies satisfy it.
     fn order_stable_rounds(
         &self,
         jobs: &[ActiveJob],
@@ -151,73 +158,6 @@ pub trait SchedulingPolicy {
         let _ = (jobs, sorted, progress_per_round, round_duration);
         0
     }
-
-    /// Whether this policy supports *incremental* key maintenance: its
-    /// ordering is the default `(key, arrival, id)` cached-key sort, its
-    /// key is a pure function of the job's hot fields
-    /// ([`key_parts`](SchedulingPolicy::key_parts)), and it can bound when
-    /// an adjacent pair of keys may invert
-    /// ([`crossing_rounds`](SchedulingPolicy::crossing_rounds)). The
-    /// event-queue engine core keeps the scheduling order as a kinetic
-    /// sorted sequence — swapping pairs at predicted crossings instead of
-    /// re-sorting per round — only for policies that return `true`.
-    ///
-    /// A further contract the hooks rely on: the key of a job that is
-    /// *not* running never changes on its own (waiting jobs' remaining
-    /// work and attained service are frozen). All four built-in policies
-    /// satisfy this.
-    fn incremental_keys(&self) -> bool {
-        false
-    }
-
-    /// The primary key recomputed from a job's hot fields, without
-    /// touching the full [`ActiveJob`]. Must equal
-    /// [`key`](SchedulingPolicy::key) bit-for-bit when handed that job's
-    /// `spec`, `remaining_work`, and `attained_service` — the event core
-    /// evaluates keys from its dense SoA arrays mid-replay, before the
-    /// values are written back to the job table.
-    ///
-    /// Required when [`incremental_keys`](SchedulingPolicy::incremental_keys)
-    /// returns `true`; the default panics.
-    fn key_parts(&self, spec: &JobSpec, remaining_work: f64, attained_service: f64) -> f64 {
-        let _ = (spec, remaining_work, attained_service);
-        unimplemented!("key_parts required when incremental_keys() is true")
-    }
-
-    /// Upper bound on how soon the adjacent ordered pair `(lo, hi)` —
-    /// `lo` currently at or before `hi` under `cmp_total` — can invert:
-    /// the pair provably keeps its order at boundaries reached after `m`
-    /// further rounds of constant-rate accrual while `m < return value`
-    /// (`usize::MAX` = never). The event core re-derives both exact keys
-    /// when the certificate expires, swaps if the pair actually inverted,
-    /// and re-arms either way — and it schedules the check a safety margin
-    /// *early*, so a bound computed in closed form (which can drift a
-    /// round or two from the engine's repeated-subtraction accrual) is
-    /// still checked before the true crossing.
-    ///
-    /// Required when [`incremental_keys`](SchedulingPolicy::incremental_keys)
-    /// returns `true`; the default panics.
-    fn crossing_rounds(&self, lo: &KeyState, hi: &KeyState, round_duration: f64) -> usize {
-        let _ = (lo, hi, round_duration);
-        unimplemented!("crossing_rounds required when incremental_keys() is true")
-    }
-}
-
-/// The hot per-job inputs to [`SchedulingPolicy::crossing_rounds`]: the
-/// current exact key plus the constant-rate dynamics that move it while
-/// the allocation is unchanged.
-#[derive(Debug, Clone, Copy)]
-pub struct KeyState {
-    /// Current primary key (exact, from the replayed job state).
-    pub key: f64,
-    /// Ideal seconds retired per round at the current allocation; `0.0`
-    /// for jobs not running (their keys are frozen).
-    pub progress_per_round: f64,
-    /// GPU demand (service accrues at `gpu_demand × dt` per round while
-    /// running).
-    pub gpu_demand: f64,
-    /// Current attained GPU service, GPU-seconds (exact).
-    pub attained_service: f64,
 }
 
 /// Rounds until two adjacent linearly-decaying keys cross: the shared
@@ -256,25 +196,6 @@ pub fn stable_rounds_linear_keys(
         }
     }
     stable
-}
-
-/// Rounds until a single adjacent pair of linearly-decaying keys may
-/// invert: the per-pair analogue of [`stable_rounds_linear_keys`], used by
-/// [`SchedulingPolicy::crossing_rounds`] for SRTF/SRSF. `lo` is currently
-/// at or before `hi`; each key drops by its `drop` per round while the
-/// job runs. Ties (`gap <= 0`, ordered by tie-breakers) flip after one
-/// round of strictly faster decay.
-pub fn crossing_rounds_linear(lo_key: f64, lo_drop: f64, hi_key: f64, hi_drop: f64) -> usize {
-    let closing = hi_drop - lo_drop;
-    if closing <= 0.0 {
-        return usize::MAX; // the gap never shrinks
-    }
-    let gap = hi_key - lo_key;
-    if gap <= 0.0 {
-        1
-    } else {
-        ((gap / closing).ceil() as usize).max(1)
-    }
 }
 
 #[cfg(test)]

@@ -33,24 +33,6 @@ impl SchedulingPolicy for Srsf {
             progress_per_round[ji] * jobs[ji].spec.gpu_demand as f64
         })
     }
-
-    fn incremental_keys(&self) -> bool {
-        true
-    }
-
-    fn key_parts(&self, spec: &pal_trace::JobSpec, remaining: f64, _attained: f64) -> f64 {
-        remaining * spec.gpu_demand as f64
-    }
-
-    fn crossing_rounds(&self, lo: &super::KeyState, hi: &super::KeyState, _dt: f64) -> usize {
-        // Remaining *service* drops at progress × demand per round.
-        super::crossing_rounds_linear(
-            lo.key,
-            lo.progress_per_round * lo.gpu_demand,
-            hi.key,
-            hi.progress_per_round * hi.gpu_demand,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -30,19 +30,6 @@ impl SchedulingPolicy for Srtf {
         // runs; the order holds until an adjacent pair of keys crosses.
         super::stable_rounds_linear_keys(sorted, |ji| progress_per_round[ji])
     }
-
-    fn incremental_keys(&self) -> bool {
-        true
-    }
-
-    fn key_parts(&self, _spec: &pal_trace::JobSpec, remaining: f64, _attained: f64) -> f64 {
-        remaining
-    }
-
-    fn crossing_rounds(&self, lo: &super::KeyState, hi: &super::KeyState, _dt: f64) -> usize {
-        // The pair's gap closes at the difference of the linear key drops.
-        super::crossing_rounds_linear(lo.key, lo.progress_per_round, hi.key, hi.progress_per_round)
-    }
 }
 
 #[cfg(test)]

@@ -77,17 +77,6 @@ fn run(
     sticky: bool,
     event_driven: bool,
 ) -> SimResult {
-    run_mode(jobs, sched_pick, place_pick, sticky, event_driven, false)
-}
-
-fn run_mode(
-    jobs: &[JobSpec],
-    sched_pick: usize,
-    place_pick: usize,
-    sticky: bool,
-    event_driven: bool,
-    event_core: bool,
-) -> SimResult {
     let topo = ClusterTopology::new(2, 4);
     let prof = profile(topo.total_gpus());
     Scenario::new(Trace::new("equiv", jobs.to_vec()), topo)
@@ -97,7 +86,6 @@ fn run_mode(
         .placement_boxed(placement(place_pick, &prof))
         .sticky(sticky)
         .event_driven(event_driven)
-        .event_core(event_core)
         .run()
         .expect("equivalence scenario runs")
 }
@@ -129,91 +117,6 @@ proptest! {
         );
         prop_assert_eq!(off.executed_rounds, off.rounds);
         prop_assert!(on.executed_rounds <= off.executed_rounds);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48 })]
-    /// The discrete-event engine core (kinetic order + certificate
-    /// heaps) must be just as unobservable as round skipping: for any
-    /// trace × scheduler × placement × stickiness, `event_core(true)`
-    /// reproduces fixed-round stepping bit-for-bit — and never executes
-    /// *more* rounds than the probing skip path, whose stop conditions
-    /// it strictly subsumes (it replays through in-prefix order shifts
-    /// the probe must stop at).
-    #[test]
-    fn event_core_matches_fixed_round_everywhere(
-        raw in proptest::collection::vec(
-            (0.0f64..30_000.0, 1usize..=4, 1u64..6_000, 0usize..3),
-            1..12,
-        ),
-        sched_pick in 0usize..4,
-        place_pick in 0usize..6,
-        sticky in any::<bool>(),
-    ) {
-        let jobs: Vec<JobSpec> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(arrival, demand, iters, class))| {
-                spec(i as u32, arrival, demand, iters, class)
-            })
-            .collect();
-        let core = run_mode(&jobs, sched_pick, place_pick, sticky, true, true);
-        let skip = run_mode(&jobs, sched_pick, place_pick, sticky, true, false);
-        let fixed = run_mode(&jobs, sched_pick, place_pick, sticky, false, false);
-        prop_assert!(
-            core.same_outcome(&fixed),
-            "event core diverged from fixed-round (sched {sched_pick}, place {place_pick}, sticky {sticky})"
-        );
-        prop_assert!(
-            core.same_outcome(&skip),
-            "event core diverged from round skipping (sched {sched_pick}, place {place_pick}, sticky {sticky})"
-        );
-        prop_assert!(
-            core.executed_rounds <= skip.executed_rounds,
-            "event core executed {} rounds, probing skip only {}",
-            core.executed_rounds,
-            skip.executed_rounds
-        );
-    }
-}
-
-#[test]
-fn event_core_replays_through_in_prefix_crossings() {
-    // The workload the event core exists for: a saturated sticky SRTF
-    // queue whose running jobs constantly swap priority. Every such
-    // crossing breaks the probing skip (the cached order shifts), but
-    // the kinetic sequence repairs it in place and replays on; only
-    // completions (which change the prefix set) dispatch rounds.
-    let jobs: Vec<JobSpec> = (0..16)
-        .map(|i| {
-            // Staggered sizes so remaining-work curves cross repeatedly.
-            spec(
-                i,
-                (i as f64) * 25.0,
-                1 + (i as usize % 4),
-                120_000 + 9_000 * ((i * 5) % 16) as u64,
-                i as usize % 3,
-            )
-        })
-        .collect();
-    for sched_pick in [2, 3] {
-        // SRTF and SRSF: linearly drifting keys.
-        let core = run_mode(&jobs, sched_pick, 0, true, true, true);
-        let skip = run_mode(&jobs, sched_pick, 0, true, true, false);
-        assert!(core.same_outcome(&skip), "sched {sched_pick} diverged");
-        assert!(
-            core.executed_rounds * 5 <= core.rounds,
-            "sched {sched_pick}: event core executed {} of {} simulated rounds",
-            core.executed_rounds,
-            core.rounds
-        );
-        assert!(
-            core.executed_rounds <= skip.executed_rounds,
-            "sched {sched_pick}: core {} > skip {}",
-            core.executed_rounds,
-            skip.executed_rounds
-        );
     }
 }
 
