@@ -60,6 +60,7 @@ use crate::metrics::SimResult;
 use crate::observe::MetricsSink;
 use crate::placement::PlacementPolicy;
 use crate::scenario::Scenario;
+use crate::Simulation;
 use pal_cluster::VariabilityProfile;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -332,16 +333,19 @@ impl Campaign {
     pub fn cells(&self) -> Vec<CellInfo> {
         self.cell_indices()
             .into_iter()
-            .enumerate()
-            .map(|(index, (si, pi))| CellInfo {
-                index,
-                scenario: self.scenarios[si].0.clone(),
-                policy: pi
-                    .map(|pi| self.policies[pi].name().to_string())
-                    .unwrap_or_default(),
-                seed: self.cell_seed(si, pi.unwrap_or(0)),
-            })
+            .map(|(si, pi)| self.cell_info(si, pi))
             .collect()
+    }
+
+    fn cell_info(&self, scenario_idx: usize, policy_idx: Option<usize>) -> CellInfo {
+        CellInfo {
+            index: scenario_idx * self.policies.len().max(1) + policy_idx.unwrap_or(0),
+            scenario: self.scenarios[scenario_idx].0.clone(),
+            policy: policy_idx
+                .map(|pi| self.policies[pi].name().to_string())
+                .unwrap_or_default(),
+            seed: self.cell_seed(scenario_idx, policy_idx.unwrap_or(0)),
+        }
     }
 
     /// Run every cell in parallel. Results come back in deterministic
@@ -373,17 +377,19 @@ impl Campaign {
     }
 
     pub(crate) fn cell_indices(&self) -> Vec<(usize, Option<usize>)> {
-        self.scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| {
-                if self.policies.is_empty() {
-                    vec![(si, None)]
-                } else {
-                    (0..self.policies.len()).map(|pi| (si, Some(pi))).collect()
-                }
-            })
+        (0..self.scenarios.len())
+            .flat_map(|si| self.policy_columns().into_iter().map(move |pi| (si, pi)))
             .collect()
+    }
+
+    /// The policy axis: one column per spec, or the scenario's own
+    /// placement (`None`) when no spec is registered.
+    fn policy_columns(&self) -> Vec<Option<usize>> {
+        if self.policies.is_empty() {
+            vec![None]
+        } else {
+            (0..self.policies.len()).map(Some).collect()
+        }
     }
 
     pub(crate) fn run_cell(
@@ -392,47 +398,47 @@ impl Campaign {
         policy_idx: Option<usize>,
         workers: usize,
     ) -> Result<CampaignResult, SimError> {
-        let (tag, factory) = &self.scenarios[scenario_idx];
-        let mut scenario = factory();
-        let seed = self.cell_seed(scenario_idx, policy_idx.unwrap_or(0));
-        let policy_name = match policy_idx {
-            Some(pi) => {
-                let spec = &self.policies[pi];
-                let profile = scenario.effective_profile();
-                scenario = scenario.placement_boxed(spec.build(&profile, seed));
-                if let Some(sticky) = spec.sticky_override() {
-                    scenario = scenario.sticky(sticky);
-                }
-                Some(spec.name().to_string())
-            }
-            None => None,
-        };
-        let mut sim = scenario.start()?;
-        if let Some(factory) = &self.metrics {
-            let info = CellInfo {
-                index: scenario_idx * self.policies.len().max(1) + policy_idx.unwrap_or(0),
-                scenario: tag.clone(),
-                policy: policy_name.clone().unwrap_or_default(),
-                seed,
-            };
-            if let Some(sink) = factory(&info) {
+        self.run_cell_with(scenario_idx, policy_idx, workers, |sim, info| {
+            if let Some(sink) = self.metrics.as_ref().and_then(|factory| factory(info)) {
                 sim.attach_sink(sink);
             }
-        }
-        let mut result = sim.run_to_completion()?;
-        let policy = match policy_name {
-            Some(name) => {
-                // Use the spec's paper-facing label, as experiment::run_policy
-                // did with PolicyKind names.
-                result.placement = name.clone();
-                name
+            Ok(())
+        })
+    }
+
+    /// Build a cell's scenario with its policy column applied (the
+    /// placement built from the cell seed, plus the column's sticky
+    /// override), start it, let `prepare` adjust the started simulation,
+    /// run it to completion and label the result.
+    pub(crate) fn run_cell_with(
+        &self,
+        scenario_idx: usize,
+        policy_idx: Option<usize>,
+        workers: usize,
+        prepare: impl FnOnce(&mut Simulation, &CellInfo) -> Result<(), SimError>,
+    ) -> Result<CampaignResult, SimError> {
+        let info = self.cell_info(scenario_idx, policy_idx);
+        let mut scenario = (self.scenarios[scenario_idx].1)();
+        let spec = policy_idx.map(|pi| &self.policies[pi]);
+        if let Some(spec) = spec {
+            let profile = scenario.effective_profile();
+            scenario = scenario.placement_boxed(spec.build(&profile, info.seed));
+            if let Some(sticky) = spec.sticky_override() {
+                scenario = scenario.sticky(sticky);
             }
-            None => result.placement.clone(),
-        };
+        }
+        let mut sim = scenario.start()?;
+        prepare(&mut sim, &info)?;
+        let mut result = sim.run_to_completion()?;
+        if spec.is_some() {
+            // Use the spec's paper-facing label, as experiment::run_policy
+            // did with PolicyKind names.
+            result.placement = info.policy;
+        }
         Ok(CampaignResult {
-            scenario: tag.clone(),
-            policy,
-            seed,
+            scenario: info.scenario,
+            policy: result.placement.clone(),
+            seed: info.seed,
             workers,
             result,
         })

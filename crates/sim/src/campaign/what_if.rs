@@ -155,10 +155,12 @@ impl Campaign {
         }
         let mut scenarios = Vec::with_capacity(self.scenarios.len());
         for (si, (tag, factory)) in self.scenarios.iter().enumerate() {
-            // Shared prefix under the scenario's own placement.
+            // Shared prefix under the scenario's own placement, stopped on
+            // the first round boundary at or after the fork time whether
+            // or not the engine skips rounds.
             let mut prefix = factory().start()?;
             while prefix.time() < fork_t {
-                if prefix.step()? != StepOutcome::Running {
+                if prefix.step_until(fork_t)? != StepOutcome::Running {
                     break;
                 }
             }
@@ -168,55 +170,23 @@ impl Campaign {
             fork.placement_state = None;
             let prefix_digest = fork_digest(&fork);
 
-            let branch_indices: Vec<Option<usize>> = if self.policies.is_empty() {
-                vec![None]
-            } else {
-                (0..self.policies.len()).map(Some).collect()
-            };
-            let mut branches = Vec::with_capacity(branch_indices.len());
-            for pi in branch_indices {
-                let mut scenario = factory();
-                let seed = self.cell_seed(si, pi.unwrap_or(0));
-                let policy_name = match pi {
-                    Some(pi) => {
-                        let spec = &self.policies[pi];
-                        let profile = scenario.effective_profile();
-                        scenario = scenario.placement_boxed(spec.build(&profile, seed));
-                        if let Some(sticky) = spec.sticky_override() {
-                            scenario = scenario.sticky(sticky);
-                        }
-                        Some(spec.name().to_string())
+            let mut branches = Vec::new();
+            for pi in self.policy_columns() {
+                branches.push(self.run_cell_with(si, pi, 1, |sim, info| {
+                    sim.import_state(&fork)?;
+                    let resumed = fork_digest(&sim.export_state());
+                    if resumed != prefix_digest {
+                        return Err(SimError::StateImport {
+                            reason: format!(
+                                "what-if branch `{}` of scenario `{tag}` does not reproduce the \
+                                 shared prefix after import (digest {resumed:#018x} != \
+                                 {prefix_digest:#018x})",
+                                pi.map_or("<scenario placement>", |_| info.policy.as_str()),
+                            ),
+                        });
                     }
-                    None => None,
-                };
-                let mut sim = scenario.start()?;
-                sim.import_state(&fork)?;
-                let resumed = fork_digest(&sim.export_state());
-                if resumed != prefix_digest {
-                    return Err(SimError::StateImport {
-                        reason: format!(
-                            "what-if branch `{}` of scenario `{tag}` does not reproduce the \
-                             shared prefix after import (digest {resumed:#018x} != \
-                             {prefix_digest:#018x})",
-                            policy_name.as_deref().unwrap_or("<scenario placement>"),
-                        ),
-                    });
-                }
-                let mut result = sim.run_to_completion()?;
-                let policy = match policy_name {
-                    Some(name) => {
-                        result.placement = name.clone();
-                        name
-                    }
-                    None => result.placement.clone(),
-                };
-                branches.push(CampaignResult {
-                    scenario: tag.clone(),
-                    policy,
-                    seed,
-                    workers: 1,
-                    result,
-                });
+                    Ok(())
+                })?);
             }
             scenarios.push(WhatIfScenario {
                 scenario: tag.clone(),
@@ -333,6 +303,52 @@ mod tests {
             assert_eq!(branch.result.records, reference.records);
             assert_eq!(branch.result.rounds, reference.rounds);
         }
+    }
+
+    #[test]
+    fn event_driven_prefix_forks_where_fixed_rounds_do() {
+        // Three sticky FIFO 2-GPU jobs (6,000–7,800 s) share 2×4 GPUs, so
+        // nothing happens between their start and the first completion:
+        // a skip hop would run far past the fork time unless it stops
+        // there. The non-sticky Random branch then makes the fork point
+        // visible in the outcome.
+        let campaign = |event_driven: bool| {
+            Campaign::new()
+                .seed(7)
+                .scenario("sticky", move || {
+                    let jobs = (0..3)
+                        .map(|i| JobSpec {
+                            id: JobId(i),
+                            model: Workload::ResNet50,
+                            class: JobClass(i as usize),
+                            arrival: 0.0,
+                            gpu_demand: 2,
+                            iterations: 6_000 + 900 * u64::from(i),
+                            base_iter_time: 1.0,
+                        })
+                        .collect();
+                    Scenario::new(Trace::new("sticky-fork", jobs), ClusterTopology::new(2, 4))
+                        .scheduler(Fifo)
+                        .sticky(true)
+                        .event_driven(event_driven)
+                })
+                .policy(
+                    PolicySpec::new("Random", |_, seed| Box::new(RandomPlacement::new(seed)))
+                        .sticky(false),
+                )
+        };
+        let skip = campaign(true).what_if(1000.0).unwrap();
+        let fixed = campaign(false).what_if(1000.0).unwrap();
+        let (s, f) = (&skip.scenarios[0], &fixed.scenarios[0]);
+        assert_eq!(f.forked_at, 1200.0);
+        assert_eq!(s.forked_at, f.forked_at);
+        assert_eq!(s.prefix_rounds, 4);
+        assert_eq!(s.prefix_rounds, f.prefix_rounds);
+        assert!(
+            s.fork_state.executed_rounds < f.fork_state.executed_rounds,
+            "the prefix still skips up to the fork"
+        );
+        assert!(s.branches[0].result.same_outcome(&f.branches[0].result));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct SimConfig {
     /// Event-driven round skipping, the engine's one fast path: after a
     /// sticky round in which every prefix job keeps running, the engine
     /// fast-replays the rounds up to the next *event* — arrival,
-    /// completion, or scheduler priority crossing — executing only the
+    /// completion, or a change in the scheduling order — executing only the
     /// bookkeeping (progress accrual, telemetry, policy observations)
     /// those rounds would have produced. Outcomes are bit-identical to
     /// fixed-round stepping; only

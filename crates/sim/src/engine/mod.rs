@@ -22,8 +22,8 @@
 //!
 //! - *event-driven* (the default): after a sticky round in which every
 //!   prefix job kept running, `skip_stable_rounds` fast-replays the rounds
-//!   up to the next event (arrival, completion, or scheduler priority
-//!   crossing) in one hop;
+//!   up to the next event (arrival, completion, or a change in the
+//!   re-derived scheduling order) in one hop;
 //! - *fixed-round* (`event_driven = false`): every round is executed. This
 //!   is the reference oracle the goldens and proptests compare against.
 //!

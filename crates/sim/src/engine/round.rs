@@ -5,9 +5,9 @@
 //! golden tests pin the outputs bit-for-bit — but allocation-free at
 //! steady state:
 //!
-//! - the scheduler orders the incrementally maintained active queue via
-//!   [`SchedulingPolicy::order_into`] (keys computed once, borrowed jobs,
-//!   reused buffers) instead of sorting a cloned `Vec<ActiveJob>`;
+//! - the incrementally maintained active queue is ordered by a cached-key
+//!   sort over [`SchedulingPolicy::key`] (keys computed once, borrowed
+//!   jobs, reused buffers) instead of sorting a cloned `Vec<ActiveJob>`;
 //! - admission-control context comes from two incrementally maintained
 //!   counters instead of an O(active) rescan per arrival;
 //! - preemption/re-placement *move* GPU vectors out of the job phase
@@ -29,7 +29,7 @@ use crate::observe::{JobEventKind, RoundEvent};
 use crate::placement::{
     validate_allocation, PlacementCtx, PlacementPolicy, PlacementRequest, RoundObservation,
 };
-use crate::sched::SchedulingPolicy;
+use crate::sched::{self, SchedKey, SchedulingPolicy};
 use crate::serving::ServingEngine;
 use pal_cluster::{LocalityModel, VariabilityProfile};
 use std::time::{Duration, Instant};
@@ -55,6 +55,11 @@ pub(crate) struct RoundCtx<'a> {
     pub config: &'a SimConfig,
     /// Cluster GPU count.
     pub total_gpus: usize,
+    /// A skip hop commits no round that starts at or after this time, so
+    /// a caller stepping to a target time lands on the first boundary at
+    /// or after it exactly as fixed-round stepping does (`+∞` for plain
+    /// stepping).
+    pub skip_until: f64,
 }
 
 /// Advance the simulation by one scheduling round.
@@ -165,7 +170,8 @@ pub(crate) fn step_round(
 
     // 2. Scheduling order over the active queue (cached-key sort over
     // borrowed jobs — no clones, no per-round allocation).
-    scheduler.order_into(
+    sched::order_into(
+        scheduler,
         &st.jobs,
         &st.active_queue,
         &mut st.scratch.sched_keys,
@@ -433,10 +439,10 @@ pub(crate) fn step_round(
 
     // Event-driven round skipping: a sticky round in which every prefix
     // job kept running leaves nothing for the next rounds to decide until
-    // an event — arrival, completion, or a scheduler priority crossing —
-    // so fast-replay those rounds' bookkeeping in one hop. Non-sticky
-    // rounds re-place (and so re-randomize, for seeded policies) every
-    // running job each round and are never skipped.
+    // an event — arrival, completion, or a change in the scheduling
+    // order — so fast-replay those rounds' bookkeeping in one hop.
+    // Non-sticky rounds re-place (and so re-randomize, for seeded
+    // policies) every running job each round and are never skipped.
     if ctx.config.event_driven
         && ctx.config.sticky
         && finished_this_round == 0
@@ -493,18 +499,18 @@ fn emit_round(st: &EngineState, obs: &mut Observer<'_>, running: usize) {
 /// Re-derive the cached keys from the current job state and check the
 /// cached sequence is still sorted under the strict `(key, arrival, id)`
 /// order — which, the order being total, holds exactly when
-/// [`SchedulingPolicy::order_into`] would reproduce the sequence.
+/// [`sched::order_into`] would reproduce the sequence.
 ///
-/// Only *running* jobs' keys are re-derived: the
-/// [`SchedulingPolicy::order_stable_rounds`] contract freezes the key of a
-/// job that is not running (its remaining work and attained service
-/// cannot move), so the cached value is already exact and the probe costs
-/// O(prefix) key evaluations per boundary rather than O(active).
+/// Only *running* jobs' keys are re-derived. A key depends only on its
+/// job (see [`SchedulingPolicy`]), and a job that is not running has
+/// frozen remaining work and attained service, so its cached key is
+/// already exact and the probe costs O(prefix) key evaluations per
+/// boundary rather than O(active).
 fn order_still_holds(
     scheduler: &dyn SchedulingPolicy,
     jobs: &[crate::job_state::ActiveJob],
     progress_per_round: &[f64],
-    sorted: &mut [crate::sched::SchedKey],
+    sorted: &mut [SchedKey],
 ) -> bool {
     for k in sorted.iter_mut() {
         if progress_per_round[k.job] > 0.0 {
@@ -517,8 +523,9 @@ fn order_still_holds(
 }
 
 /// Fast-replay the rounds between here and the next *event* — arrival,
-/// running-job completion, scheduler priority crossing, or the
-/// `max_rounds` cap — executing exactly (and only) the bookkeeping those
+/// running-job completion, a change in the re-derived scheduling order,
+/// the `max_rounds` cap, or the caller's [`RoundCtx::skip_until`] —
+/// executing exactly (and only) the bookkeeping those
 /// rounds would have produced: the round counter, per-job progress and
 /// service accrual, the telemetry accumulators, and the placement
 /// policy's per-job observations. Every arithmetic operation replays the
@@ -542,26 +549,6 @@ fn skip_stable_rounds(
     placement: &mut dyn PlacementPolicy,
 ) {
     let dt = ctx.config.round_duration;
-    // The keys moved while the round executed; the cached order survives
-    // into the upcoming boundary only if it re-derives identically now.
-    if !order_still_holds(
-        scheduler,
-        &st.jobs,
-        &st.scratch.progress_per_round,
-        &mut st.scratch.sched_keys,
-    ) {
-        return;
-    }
-    // The scheduler's skip horizon: boundaries reached after `m` further
-    // rounds of accrual keep this order while m < horizon. The default
-    // (0) disables skipping — mandatory for policies whose ordering is
-    // not the key-based sort `order_still_holds` re-checks.
-    let horizon = scheduler.order_stable_rounds(
-        &st.jobs,
-        &st.scratch.sched_keys,
-        &st.scratch.progress_per_round,
-        dt,
-    );
     let running_demand: usize = st
         .scratch
         .prefix
@@ -571,12 +558,12 @@ fn skip_stable_rounds(
     // Observation replay is the hop's only O(GPUs) work; elide it for
     // policies whose `observe` is a no-op (bit-identical either way).
     let deliver_observations = placement.wants_observations();
-    let mut skipped = 0usize;
-    'boundary: while skipped < horizon {
+    'boundary: loop {
         let t = st.t;
         // Livelock cap: stop here; the next executed step re-derives the
-        // identical error at the identical round count.
-        if st.rounds >= ctx.config.max_rounds {
+        // identical error at the identical round count. The caller's stop
+        // time ends the hop on the first boundary at or after it.
+        if st.rounds >= ctx.config.max_rounds || t >= ctx.skip_until {
             break;
         }
         // Admission would pick up an arrival at this boundary.
@@ -592,17 +579,16 @@ fn skip_stable_rounds(
                 break 'boundary;
             }
         }
-        // The accrual replayed so far may have moved the keys.
-        if skipped > 0 {
-            let scratch = &mut st.scratch;
-            if !order_still_holds(
-                scheduler,
-                &st.jobs,
-                &scratch.progress_per_round,
-                &mut scratch.sched_keys,
-            ) {
-                break;
-            }
+        // The executed round and the accrual replayed so far moved the
+        // running jobs' keys; the cached order survives into this
+        // boundary only if it re-derives identically.
+        if !order_still_holds(
+            scheduler,
+            &st.jobs,
+            &st.scratch.progress_per_round,
+            &mut st.scratch.sched_keys,
+        ) {
+            break;
         }
 
         // Commit: replay the bookkeeping of one unchanged round.
@@ -632,6 +618,5 @@ fn skip_stable_rounds(
             job.remaining_work -= st.scratch.progress_per_round[ji];
         }
         st.t = t + dt;
-        skipped += 1;
     }
 }

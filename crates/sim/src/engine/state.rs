@@ -94,12 +94,23 @@ pub(crate) struct RoundScratch {
     /// replaying telemetry observations); indexed like `slowdown`.
     pub(crate) locality_penalty: Vec<f64>,
     /// Per-job ideal seconds retired per full round at the current
-    /// allocation (`round_duration / slowdown`); 0.0 for jobs not running.
-    /// Input to [`SchedulingPolicy::order_stable_rounds`].
-    ///
-    /// [`SchedulingPolicy::order_stable_rounds`]:
-    ///     crate::sched::SchedulingPolicy::order_stable_rounds
+    /// allocation (`round_duration / slowdown`); 0.0 for jobs not running,
+    /// so a skip hop re-derives scheduling keys only where it is nonzero.
     pub(crate) progress_per_round: Vec<f64>,
+}
+
+impl RoundScratch {
+    /// Empty scratch with the per-job buffers sized for `n` jobs.
+    pub(crate) fn new(n: usize) -> Self {
+        RoundScratch {
+            in_prefix: vec![false; n],
+            migrated: vec![false; n],
+            slowdown: vec![0.0; n],
+            locality_penalty: vec![0.0; n],
+            progress_per_round: vec![0.0; n],
+            ..Default::default()
+        }
+    }
 }
 
 impl EngineState {
@@ -117,14 +128,7 @@ impl EngineState {
             executed_rounds: 0,
             active_queue: Vec::new(),
             active_demand: 0,
-            scratch: RoundScratch {
-                in_prefix: vec![false; n],
-                migrated: vec![false; n],
-                slowdown: vec![0.0; n],
-                locality_penalty: vec![0.0; n],
-                progress_per_round: vec![0.0; n],
-                ..Default::default()
-            },
+            scratch: RoundScratch::new(n),
             jobs,
         }
     }

@@ -202,12 +202,21 @@ impl Simulation {
     /// [`Scenario::run`](crate::Scenario::run) and are stable: stepping
     /// again re-derives the same error.
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
+        self.step_until(f64::INFINITY)
+    }
+
+    /// [`step`](Simulation::step), except that an event-driven skip hop
+    /// commits no round starting at or after `skip_until`. Stepping while
+    /// `time() < skip_until` therefore stops on the first round boundary
+    /// at or after it, exactly as fixed-round stepping does.
+    pub(crate) fn step_until(&mut self, skip_until: f64) -> Result<StepOutcome, SimError> {
         let ctx = RoundCtx {
             profile: &self.profile,
             truth: &self.truth,
             locality: &self.locality,
             config: &self.config,
             total_gpus: self.training_gpus,
+            skip_until,
         };
         let mut obs = Observer::new(
             &mut self.telemetry,
@@ -227,9 +236,8 @@ impl Simulation {
     /// Export the run's complete persistent state at the current round
     /// boundary: job table, cluster occupancy, clocks, telemetry
     /// accumulators, the placement policy's opaque state, and every
-    /// serving deployment's position. Per-round scratch and the
-    /// discrete-event core are rebuilt on resume, so they are not
-    /// exported (see [`crate::state`]).
+    /// serving deployment's position. Per-round scratch is rebuilt on
+    /// resume, so it is not exported (see [`crate::state`]).
     ///
     /// Feeding the result to [`import_state`](Simulation::import_state)
     /// on a freshly [`Scenario::start`](crate::Scenario::start)-ed
@@ -269,7 +277,10 @@ impl Simulation {
     ///
     /// The receiving simulation must have been started from a compatible
     /// scenario: same format version, same trace, same job count, same
-    /// topology, and matching serving deployments. The *policies* may
+    /// topology, and matching serving deployments. The state must also be
+    /// internally consistent: unique in-range queue indices, counters no
+    /// larger than the job table, finite non-negative work values, and no
+    /// more executed than simulated rounds. The *policies* may
     /// differ — that is the point of what-if forking — except that a
     /// state carrying `placement_state` must be imported into the same
     /// placement policy it was exported from (opaque policy state does
@@ -298,6 +309,7 @@ impl Simulation {
                 self.state.jobs.len()
             )));
         }
+        state.validate().map_err(&fail)?;
         if state.cluster.topology() != self.state.cluster.topology() {
             return Err(fail(format!(
                 "state topology {:?} does not match simulation topology {:?}",
@@ -338,15 +350,7 @@ impl Simulation {
         self.state.active_demand = state.active_demand;
         // Scratch is derived, per-executed-round state: reset it exactly
         // as `EngineState::new` builds it.
-        let n = state.jobs.len();
-        self.state.scratch = RoundScratch {
-            in_prefix: vec![false; n],
-            migrated: vec![false; n],
-            slowdown: vec![0.0; n],
-            locality_penalty: vec![0.0; n],
-            progress_per_round: vec![0.0; n],
-            ..Default::default()
-        };
+        self.state.scratch = RoundScratch::new(state.jobs.len());
         self.telemetry.gpus_in_use = state.gpus_in_use.clone();
         self.telemetry.busy_gpu_seconds = state.busy_gpu_seconds;
         self.telemetry.placement_compute_times = state.placement_compute_times.clone();
@@ -762,6 +766,62 @@ mod tests {
         // The same state with placement_state cleared is a legal fork.
         foreign_policy.placement_state = None;
         assert!(fresh.import_state(&foreign_policy).is_ok());
+    }
+
+    /// Export after one round of the two-job scenario, corrupt one field,
+    /// and require a fresh simulation to refuse the import.
+    fn assert_import_rejects(corrupt: impl Fn(&mut SimState), field: &str) {
+        let mut sim = two_job_scenario().start().unwrap();
+        sim.step().unwrap();
+        let mut state = sim.export_state();
+        assert_eq!(state.active_queue, vec![0], "job 0 is mid-run");
+        corrupt(&mut state);
+        let err = two_job_scenario().start().unwrap().import_state(&state);
+        assert!(
+            matches!(&err, Err(SimError::StateImport { reason }) if reason.contains(field)),
+            "{field}: {err:?}"
+        );
+    }
+
+    #[test]
+    fn import_rejects_out_of_range_or_duplicate_queue_index() {
+        assert_import_rejects(|s| s.active_queue.push(2), "active_queue");
+        assert_import_rejects(|s| s.active_queue.push(0), "active_queue");
+    }
+
+    #[test]
+    fn import_rejects_next_admit_past_job_table() {
+        assert_import_rejects(|s| s.next_admit = 3, "next_admit");
+    }
+
+    #[test]
+    fn import_rejects_finished_past_job_table() {
+        assert_import_rejects(|s| s.finished = 3, "finished");
+    }
+
+    #[test]
+    fn import_rejects_bad_remaining_work() {
+        assert_import_rejects(|s| s.jobs[0].remaining_work = f64::NAN, "remaining_work");
+        assert_import_rejects(|s| s.jobs[1].remaining_work = -1.0, "remaining_work");
+    }
+
+    #[test]
+    fn import_rejects_bad_attained_service() {
+        assert_import_rejects(
+            |s| s.jobs[0].attained_service = f64::INFINITY,
+            "attained_service",
+        );
+        assert_import_rejects(|s| s.jobs[0].attained_service = -0.5, "attained_service");
+    }
+
+    #[test]
+    fn import_rejects_fewer_rounds_than_executed() {
+        assert_import_rejects(|s| s.rounds = 0, "executed_rounds");
+    }
+
+    #[test]
+    fn import_rejects_short_rejection_flags() {
+        assert_import_rejects(|s| s.rejected.truncate(1), "rejection flags");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! round the simulator:
 //!
 //! 1. admits newly arrived jobs into the active queue,
-//! 2. asks the [`sched::SchedulingPolicy`] to order the queue,
+//! 2. orders the queue by the [`sched::SchedulingPolicy`]'s per-job key,
 //! 3. marks the *schedulable prefix* — the maximal prefix whose cumulative
 //!    GPU demand fits the cluster (Figure 4's "mark queue at cluster
 //!    size"); prefix jobs are guaranteed to run this round, the rest wait
@@ -74,6 +74,6 @@ pub use placement::{
     Allocation, PlacementCtx, PlacementPolicy, PlacementRequest, RoundObservation,
 };
 pub use scenario::Scenario;
-pub use sched::{SchedKey, SchedulingPolicy};
+pub use sched::SchedulingPolicy;
 pub use serving::{BatcherConfig, ServingJob, ServingMetrics, ServingSnapshot};
 pub use state::{ReplicaState, ServingState, SimState, STATE_FORMAT_VERSION};

@@ -78,10 +78,8 @@ pub struct RoundObservation<'a> {
 /// the borrowed [`PlacementCtx::view`] performs no allocation per
 /// decision (the property `benches/placement_hot_path.rs` pins).
 /// [`placement_order`] and [`place`] are allocating convenience wrappers
-/// for tests and one-off callers, mirroring
-/// [`SchedulingPolicy::order`](crate::sched::SchedulingPolicy::order) —
-/// the engine never calls them, so overriding them has no effect on
-/// simulation.
+/// for tests and one-off callers — the engine never calls them, so
+/// overriding them has no effect on simulation.
 ///
 /// [`placement_order_into`]: PlacementPolicy::placement_order_into
 /// [`place_into`]: PlacementPolicy::place_into

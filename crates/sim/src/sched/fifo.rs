@@ -16,22 +16,12 @@ impl SchedulingPolicy for Fifo {
     fn key(&self, job: &ActiveJob) -> f64 {
         job.spec.arrival
     }
-
-    fn order_stable_rounds(
-        &self,
-        _jobs: &[ActiveJob],
-        _sorted: &[super::SchedKey],
-        _progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Arrival times never change: the order holds until the queue does.
-        usize::MAX
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::job;
+    use super::super::order_into;
+    use super::super::test_util::{job, order};
     use super::*;
 
     #[test]
@@ -41,25 +31,24 @@ mod tests {
             job(1, 10.0, 1, 10),
             job(2, 20.0, 1, 10),
         ];
-        assert_eq!(Fifo.order(&jobs), vec![1, 2, 0]);
+        assert_eq!(order(&Fifo, &jobs), vec![1, 2, 0]);
     }
 
     #[test]
     fn ties_broken_by_id() {
         let jobs = vec![job(5, 10.0, 1, 10), job(2, 10.0, 1, 10)];
-        assert_eq!(Fifo.order(&jobs), vec![1, 0]);
+        assert_eq!(order(&Fifo, &jobs), vec![1, 0]);
     }
 
     #[test]
     fn empty_queue() {
-        assert!(Fifo.order(&[]).is_empty());
+        assert!(order(&Fifo, &[]).is_empty());
     }
 
     #[test]
     fn order_into_reuses_buffers_and_matches_order() {
         // The engine's allocation-free path: order a sub-queue of the job
-        // table through reused scratch, twice, against the convenience
-        // wrapper.
+        // table through reused scratch, twice, against a full ordering.
         let jobs = vec![
             job(0, 30.0, 1, 10),
             job(1, 10.0, 1, 10),
@@ -67,10 +56,10 @@ mod tests {
         ];
         let mut keys = Vec::new();
         let mut out = Vec::new();
-        Fifo.order_into(&jobs, &[0, 1, 2], &mut keys, &mut out);
-        assert_eq!(out, Fifo.order(&jobs));
+        order_into(&Fifo, &jobs, &[0, 1, 2], &mut keys, &mut out);
+        assert_eq!(out, order(&Fifo, &jobs));
         // Same buffers, different (partial, reordered) queue.
-        Fifo.order_into(&jobs, &[2, 0], &mut keys, &mut out);
+        order_into(&Fifo, &jobs, &[2, 0], &mut keys, &mut out);
         assert_eq!(out, vec![2, 0], "partial queue sorted by arrival");
         assert_eq!(keys.len(), 2, "scratch reflects the last call only");
     }

@@ -41,40 +41,12 @@ impl SchedulingPolicy for Las {
             1.0
         }
     }
-
-    fn order_stable_rounds(
-        &self,
-        jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        _progress_per_round: &[f64],
-        round_duration: f64,
-    ) -> usize {
-        // Keys only move when a *running* job crosses the demotion
-        // threshold; service accrues at `gpu_demand` GPU-seconds per
-        // second while running. The order holds strictly before the
-        // earliest crossing.
-        let mut stable = usize::MAX;
-        for k in sorted {
-            let job = &jobs[k.job];
-            if !job.is_running() || job.attained_service >= self.threshold_gpu_seconds {
-                continue;
-            }
-            let per_round = job.spec.gpu_demand as f64 * round_duration;
-            let to_cross = (self.threshold_gpu_seconds - job.attained_service) / per_round;
-            // Boundaries reached after m rounds keep this job in the high
-            // queue while m < to_cross.
-            stable = stable.min(to_cross.ceil() as usize);
-            if stable == 0 {
-                break;
-            }
-        }
-        stable
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::job;
+    use super::super::order_into;
+    use super::super::test_util::{job, order};
     use super::*;
 
     #[test]
@@ -84,14 +56,14 @@ mod tests {
         let fresh = job(1, 500.0, 1, 1000);
         let jobs = vec![old, fresh];
         // Despite arriving later, the fresh job is in queue 0.
-        assert_eq!(Las::default().order(&jobs), vec![1, 0]);
+        assert_eq!(order(&Las::default(), &jobs), vec![1, 0]);
     }
 
     #[test]
     fn within_queue_fifo() {
         let a = job(0, 10.0, 1, 10);
         let b = job(1, 5.0, 1, 10);
-        assert_eq!(Las::default().order(&[a, b]), vec![1, 0]);
+        assert_eq!(order(&Las::default(), &[a, b]), vec![1, 0]);
     }
 
     #[test]
@@ -103,7 +75,7 @@ mod tests {
         at.attained_service = 100.0; // exactly at threshold -> demoted
         let mut below = job(1, 50.0, 1, 10);
         below.attained_service = 99.9;
-        assert_eq!(las.order(&[at, below]), vec![1, 0]);
+        assert_eq!(order(&las, &[at, below]), vec![1, 0]);
     }
 
     #[test]
@@ -115,9 +87,9 @@ mod tests {
         let fresh = job(1, 500.0, 1, 1000);
         let jobs = vec![old, fresh];
         let (mut keys, mut out) = (Vec::new(), Vec::new());
-        Las::default().order_into(&jobs, &[0, 1], &mut keys, &mut out);
+        order_into(&Las::default(), &jobs, &[0, 1], &mut keys, &mut out);
         let forward = out.clone();
-        Las::default().order_into(&jobs, &[1, 0], &mut keys, &mut out);
+        order_into(&Las::default(), &jobs, &[1, 0], &mut keys, &mut out);
         assert_eq!(forward, out);
         assert_eq!(out, vec![1, 0]);
     }

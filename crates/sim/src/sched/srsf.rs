@@ -19,25 +19,12 @@ impl SchedulingPolicy for Srsf {
     fn key(&self, job: &ActiveJob) -> f64 {
         job.remaining_ideal_time() * job.spec.gpu_demand as f64
     }
-
-    fn order_stable_rounds(
-        &self,
-        jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Remaining *service* shrinks by per-round progress × demand while
-        // a job runs; the order holds until adjacent keys cross.
-        super::stable_rounds_linear_keys(sorted, |ji| {
-            progress_per_round[ji] * jobs[ji].spec.gpu_demand as f64
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::job;
+    use super::super::order_into;
+    use super::super::test_util::{job, order};
     use super::*;
 
     #[test]
@@ -46,14 +33,14 @@ mod tests {
         // single-GPU job wins despite longer remaining time.
         let wide = job(0, 0.0, 8, 100);
         let narrow = job(1, 0.0, 1, 300);
-        assert_eq!(Srsf.order(&[wide, narrow]), vec![1, 0]);
+        assert_eq!(order(&Srsf, &[wide, narrow]), vec![1, 0]);
     }
 
     #[test]
     fn equal_service_falls_back_to_arrival() {
         let a = job(0, 50.0, 2, 100); // 200 GPU-s
         let b = job(1, 10.0, 1, 200); // 200 GPU-s
-        assert_eq!(Srsf.order(&[a, b]), vec![1, 0]);
+        assert_eq!(order(&Srsf, &[a, b]), vec![1, 0]);
     }
 
     #[test]
@@ -61,7 +48,7 @@ mod tests {
         let mut a = job(0, 0.0, 4, 100); // 400 GPU-s
         let b = job(1, 0.0, 1, 150); // 150 GPU-s
         a.remaining_work = 10.0; // now 40 GPU-s
-        assert_eq!(Srsf.order(&[a, b]), vec![0, 1]);
+        assert_eq!(order(&Srsf, &[a, b]), vec![0, 1]);
     }
 
     #[test]
@@ -74,7 +61,7 @@ mod tests {
             job(2, 0.0, 1, 50),  // 50 GPU-s, not in queue
         ];
         let (mut keys, mut out) = (Vec::new(), Vec::new());
-        Srsf.order_into(&jobs, &[0, 1], &mut keys, &mut out);
+        order_into(&Srsf, &jobs, &[0, 1], &mut keys, &mut out);
         assert_eq!(out, vec![1, 0], "job 2 excluded, table indices kept");
     }
 }

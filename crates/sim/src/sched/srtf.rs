@@ -18,30 +18,19 @@ impl SchedulingPolicy for Srtf {
     fn key(&self, job: &ActiveJob) -> f64 {
         job.remaining_ideal_time()
     }
-
-    fn order_stable_rounds(
-        &self,
-        _jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Remaining time shrinks by the job's per-round progress while it
-        // runs; the order holds until an adjacent pair of keys crosses.
-        super::stable_rounds_linear_keys(sorted, |ji| progress_per_round[ji])
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_util::job;
+    use super::super::order_into;
+    use super::super::test_util::{job, order};
     use super::*;
 
     #[test]
     fn shortest_first() {
         let long = job(0, 0.0, 1, 1000);
         let short = job(1, 100.0, 1, 10);
-        assert_eq!(Srtf.order(&[long, short]), vec![1, 0]);
+        assert_eq!(order(&Srtf, &[long, short]), vec![1, 0]);
     }
 
     #[test]
@@ -50,14 +39,14 @@ mod tests {
         let b = job(1, 0.0, 1, 50);
         // a has run down to 10s remaining; b still has 50s.
         a.remaining_work = 10.0;
-        assert_eq!(Srtf.order(&[a, b]), vec![0, 1]);
+        assert_eq!(order(&Srtf, &[a, b]), vec![0, 1]);
     }
 
     #[test]
     fn ties_by_arrival_then_id() {
         let a = job(3, 10.0, 1, 50);
         let b = job(1, 5.0, 1, 50);
-        assert_eq!(Srtf.order(&[a, b]), vec![1, 0]);
+        assert_eq!(order(&Srtf, &[a, b]), vec![1, 0]);
     }
 
     #[test]
@@ -67,10 +56,10 @@ mod tests {
         // reflected on the next ordering.
         let mut jobs = vec![job(0, 0.0, 1, 100), job(1, 0.0, 1, 50)];
         let (mut keys, mut out) = (Vec::new(), Vec::new());
-        Srtf.order_into(&jobs, &[0, 1], &mut keys, &mut out);
+        order_into(&Srtf, &jobs, &[0, 1], &mut keys, &mut out);
         assert_eq!(out, vec![1, 0]);
         jobs[0].remaining_work = 10.0;
-        Srtf.order_into(&jobs, &[0, 1], &mut keys, &mut out);
+        order_into(&Srtf, &jobs, &[0, 1], &mut keys, &mut out);
         assert_eq!(out, vec![0, 1]);
         assert_eq!(keys[0].key, 10.0, "cached key reflects current state");
     }

@@ -5,10 +5,10 @@
 //! resume bit-identically: the job table, cluster occupancy, clocks,
 //! accumulated telemetry, the placement policy's opaque run state
 //! ([`PlacementPolicy::export_state`]), and every serving deployment's
-//! queue/counters/replica times. Per-round scratch buffers and the
-//! discrete-event core are deliberately absent — both are rebuilt from
-//! the persistent state at the next executed round, so serializing them
-//! would only version-lock internals.
+//! queue/counters/replica times. Per-round scratch buffers are
+//! deliberately absent — they are rebuilt from the persistent state at
+//! the next executed round, so serializing them would only version-lock
+//! internals.
 //!
 //! ## Versioning
 //!
@@ -88,6 +88,51 @@ pub struct SimState {
     /// Per-deployment serving state, in deployment order; empty for
     /// training-only runs.
     pub serving: Vec<ServingState>,
+}
+
+impl SimState {
+    /// Check the state's internal consistency — what an importer must
+    /// establish before the engine indexes with it. A state that fails
+    /// would otherwise panic mid-run or never finish.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let n = self.jobs.len();
+        if self.rejected.len() != n {
+            return Err(format!(
+                "state has {} rejection flags for {n} jobs",
+                self.rejected.len()
+            ));
+        }
+        for (field, count) in [("next_admit", self.next_admit), ("finished", self.finished)] {
+            if count > n {
+                return Err(format!("{field} {count} exceeds {n} jobs"));
+            }
+        }
+        if self.rounds < self.executed_rounds {
+            return Err(format!(
+                "rounds {} is below executed_rounds {}",
+                self.rounds, self.executed_rounds
+            ));
+        }
+        let mut queued = vec![false; n];
+        for &ji in &self.active_queue {
+            if ji >= n || std::mem::replace(&mut queued[ji], true) {
+                return Err(format!(
+                    "active_queue index {ji} is out of range or repeated"
+                ));
+            }
+        }
+        for job in &self.jobs {
+            for (field, v) in [
+                ("remaining_work", job.remaining_work),
+                ("attained_service", job.attained_service),
+            ] {
+                if !v.is_finite() || v < 0.0 {
+                    return Err(format!("job {} has {field} {v}", job.spec.id.0));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Persistent state of one serving deployment: stream position, queue,

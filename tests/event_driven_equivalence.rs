@@ -7,13 +7,16 @@
 //! The property sweeps arbitrary small traces across every scheduler ×
 //! placement combination (including the stateful Adaptive-PAL, whose
 //! per-round EWMA observations the skip path must replay exactly) in both
-//! sticky and non-sticky modes. A deterministic companion test pins the
+//! sticky and non-sticky modes. Two test-local, key-only schedulers whose
+//! order moves while jobs run pin that skipping is sound for any
+//! `SchedulingPolicy`, not just the built-in four. A deterministic companion test pins the
 //! point of the feature: a sticky drain workload executes ≥5× fewer
 //! rounds than it simulates.
 
 use pal::{AdaptivePal, PalPlacement, PmFirstPlacement};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::Workload;
+use pal_sim::job_state::ActiveJob;
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
 use pal_sim::sched::{Fifo, Las, SchedulingPolicy, Srsf, Srtf};
 use pal_sim::{PlacementPolicy, Scenario, SimResult};
@@ -34,16 +37,37 @@ fn profile(gpus: usize) -> VariabilityProfile {
     )
 }
 
+/// A scheduler defined by nothing but its key: attained service, scaled
+/// by `sign`. With `sign = -1.0` (most service first) running jobs keep
+/// overtaking each other; with `sign = 1.0` (continuous LAS) they fall
+/// behind waiting jobs and get preempted. Either way the order moves
+/// between decision rounds, and only the engine's re-check can see it.
+struct ServiceKey {
+    sign: f64,
+}
+
+impl SchedulingPolicy for ServiceKey {
+    fn name(&self) -> &'static str {
+        "SERVICE"
+    }
+
+    fn key(&self, job: &ActiveJob) -> f64 {
+        self.sign * job.attained_service
+    }
+}
+
 fn scheduler(pick: usize) -> Box<dyn SchedulingPolicy + Send + Sync> {
     match pick {
         0 => Box::new(Fifo),
         // Low demotion threshold so attained-service crossings fire
-        // inside small traces — the LAS skip horizon must stop at them.
+        // inside small traces — a skip hop must end at each of them.
         1 => Box::new(Las {
             threshold_gpu_seconds: 1800.0,
         }),
         2 => Box::new(Srtf),
-        _ => Box::new(Srsf),
+        3 => Box::new(Srsf),
+        4 => Box::new(ServiceKey { sign: -1.0 }),
+        _ => Box::new(ServiceKey { sign: 1.0 }),
     }
 }
 
@@ -98,7 +122,7 @@ proptest! {
             (0.0f64..30_000.0, 1usize..=4, 1u64..6_000, 0usize..3),
             1..12,
         ),
-        sched_pick in 0usize..4,
+        sched_pick in 0usize..6,
         place_pick in 0usize..6,
         sticky in any::<bool>(),
     ) {
