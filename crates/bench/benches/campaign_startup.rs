@@ -11,13 +11,20 @@
 //!   cell rebuilds its table from the profile (8 builds for the 4×4
 //!   grid: 4 PM-First + 4 PAL cells).
 //!
+//! `table_build/longhorn_2500` times one cold
+//! [`PmScoreTable::build_default`](pal::PmScoreTable::build_default) on a
+//! modeled 2,500-GPU Longhorn (the size of the `wide_train` benchmark
+//! workload): the cost each distinct profile pays once, under the cache
+//! lock.
+//!
 //! Beyond wall time, `main` records the *deterministic* build counts
 //! (`builds/...`) into `BENCH_engine.json`; the CI bench gate pins them
 //! bit-exactly, so a regression that quietly reintroduces per-cell table
 //! construction fails the build even on a noisy runner.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use pal::{PalPlacement, PmFirstPlacement, PmTableCache};
+use pal::{PalPlacement, PmFirstPlacement, PmScoreTable, PmTableCache};
+use pal_bench::{modeled_longhorn_profile, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::Workload;
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
@@ -154,7 +161,17 @@ fn bench_campaign_grid(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_campaign_grid);
+fn bench_table_build(c: &mut Criterion) {
+    let profile = modeled_longhorn_profile(2500, PROFILE_SEED);
+    let mut group = c.benchmark_group("table_build");
+    group.sample_size(10);
+    group.bench_function("longhorn_2500", |b| {
+        b.iter(|| black_box(PmScoreTable::build_default(&profile)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_campaign_grid, bench_table_build);
 
 fn main() {
     benches();

@@ -4,7 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pal::{AppClassifier, LvMatrix};
-use pal_bench::{longhorn_profile, run_policy, PolicyKind, PROFILE_SEED};
+use pal_bench::{
+    longhorn_profile, modeled_longhorn_profile, run_policy, PolicyKind, LONGHORN_MEASURED_GPUS,
+    PROFILE_SEED,
+};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel};
 use pal_gpumodel::{GpuSpec, Workload};
 use pal_kmeans::{KMeans, ScoreBinning};
@@ -16,10 +19,10 @@ fn bench_kmeans(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans_1d");
     for n in [128usize, 512] {
         let profile = longhorn_profile(n.min(448), PROFILE_SEED);
-        let points: Vec<Vec<f64>> = profile
+        let points: Vec<[f64; 1]> = profile
             .class_scores(JobClass::A)
             .iter()
-            .map(|&v| vec![v])
+            .map(|&v| [v])
             .collect();
         group.bench_with_input(BenchmarkId::new("k4", n), &n, |b, _| {
             b.iter(|| black_box(KMeans::new(4, 7).fit(&points)))
@@ -30,8 +33,14 @@ fn bench_kmeans(c: &mut Criterion) {
 
 fn bench_binning(c: &mut Criterion) {
     let mut group = c.benchmark_group("score_binning_k_sweep");
-    for n in [64usize, 256] {
-        let profile = longhorn_profile(n, PROFILE_SEED);
+    for n in [64usize, 256, 2500] {
+        // Sampled Longhorn profiles stop at the measured 448 GPUs; larger
+        // clusters model every GPU.
+        let profile = if n <= LONGHORN_MEASURED_GPUS {
+            longhorn_profile(n, PROFILE_SEED)
+        } else {
+            modeled_longhorn_profile(n, PROFILE_SEED)
+        };
         let scores = profile.class_scores(JobClass::A).to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(ScoreBinning::default().bin(&scores)))

@@ -58,6 +58,16 @@ pub fn longhorn_profile(n_gpus: usize, seed: u64) -> VariabilityProfile {
     VariabilityProfile::sample_from_profiled(&profiled, n_gpus, seed ^ 0x5A5A)
 }
 
+/// A modeled Longhorn-flavoured cluster of `n_gpus` V100s, every GPU
+/// profiled (no sampling, so any size works): the profile of the
+/// 1,000-GPU PM-table golden and the 2,500-GPU table-build benches.
+pub fn modeled_longhorn_profile(n_gpus: usize, seed: u64) -> VariabilityProfile {
+    let gpus =
+        profiler::build_cluster_gpus(&GpuSpec::v100(), ClusterFlavor::Longhorn, n_gpus, seed);
+    let apps: Vec<_> = Workload::TABLE_III.iter().map(|w| w.spec()).collect();
+    VariabilityProfile::from_modeled_gpus(&apps, &gpus)
+}
+
 /// The exact 64-GPU Frontera testbed profile of Section V-A (indexed by
 /// GPU UUID — i.e., per-device, no sampling).
 pub fn frontera_testbed_profile(seed: u64) -> VariabilityProfile {

@@ -5,7 +5,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration and entry point for K-Means clustering.
 #[derive(Debug, Clone)]
@@ -23,11 +22,11 @@ pub struct KMeans {
     pub n_init: usize,
 }
 
-/// Result of a K-Means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KMeansResult {
-    /// Cluster centroids, `k` rows of dimension `d`.
-    pub centroids: Vec<Vec<f64>>,
+/// Result of a K-Means run over `D`-dimensional points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KMeansResult<const D: usize> {
+    /// Cluster centroids, one per cluster.
+    pub centroids: Vec<[f64; D]>,
     /// Cluster index assigned to each input point.
     pub assignments: Vec<usize>,
     /// Sum of squared distances of points to their assigned centroid.
@@ -52,11 +51,15 @@ impl KMeans {
     /// Cluster `points` into `k` groups, keeping the best of `n_init`
     /// restarts by inertia.
     ///
-    /// Panics if `points` is empty, `k == 0`, `k > points.len()`, or the
-    /// points have inconsistent dimensions.
-    pub fn fit(&self, points: &[Vec<f64>]) -> KMeansResult {
+    /// Points are contiguous fixed-size arrays, so the dimension is a
+    /// compile-time constant: PM-score binning clusters `[f64; 1]` and
+    /// application classification `[f64; 2]`, each through its own
+    /// monomorphized copy of this one implementation.
+    ///
+    /// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
+    pub fn fit<const D: usize>(&self, points: &[[f64; D]]) -> KMeansResult<D> {
         assert!(self.n_init >= 1, "need at least one restart");
-        let mut best: Option<KMeansResult> = None;
+        let mut best: Option<KMeansResult<D>> = None;
         for i in 0..self.n_init {
             let r = self.fit_once(points, self.seed.wrapping_add(i as u64 * 0x9E37_79B9));
             if best.as_ref().is_none_or(|b| r.inertia < b.inertia) {
@@ -66,8 +69,9 @@ impl KMeans {
         best.expect("n_init >= 1")
     }
 
-    /// One Lloyd run from a single k-means++ seeding.
-    fn fit_once(&self, points: &[Vec<f64>], seed: u64) -> KMeansResult {
+    /// One Lloyd run from a single k-means++ seeding. The per-cluster
+    /// sums and counts are allocated once and reset each iteration.
+    fn fit_once<const D: usize>(&self, points: &[[f64; D]], seed: u64) -> KMeansResult<D> {
         assert!(!points.is_empty(), "kmeans on empty input");
         assert!(self.k > 0, "k must be positive");
         assert!(
@@ -76,26 +80,23 @@ impl KMeans {
             self.k,
             points.len()
         );
-        let dim = points[0].len();
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "inconsistent point dimensions"
-        );
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut centroids = kmeanspp_init(points, self.k, &mut rng);
         let mut assignments = vec![0usize; points.len()];
+        let mut sums = vec![[0.0; D]; self.k];
+        let mut counts = vec![0usize; self.k];
         let mut iterations = 0;
 
         for iter in 0..self.max_iters {
             iterations = iter + 1;
             // Assignment step.
-            for (i, p) in points.iter().enumerate() {
-                assignments[i] = nearest(p, &centroids).0;
+            for (a, p) in assignments.iter_mut().zip(points) {
+                *a = nearest(p, &centroids).0;
             }
             // Update step.
-            let mut sums = vec![vec![0.0; dim]; self.k];
-            let mut counts = vec![0usize; self.k];
+            sums.fill([0.0; D]);
+            counts.fill(0);
             for (p, &a) in points.iter().zip(&assignments) {
                 counts[a] += 1;
                 for (s, &x) in sums[a].iter_mut().zip(p) {
@@ -114,11 +115,11 @@ impl KMeans {
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
                         .expect("non-empty points");
                     movement += sq_dist(&centroids[c], &points[far_idx]);
-                    centroids[c] = points[far_idx].clone();
+                    centroids[c] = points[far_idx];
                     assignments[far_idx] = c;
                     continue;
                 }
-                let new_c: Vec<f64> = sums[c].iter().map(|&s| s / counts[c] as f64).collect();
+                let new_c = sums[c].map(|s| s / counts[c] as f64);
                 movement += sq_dist(&centroids[c], &new_c);
                 centroids[c] = new_c;
             }
@@ -129,9 +130,9 @@ impl KMeans {
 
         // Final assignment pass so assignments match the final centroids.
         let mut inertia = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let (a, d) = nearest(p, &centroids);
-            assignments[i] = a;
+        for (a, p) in assignments.iter_mut().zip(points) {
+            let (nearest_c, d) = nearest(p, &centroids);
+            *a = nearest_c;
             inertia += d;
         }
 
@@ -145,15 +146,15 @@ impl KMeans {
 }
 
 /// Squared Euclidean distance.
-pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| (x - y) * (x - y))
         .sum::<f64>()
 }
 
-/// Index and squared distance of the nearest centroid.
-fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+/// Index and squared distance of the nearest centroid (first on ties).
+fn nearest<const D: usize>(p: &[f64; D], centroids: &[[f64; D]]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (i, c) in centroids.iter().enumerate() {
         let d = sq_dist(p, c);
@@ -166,9 +167,9 @@ fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
 
 /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
 /// proportionally to squared distance from the nearest chosen centroid.
-fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(points[rng.gen_range(0..points.len())].clone());
+fn kmeanspp_init<const D: usize>(points: &[[f64; D]], k: usize, rng: &mut StdRng) -> Vec<[f64; D]> {
+    let mut centroids: Vec<[f64; D]> = Vec::with_capacity(k);
+    centroids.push(points[rng.gen_range(0..points.len())]);
     let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
@@ -187,11 +188,12 @@ fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64
             }
             chosen
         };
-        centroids.push(points[idx].clone());
-        for (i, p) in points.iter().enumerate() {
-            let d = sq_dist(p, centroids.last().expect("just pushed"));
-            if d < d2[i] {
-                d2[i] = d;
+        let newest = points[idx];
+        centroids.push(newest);
+        for (best, p) in d2.iter_mut().zip(points) {
+            let d = sq_dist(p, &newest);
+            if d < *best {
+                *best = d;
             }
         }
     }
@@ -202,11 +204,11 @@ fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64
 mod tests {
     use super::*;
 
-    fn two_blobs() -> Vec<Vec<f64>> {
+    fn two_blobs() -> Vec<[f64; 2]> {
         let mut pts = Vec::new();
         for i in 0..20 {
-            pts.push(vec![0.0 + (i % 5) as f64 * 0.01, 0.0]);
-            pts.push(vec![10.0 + (i % 5) as f64 * 0.01, 10.0]);
+            pts.push([0.0 + (i % 5) as f64 * 0.01, 0.0]);
+            pts.push([10.0 + (i % 5) as f64 * 0.01, 10.0]);
         }
         pts
     }
@@ -227,14 +229,14 @@ mod tests {
 
     #[test]
     fn k_equals_n_gives_zero_inertia() {
-        let pts = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let pts = [[1.0], [2.0], [3.0]];
         let r = KMeans::new(3, 1).fit(&pts);
         assert!(r.inertia < 1e-20);
     }
 
     #[test]
     fn k1_centroid_is_mean() {
-        let pts = vec![vec![1.0, 0.0], vec![3.0, 4.0]];
+        let pts = [[1.0, 0.0], [3.0, 4.0]];
         let r = KMeans::new(1, 7).fit(&pts);
         assert!((r.centroids[0][0] - 2.0).abs() < 1e-12);
         assert!((r.centroids[0][1] - 2.0).abs() < 1e-12);
@@ -250,7 +252,7 @@ mod tests {
 
     #[test]
     fn inertia_non_increasing_in_k() {
-        let pts: Vec<Vec<f64>> = (0..50).map(|i| vec![(i * i % 37) as f64]).collect();
+        let pts: Vec<[f64; 1]> = (0..50).map(|i| [(i * i % 37) as f64]).collect();
         let mut last = f64::INFINITY;
         for k in 1..=6 {
             // Use best of a few seeds to smooth seeding luck.
@@ -267,7 +269,7 @@ mod tests {
 
     #[test]
     fn identical_points_dont_crash() {
-        let pts = vec![vec![5.0]; 10];
+        let pts = [[5.0]; 10];
         let r = KMeans::new(3, 0).fit(&pts);
         assert_eq!(r.assignments.len(), 10);
         assert!(r.inertia < 1e-20);
@@ -276,13 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds point count")]
     fn k_too_large_panics() {
-        KMeans::new(5, 0).fit(&[vec![1.0], vec![2.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent point dimensions")]
-    fn mixed_dims_panic() {
-        KMeans::new(1, 0).fit(&[vec![1.0], vec![2.0, 3.0]]);
+        KMeans::new(5, 0).fit(&[[1.0], [2.0]]);
     }
 
     #[test]

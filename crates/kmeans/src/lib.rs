@@ -14,9 +14,15 @@
 //!    with >3σ outliers separated first and given their own exact scores.
 //!
 //! This crate provides Lloyd's algorithm with k-means++ seeding
-//! ([`kmeans::KMeans`]), silhouette analysis ([`silhouette`]), and the 1-D
-//! binning pipeline ([`binning::ScoreBinning`]). All randomness flows
-//! through caller-provided seeds for exact reproducibility.
+//! ([`kmeans::KMeans`], one implementation over contiguous `[f64; D]`
+//! points, monomorphized per dimension), silhouette analysis
+//! ([`silhouette`]), and the 1-D binning pipeline
+//! ([`binning::ScoreBinning`]). All randomness flows through
+//! caller-provided seeds for exact reproducibility.
+//!
+//! Binning scores every candidate K with an exact 1-D worst-bin
+//! silhouette in O(n·K·log n) ([`min_cluster_silhouette_1d`]); the O(n²)
+//! pairwise [`min_cluster_silhouette`] is kept as its reference oracle.
 
 #![warn(missing_docs)]
 
@@ -26,4 +32,4 @@ pub mod silhouette;
 
 pub use binning::{BinnedScores, ScoreBinning};
 pub use kmeans::{KMeans, KMeansResult};
-pub use silhouette::{mean_silhouette, min_cluster_silhouette, silhouette_samples};
+pub use silhouette::{min_cluster_silhouette, min_cluster_silhouette_1d, silhouette_samples};

@@ -1,12 +1,31 @@
 //! Property-based tests for pal-kmeans: clustering and binning invariants
 //! on arbitrary inputs.
 
-use pal_kmeans::{mean_silhouette, silhouette_samples, KMeans, ScoreBinning};
+use pal_kmeans::{
+    min_cluster_silhouette, min_cluster_silhouette_1d, silhouette_samples, KMeans, ScoreBinning,
+};
 use proptest::prelude::*;
 
-fn points_1d() -> impl Strategy<Value = Vec<Vec<f64>>> {
+fn points_1d() -> impl Strategy<Value = Vec<[f64; 1]>> {
     proptest::collection::vec(0.1f64..10.0, 4..80)
-        .prop_map(|v| v.into_iter().map(|x| vec![x]).collect())
+        .prop_map(|v| v.into_iter().map(|x| [x]).collect())
+}
+
+/// `(value, cluster id)` pairs: half the values come from a four-value
+/// pool (duplicates within and across clusters), and with ids drawn from
+/// 0..6 over as few as 3 points, singleton clusters and unused ids are
+/// common.
+fn labelled_1d() -> impl Strategy<Value = Vec<(f64, usize)>> {
+    proptest::collection::vec(
+        (
+            prop_oneof![
+                1 => (0u32..4).prop_map(|i| 0.9 + 0.1 * i as f64),
+                1 => 0.5f64..3.0,
+            ],
+            0usize..6,
+        ),
+        3..60,
+    )
 }
 
 fn profile_like() -> impl Strategy<Value = Vec<f64>> {
@@ -64,11 +83,31 @@ proptest! {
         let r = KMeans::new(k, 5).fit(&pts);
         let k_used = r.assignments.iter().copied().max().unwrap() + 1;
         prop_assume!(k_used >= 2);
-        for s in silhouette_samples(&pts, &r.assignments) {
+        let samples = silhouette_samples(&pts, &r.assignments);
+        for &s in &samples {
             prop_assert!((-1.0..=1.0).contains(&s));
         }
-        let m = mean_silhouette(&pts, &r.assignments);
+        let m = samples.iter().sum::<f64>() / samples.len() as f64;
         prop_assert!((-1.0..=1.0).contains(&m));
+    }
+
+    #[test]
+    fn silhouette_1d_matches_pairwise_oracle(labelled in labelled_1d()) {
+        let (values, assignments): (Vec<f64>, Vec<usize>) = labelled.into_iter().unzip();
+        let mut used = assignments.clone();
+        used.sort_unstable();
+        used.dedup();
+        prop_assume!(used.len() >= 2);
+        let points: Vec<[f64; 1]> = values.iter().map(|&v| [v]).collect();
+        let fast = min_cluster_silhouette_1d(&values, &assignments);
+        let oracle = min_cluster_silhouette(&points, &assignments);
+        prop_assert!((fast - oracle).abs() < 1e-9, "1-D {} vs oracle {}", fast, oracle);
+    }
+
+    #[test]
+    fn binning_picks_the_oracle_sweeps_k(values in profile_like()) {
+        let cfg = ScoreBinning::default();
+        prop_assert_eq!(cfg.bin(&values).k, oracle_k(&cfg, &values));
     }
 
     #[test]
@@ -136,4 +175,36 @@ proptest! {
         let b = ScoreBinning::default().bin(&values);
         prop_assert_eq!(a, b);
     }
+}
+
+/// The K that `ScoreBinning::bin` should choose, re-derived with the
+/// O(n²) pairwise silhouette: the same outlier cut, K sweep, seeds and
+/// selection margin.
+fn oracle_k(cfg: &ScoreBinning, values: &[f64]) -> usize {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let sd = (values.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt();
+    let inliers: Vec<[f64; 1]> = values
+        .iter()
+        .filter(|&&v| !(sd > 0.0 && (v - mean).abs() > cfg.outlier_sigma * sd))
+        .map(|&v| [v])
+        .collect();
+    let mut distinct = inliers.as_flattened().to_vec();
+    distinct.sort_by(f64::total_cmp);
+    distinct.dedup();
+    if distinct.len() < 2 {
+        return 1;
+    }
+    let mut best: Option<(usize, f64)> = None;
+    for k in cfg.k_min..=cfg.k_max.min(distinct.len()).max(cfg.k_min) {
+        if k > inliers.len() {
+            break;
+        }
+        let r = KMeans::new(k, cfg.seed ^ k as u64).fit(&inliers);
+        let sil = min_cluster_silhouette(&inliers, &r.assignments);
+        if best.is_none_or(|(_, b)| sil > b + 1e-12) {
+            best = Some((k, sil));
+        }
+    }
+    best.expect("at least one K tried").0
 }

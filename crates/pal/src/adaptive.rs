@@ -135,6 +135,36 @@ impl AdaptivePal {
         self.rounds_since_rebin = 0;
         self.dirty = false;
     }
+
+    /// Refuse an imported score grid that is not this policy's classes ×
+    /// GPUs shape or holds a value that is not positive and finite — the
+    /// inputs `VariabilityProfile::from_raw` and a later re-bin accept.
+    fn check_scores(&self, key: &str, grid: &[Vec<f64>]) -> Result<(), String> {
+        if grid.len() != self.estimates.len()
+            || grid
+                .iter()
+                .zip(&self.estimates)
+                .any(|(a, b)| a.len() != b.len())
+        {
+            return Err(format!(
+                "Adaptive-PAL state: `{key}` shape {}x{} does not match this policy's {}x{}",
+                grid.len(),
+                grid.first().map_or(0, Vec::len),
+                self.estimates.len(),
+                self.estimates.first().map_or(0, Vec::len)
+            ));
+        }
+        match grid
+            .iter()
+            .flatten()
+            .find(|&&v| !(v > 0.0 && v.is_finite()))
+        {
+            Some(v) => Err(format!(
+                "Adaptive-PAL state: `{key}` holds {v}; scores must be positive and finite"
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 impl PlacementPolicy for AdaptivePal {
@@ -168,25 +198,15 @@ impl PlacementPolicy for AdaptivePal {
         let de = |key: &str, e: serde::DeError| format!("Adaptive-PAL state `{key}`: {e}");
         let estimates =
             Vec::<Vec<f64>>::from_value(field("estimates")?).map_err(|e| de("estimates", e))?;
-        if estimates.len() != self.estimates.len()
-            || estimates
-                .iter()
-                .zip(&self.estimates)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(format!(
-                "Adaptive-PAL state: estimate shape {}x{} does not match this policy's {}x{}",
-                estimates.len(),
-                estimates.first().map_or(0, Vec::len),
-                self.estimates.len(),
-                self.estimates.first().map_or(0, Vec::len)
-            ));
-        }
+        self.check_scores("estimates", &estimates)?;
         let rounds_since_rebin = usize::from_value(field("rounds_since_rebin")?)
             .map_err(|e| de("rounds_since_rebin", e))?;
         let dirty = bool::from_value(field("dirty")?).map_err(|e| de("dirty", e))?;
         let rebin_source = Option::<Vec<Vec<f64>>>::from_value(field("rebin_source")?)
             .map_err(|e| de("rebin_source", e))?;
+        if let Some(src) = &rebin_source {
+            self.check_scores("rebin_source", src)?;
+        }
         // With no re-bin on record the factory-fresh `inner` (design-time
         // table) is already correct; otherwise rebuild it from the exact
         // estimates the exported run last binned (deterministic K-Means).
@@ -386,5 +406,64 @@ mod tests {
         observe_gpu(&mut p, GpuId(0), 2.0, 3);
         p.rebin();
         assert!(p.table().score(JobClass::A, GpuId(0)) > 1.0);
+    }
+
+    /// An exported state of an 8-GPU policy that has re-binned once, with
+    /// `key` replaced by `value`.
+    fn state_with(key: &str, value: Value) -> Value {
+        let mut p = AdaptivePal::new(&flat_profile(8));
+        observe_gpu(&mut p, GpuId(3), 3.0, 20);
+        let Some(Value::Map(mut fields)) = p.export_state() else {
+            panic!("Adaptive-PAL exports a map");
+        };
+        let (_, field) = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("exported field");
+        *field = value;
+        Value::Map(fields)
+    }
+
+    fn import_err(state: &Value) -> String {
+        AdaptivePal::new(&flat_profile(8))
+            .import_state(state)
+            .expect_err("malformed state must be refused")
+    }
+
+    #[test]
+    fn import_refuses_gpu_less_rebin_source() {
+        let err = import_err(&state_with(
+            "rebin_source",
+            Some(vec![Vec::<f64>::new()]).to_value(),
+        ));
+        assert!(err.contains("`rebin_source` shape 1x0"), "{err}");
+    }
+
+    #[test]
+    fn import_refuses_negative_rebin_source() {
+        let err = import_err(&state_with(
+            "rebin_source",
+            Some(vec![vec![-1.0; 8]; 3]).to_value(),
+        ));
+        assert!(err.contains("`rebin_source` holds -1"), "{err}");
+    }
+
+    #[test]
+    fn import_refuses_rebin_source_of_another_cluster_size() {
+        let err = import_err(&state_with(
+            "rebin_source",
+            Some(vec![vec![1.0, 2.0]; 3]).to_value(),
+        ));
+        assert!(err.contains("`rebin_source` shape 3x2"), "{err}");
+    }
+
+    #[test]
+    fn import_refuses_negative_or_non_finite_estimates() {
+        for bad in [-0.5, 0.0, f64::INFINITY] {
+            let mut estimates = vec![vec![1.0; 8]; 3];
+            estimates[2][5] = bad;
+            let err = import_err(&state_with("estimates", estimates.to_value()));
+            assert!(err.contains("`estimates` holds"), "{err}");
+        }
     }
 }

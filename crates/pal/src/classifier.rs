@@ -35,9 +35,9 @@ impl AppClassifier {
     /// pairs. Panics if `k` is zero or exceeds the sample count.
     pub fn fit(features: &[(f64, f64)], k: usize, seed: u64) -> Self {
         assert!(k >= 1, "need at least one class");
-        let points: Vec<Vec<f64>> = features
+        let points: Vec<[f64; 2]> = features
             .iter()
-            .map(|&(d, f)| vec![d, f * FU_AXIS_WEIGHT])
+            .map(|&(d, f)| [d, f * FU_AXIS_WEIGHT])
             .collect();
         let result = KMeans::new(k, seed).fit(&points);
 
