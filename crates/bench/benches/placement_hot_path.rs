@@ -11,8 +11,10 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pal::{PalPlacement, PmFirstPlacement};
-use pal_bench::{longhorn_profile, PROFILE_SEED};
-use pal_cluster::{ClusterState, ClusterTopology, GpuId, JobClass, LocalityModel};
+use pal_bench::{longhorn_profile, modeled_longhorn_profile, PROFILE_SEED};
+use pal_cluster::{
+    ClusterState, ClusterTopology, GpuId, JobClass, LocalityModel, VariabilityProfile,
+};
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
 use pal_sim::{Allocation, PlacementCtx, PlacementPolicy, PlacementRequest};
 use pal_trace::JobId;
@@ -69,9 +71,7 @@ fn saturated(topo: ClusterTopology) -> ClusterState {
 
 /// The policy lineup of the bench (paper policies + baselines), with
 /// unambiguous labels (both Packed modes report `name() == "Packed"`).
-fn policies(
-    profile: &pal_cluster::VariabilityProfile,
-) -> Vec<(&'static str, Box<dyn PlacementPolicy>)> {
+fn policies(profile: &VariabilityProfile) -> Vec<(&'static str, Box<dyn PlacementPolicy>)> {
     vec![
         ("PAL", Box::new(PalPlacement::new(profile))),
         ("PM-First", Box::new(PmFirstPlacement::new(profile))),
@@ -104,7 +104,75 @@ fn bench_single_place(c: &mut Criterion) {
             });
         }
     }
+    // The 2,500-GPU `wide_train` cluster (625 × 4), modeled Longhorn
+    // scores: the scale at which PAL's per-node packed pass dominates.
+    // Demand 4 keys match the smaller points; demand 2 gets a `-d2` label.
+    let (topo, profile) = large_cluster();
+    let n = topo.total_gpus();
+    let state = saturated(topo);
+    let ctx = PlacementCtx {
+        profile: &profile,
+        locality: &locality,
+        view: state.view(),
+    };
+    for (label, mut policy) in large_policies(&profile) {
+        for demand in [2usize, 4] {
+            let id = if demand == 4 {
+                BenchmarkId::new(label, n)
+            } else {
+                BenchmarkId::new(format!("{label}-d{demand}"), n)
+            };
+            let mut out: Allocation = Vec::new();
+            group.bench_with_input(id, &n, |b, _| {
+                b.iter(|| {
+                    policy.place_into(&request(demand), &ctx, &state, &mut out);
+                    black_box(out.len())
+                })
+            });
+        }
+    }
     group.finish();
+}
+
+/// The 2,500-GPU point's topology and modeled Longhorn profile.
+fn large_cluster() -> (ClusterTopology, VariabilityProfile) {
+    let topo = ClusterTopology::new(625, 4);
+    let profile = modeled_longhorn_profile(topo.total_gpus(), PROFILE_SEED);
+    (topo, profile)
+}
+
+/// The policies measured at the 2,500-GPU point: the two paper policies.
+fn large_policies(profile: &VariabilityProfile) -> Vec<(&'static str, Box<dyn PlacementPolicy>)> {
+    let mut lineup = policies(profile);
+    lineup.retain(|(label, _)| matches!(*label, "PAL" | "PM-First"));
+    lineup
+}
+
+/// Run `policy` through a warmup and then `calls` decisions at each of
+/// `demands`, returning the heap allocations made after warmup.
+fn allocs_after_warmup(
+    policy: &mut dyn PlacementPolicy,
+    ctx: &PlacementCtx,
+    state: &ClusterState,
+    demands: &[usize],
+    calls: u64,
+) -> u64 {
+    let mut out: Allocation = Vec::new();
+    // Warmup: builds lazy class orderings (and PAL's node-local orders)
+    // and grows every scratch buffer to steady-state capacity.
+    for _ in 0..16 {
+        for &d in demands {
+            policy.place_into(&request(d), ctx, state, &mut out);
+        }
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..calls {
+        for &d in demands {
+            policy.place_into(&request(d), ctx, state, &mut out);
+            black_box(out.len());
+        }
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 /// Post-warmup allocation counts: `place_into` must not touch the heap.
@@ -123,21 +191,27 @@ fn check_zero_allocations() -> Vec<(String, f64)> {
     };
     let mut results = Vec::new();
     for (label, mut policy) in policies(&profile) {
-        let mut out: Allocation = Vec::new();
-        // Warmup: builds lazy class orderings and grows every scratch
-        // buffer to steady-state capacity.
-        for _ in 0..16 {
-            policy.place_into(&request(4), &ctx, &state, &mut out);
-        }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..CALLS {
-            policy.place_into(&request(4), &ctx, &state, &mut out);
-            black_box(out.len());
-        }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let allocs = allocs_after_warmup(policy.as_mut(), &ctx, &state, &[4], CALLS);
         println!("allocs_per_place/{label}: {allocs} allocations across {CALLS} calls");
         assert_eq!(allocs, 0, "{label} allocated on the placement hot path");
         results.push((format!("allocs_per_place/{label}"), allocs as f64));
+    }
+    let (topo, profile) = large_cluster();
+    let state = saturated(topo);
+    let ctx = PlacementCtx {
+        profile: &profile,
+        locality: &locality,
+        view: state.view(),
+    };
+    for (label, mut policy) in large_policies(&profile) {
+        let allocs = allocs_after_warmup(policy.as_mut(), &ctx, &state, &[2, 4], CALLS);
+        let n = topo.total_gpus();
+        println!("allocs_per_place/{label}/{n}: {allocs} allocations across {CALLS}x2 calls");
+        assert_eq!(
+            allocs, 0,
+            "{label} allocated on the {n}-GPU placement hot path"
+        );
+        results.push((format!("allocs_per_place/{label}/{n}"), allocs as f64));
     }
     results
 }

@@ -90,6 +90,23 @@ impl ClusterView {
         (0..self.nodes).map(|n| self.node_free(NodeId(n as u32)))
     }
 
+    /// GPUs per node.
+    pub fn gpus_per_node(&self) -> usize {
+        self.gpus_per_node
+    }
+
+    /// 64-bit words per node span: `ceil(gpus_per_node / 64)`.
+    pub fn words_per_node(&self) -> usize {
+        self.words_per_node
+    }
+
+    /// Every node's raw bitset span in node order (the per-node
+    /// [`NodeFree::words`], without building a handle per node), for
+    /// consumers that sweep the whole cluster word-at-a-time.
+    pub fn node_spans(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.words_per_node)
+    }
+
     /// Every free GPU, ascending by GPU id (node-major happens to *be*
     /// id-ascending because nodes own contiguous id ranges).
     pub fn free_iter(&self) -> impl Iterator<Item = GpuId> + '_ {
@@ -334,6 +351,8 @@ mod tests {
         let nf = s.view().node_free(NodeId(1));
         // Node 1's span: local bits 0..4 for GPUs 4..8, bit 1 (GPU 5) clear.
         assert_eq!(nf.words(), &[0b1101]);
+        let spans: Vec<&[u64]> = s.view().node_spans().collect();
+        assert_eq!(spans, vec![&[0b1111u64][..], &[0b1101u64][..]]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::registry::{Args, PolicyCtx, ProfileCtx, Registry, TraceCtx};
 use crate::schema::{CampaignFile, GeneratorRef, ScenarioSpec};
 use crate::toml::parse_toml;
 use pal::PmTableCache;
-use pal_cluster::VariabilityProfile;
+use pal_cluster::{LocalityModel, VariabilityProfile};
 use pal_sim::{Campaign, PolicySpec, Scenario, ServingJob, SimConfig};
 use pal_trace::Trace;
 use serde::Deserialize;
@@ -104,6 +104,9 @@ pub fn build_campaign(
         });
     }
     let gpus = file.cluster.nodes * file.cluster.gpus_per_node;
+    if let Some(l) = &file.locality {
+        check_locality(l, "locality")?;
+    }
 
     let section = file.campaign.as_ref();
     let mut campaign = Campaign::new().seed(section.and_then(|c| c.seed).unwrap_or(0));
@@ -161,6 +164,9 @@ pub fn build_campaign(
 
     let mut tags_seen: BTreeSet<String> = BTreeSet::new();
     for spec in &file.scenario {
+        if let Some(l) = &spec.locality {
+            check_locality(l, &format!("scenario `{}` locality", spec.tag))?;
+        }
         for &load in &spec.loads {
             if !(load > 0.0 && load.is_finite()) {
                 return Err(ConfigError::BadParam {
@@ -192,6 +198,39 @@ pub fn build_campaign(
         }
     }
     Ok(campaign)
+}
+
+/// Reject a locality model PAL's L×V matrix cannot be built from:
+/// `l_within` must be finite and positive, `l_across` and every per-model
+/// override finite and no smaller than `l_within`.
+fn check_locality(l: &LocalityModel, context: &str) -> Result<(), ConfigError> {
+    let bad = |message: String| ConfigError::BadParam {
+        context: context.to_string(),
+        message,
+    };
+    if !(l.l_within.is_finite() && l.l_within > 0.0) {
+        return Err(bad(format!(
+            "l_within must be positive and finite, got {}",
+            l.l_within
+        )));
+    }
+    // Sorted so the first complaint is deterministic across runs.
+    let mut models: Vec<(&String, &f64)> = l.per_model.iter().collect();
+    models.sort_by(|a, b| a.0.cmp(b.0));
+    let penalties = std::iter::once(("l_across".to_string(), l.l_across)).chain(
+        models
+            .into_iter()
+            .map(|(m, &v)| (format!("per_model.{m}"), v)),
+    );
+    for (key, v) in penalties {
+        if !(v.is_finite() && v >= l.l_within) {
+            return Err(bad(format!(
+                "{key} must be finite and at least l_within = {}, got {v}",
+                l.l_within
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Reusable validated scheduler/admission reference: the looked-up
@@ -581,6 +620,77 @@ loads = [0.5, 1.0, 2.0]
                 Ok(_) => panic!("{trace} loads={loads}: built"),
             }
         }
+    }
+
+    #[test]
+    fn bad_locality_values_are_typed_errors() {
+        let r = Registry::with_builtins();
+        let build = |file_locality: &str, scenario_locality: &str| {
+            let src = format!(
+                "policy = [\"pal\"]\n{file_locality}\n[cluster]\nnodes = 1\ngpus_per_node = 4\n\
+                 [[scenario]]\ntag = \"t\"\ntrace = {{ kind = \"synergy\", num_jobs = 2 }}\n\
+                 {scenario_locality}\n"
+            );
+            build_campaign(
+                &parse_campaign_str(&src, "<inline>").unwrap(),
+                &r,
+                Path::new("."),
+            )
+        };
+        for (file_locality, scenario_locality, needle) in [
+            (
+                "locality = { l_within = 1.0, l_across = 0.5 }",
+                "",
+                "locality: l_across",
+            ),
+            (
+                "locality = { l_within = 0.0, l_across = 1.5 }",
+                "",
+                "locality: l_within",
+            ),
+            (
+                "locality = { l_within = -1.0, l_across = 1.5 }",
+                "",
+                "l_within must be positive",
+            ),
+            (
+                "locality = { l_within = 2.0, l_across = 1.5 }",
+                "",
+                "at least l_within = 2, got 1.5",
+            ),
+            (
+                "locality = { l_within = 1.0, l_across = 1.5, per_model = { vgg19 = 0.9 } }",
+                "",
+                "per_model.vgg19",
+            ),
+            (
+                "",
+                "locality = { l_within = 1.0, l_across = 0.5 }",
+                "scenario `t` locality: l_across",
+            ),
+            (
+                "",
+                "locality = { l_within = 1.0, l_across = 1.5, per_model = { bert = 0.5 } }",
+                "per_model.bert",
+            ),
+        ] {
+            match build(file_locality, scenario_locality) {
+                Err(e @ ConfigError::BadParam { .. }) => {
+                    assert!(e.to_string().contains(needle), "{e} lacks `{needle}`")
+                }
+                Err(other) => {
+                    panic!("{file_locality}{scenario_locality}: expected BadParam, got {other}")
+                }
+                Ok(_) => panic!("{file_locality}{scenario_locality}: built"),
+            }
+        }
+        // Boundary values stay valid: `l_across == l_within`, and an
+        // override equal to `l_within`.
+        build(
+            "locality = { l_within = 1.0, l_across = 1.0, per_model = { vgg19 = 1.0 } }",
+            "locality = { l_within = 0.5, l_across = 0.5 }",
+        )
+        .expect("l_across == l_within is a valid locality model");
     }
 
     #[test]

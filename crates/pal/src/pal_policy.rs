@@ -13,18 +13,40 @@
 //! yields the globally minimal combined slowdown for the job (over the
 //! binned scores) — the property `tests` verify against exhaustive search.
 //!
-//! Every arm works off long-lived state instead of rebuilding the free
-//! lists per decision: the packed arm iterates the simulation-owned
-//! [`pal_cluster::ClusterView`] (per-node free lists maintained
-//! incrementally on allocate/release), and the spread/PM-First arms walk
-//! the policy's lazily built per-class score orderings
-//! ([`pal_cluster::ClassOrders`]). One `place_into` call allocates
-//! nothing once the scratch buffers have warmed up.
+//! # Cost per decision
+//!
+//! Neither arm's best allocation depends on an entry's score cap — only
+//! whether it *qualifies* does — so each arm is evaluated once per decision
+//! and every L×V entry is then a single comparison:
+//!
+//! - **Packed `(L_within, V_i)`.** The policy keeps, per class, every
+//!   node's GPUs in ascending (binned score, GPU id) order with the score
+//!   stored beside each GPU — the *node-local orders*, built lazily from
+//!   the global [`ClassOrders`] ordering in O(G) and static while the table
+//!   is. A node's best packed pick is its first `N_j` free GPUs in that
+//!   order, read off the [`pal_cluster::ClusterView`] bitset words; its
+//!   cost is the `N_j`-th score (the pick's max) and the sum of all `N_j`.
+//!   One O(nodes) pass brings every node's cost up to date; an entry with
+//!   cap `V_i` is feasible iff the smallest node cost is within `V_i`, and
+//!   the winning entry folds over the qualifying nodes (max, then sum, then
+//!   lowest node id). No per-entry re-scan, filter or sort.
+//! - **Spread `(L_across, V_i)`.** PM-First over the capped free list *is*
+//!   plain PM-First whenever its `N_j`-th GPU passes the cap, so one lazy
+//!   walk of the class ordering fixes the pick and each entry tests that
+//!   GPU's score.
+//!
+//! A node's packed cost depends only on its free-bitset words, so the
+//! costs are cached per (class, `N_j`) next to the words they were computed
+//! from: the pass re-walks only nodes whose words changed since the last
+//! decision with the same key. One `place_into` call allocates nothing once
+//! the node-local orders and cost caches have warmed up.
 
 use crate::lv::{LocalityLevel, LvMatrix};
 use crate::pm_scores::PmScoreTable;
 use crate::pmfirst::{class_priority_order_into, ensure_class_order, pmfirst_into};
-use pal_cluster::{ClassOrders, ClusterState, ClusterView, GpuId, JobClass, VariabilityProfile};
+use pal_cluster::{
+    ClassOrders, ClusterState, ClusterView, GpuId, JobClass, NodeId, VariabilityProfile,
+};
 use pal_kmeans::ScoreBinning;
 use pal_sim::{Allocation, PlacementCtx, PlacementPolicy, PlacementRequest};
 use std::sync::Arc;
@@ -42,8 +64,7 @@ const EPS: f64 = 1e-9;
 pub struct PalPlacement {
     table: Arc<PmScoreTable>,
     orders: ClassOrders,
-    /// Scratch: one node's filtered free list in the packed arm.
-    filt: Vec<GpuId>,
+    packed: PackedIndex,
     /// Cached per-class L×V matrices, keyed by the locality multipliers
     /// they were built with (one model's `l_across` at a time; rebuilt in
     /// place when a request's model maps to different multipliers).
@@ -56,6 +77,101 @@ struct LvSlot {
     l_within: f64,
     l_across: f64,
     matrix: LvMatrix,
+}
+
+/// A node-local order entry: `(binned score, local bit)`.
+type LocalGpu = (f64, u32);
+
+/// A node's packed cost: `(max, sum)` of its best free scores.
+type PackedCost = (f64, f64);
+
+/// The packed arm's long-lived state (see the module docs): per-class
+/// node-local orders and per-(class, demand) node costs.
+#[derive(Debug, Clone, Default)]
+struct PackedIndex {
+    /// Node width everything below was laid out for.
+    gpus_per_node: usize,
+    /// Per class, node-major: node `n`'s GPUs occupy
+    /// `[n * gpus_per_node..][..gpus_per_node]` as `(binned score, local
+    /// bit)` pairs, ascending by (score, GPU id). Empty until first built.
+    orders: Vec<Vec<LocalGpu>>,
+    /// Per `(class, demand)`, at `class * (gpus_per_node + 1) + demand`.
+    costs: Vec<NodeCosts>,
+}
+
+/// Every node's packed cost for one (class, demand), each valid for the
+/// free-bitset words recorded beside it.
+#[derive(Debug, Clone, Default)]
+struct NodeCosts {
+    /// The words each node's cost was computed from, node-major like the
+    /// view.
+    seen: Vec<u64>,
+    /// Per node `(max, sum)`; `max` is ∞ where the node cannot hold the
+    /// job.
+    cost: Vec<PackedCost>,
+}
+
+impl PackedIndex {
+    /// Bring the `(class, demand)` node costs up to date with `view` and
+    /// return the class's node-local orders, the costs, and the smallest
+    /// node max (∞ if no node can hold the job). Builds the class's orders
+    /// on first use by bucketing the global ascending `order` by node
+    /// (which keeps each bucket ascending).
+    fn refresh(
+        &mut self,
+        table: &PmScoreTable,
+        class: JobClass,
+        order: &[GpuId],
+        demand: usize,
+        view: &ClusterView,
+    ) -> (&[LocalGpu], &[PackedCost], f64) {
+        let gpn = view.gpus_per_node();
+        if self.gpus_per_node != gpn {
+            self.gpus_per_node = gpn;
+            self.orders = vec![Vec::new(); table.num_classes()];
+            self.costs = vec![NodeCosts::default(); table.num_classes() * (gpn + 1)];
+        }
+        let local = &mut self.orders[class.0];
+        if local.is_empty() {
+            assert_eq!(
+                order.len(),
+                view.nodes() * gpn,
+                "PM-score table does not match the cluster's GPU count"
+            );
+            let mut fill: Vec<usize> = (0..view.nodes()).map(|n| n * gpn).collect();
+            local.resize(order.len(), (0.0, 0));
+            for &g in order {
+                let slot = &mut fill[g.index() / gpn];
+                local[*slot] = (table.score(class, g), (g.index() % gpn) as u32);
+                *slot += 1;
+            }
+        }
+        let costs = &mut self.costs[class.0 * (gpn + 1) + demand];
+        if costs.cost.len() != view.nodes() {
+            // Complemented words never match, so the pass below computes
+            // every node on first use.
+            costs.seen.clear();
+            costs.seen.extend(view.node_spans().flatten().map(|w| !w));
+            costs.cost.clear();
+            costs
+                .cost
+                .resize(view.nodes(), (f64::INFINITY, f64::INFINITY));
+        }
+        let mut min = f64::INFINITY;
+        let nodes = local
+            .chunks_exact(gpn)
+            .zip(view.node_spans())
+            .zip(costs.seen.chunks_exact_mut(view.words_per_node()))
+            .zip(&mut costs.cost);
+        for (((node, words), seen), cost) in nodes {
+            if words.iter().zip(seen.iter()).any(|(w, s)| w != s) {
+                *cost = node_cost(node, words, demand);
+                seen.copy_from_slice(words);
+            }
+            min = min.min(cost.0);
+        }
+        (local, &costs.cost, min)
+    }
 }
 
 impl PalPlacement {
@@ -78,7 +194,7 @@ impl PalPlacement {
         PalPlacement {
             table,
             orders,
-            filt: Vec::new(),
+            packed: PackedIndex::default(),
             lv_cache,
         }
     }
@@ -126,90 +242,71 @@ fn lv_matrix<'a>(
     &slot.as_ref().expect("slot just filled").matrix
 }
 
-/// The `(L_within, V_i)` arm: among nodes whose filtered (score ≤ v) free
-/// GPUs can hold the whole job, leave in `out` the allocation with the
-/// lowest maximum PM-score (`GenerateCombos` + `GetMinV`; taking the best
-/// `n` scores per node is exactly the min-max combo, so no explicit
-/// combination enumeration is needed). Ties break on total score, then
-/// node id. Returns whether any node qualified; `out` is left empty
-/// otherwise.
-fn packed_candidate_into(
-    table: &PmScoreTable,
-    filt: &mut Vec<GpuId>,
-    class: JobClass,
-    demand: usize,
-    v_cap: f64,
-    view: &ClusterView,
-    out: &mut Allocation,
-) -> bool {
-    out.clear();
-    let mut best: Option<(f64, f64)> = None;
-    for node_gpus in view.per_node() {
-        filt.clear();
-        filt.extend(
-            node_gpus
-                .iter()
-                .filter(|&g| table.score(class, g) <= v_cap + EPS),
-        );
-        if filt.len() < demand {
-            continue;
-        }
-        // (score, id) is a strict total order (ids unique), so the
-        // allocation-free unstable sort is deterministic.
-        filt.sort_unstable_by(|&a, &b| {
-            table
-                .score(class, a)
-                .partial_cmp(&table.score(class, b))
-                .expect("NaN PM-score")
-                .then(a.cmp(&b))
-        });
-        filt.truncate(demand);
-        let max_s = filt
-            .iter()
-            .map(|&g| table.score(class, g))
-            .fold(0.0f64, f64::max);
-        let sum_s: f64 = filt.iter().map(|&g| table.score(class, g)).sum();
-        let better = match &best {
-            None => true,
-            Some((bm, bs)) => max_s < bm - EPS || ((max_s - bm).abs() <= EPS && sum_s < bs - EPS),
-        };
-        if better {
-            best = Some((max_s, sum_s));
-            out.clear();
-            out.extend_from_slice(filt);
-        }
-    }
-    best.is_some()
+/// Whether local GPU `bit` is set in a node's free-bitset `words`.
+fn is_free_bit(words: &[u64], bit: u32) -> bool {
+    words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
 }
 
-/// The `(L_across, V_i)` arm: PM-First over the score-capped free list.
-/// Walks the class's ascending score ordering, so the first `demand` free
-/// GPUs under the cap *are* the best-scoring ones; once a score exceeds
-/// the cap no later entry can pass it. Returns whether enough GPUs
-/// qualified; `out` is left empty otherwise.
-fn spread_candidate_into(
-    table: &PmScoreTable,
-    order: &[GpuId],
-    class: JobClass,
-    demand: usize,
-    v_cap: f64,
-    state: &ClusterState,
-    out: &mut Allocation,
-) -> bool {
-    out.clear();
-    for &g in order {
-        if table.score(class, g) > v_cap + EPS {
-            break;
-        }
-        if state.is_free(g) {
-            out.push(g);
-            if out.len() == demand {
-                return true;
+/// One node's packed cost for a `demand`-GPU job: the `demand`-th free
+/// score in node-local order (the pick's max) and the ascending sum of the
+/// first `demand`; `(∞, ∞)` if fewer than `demand` GPUs are free.
+fn node_cost(node: &[LocalGpu], words: &[u64], demand: usize) -> PackedCost {
+    let free: u32 = words.iter().map(|w| w.count_ones()).sum();
+    if (free as usize) >= demand {
+        let (mut left, mut sum) = (demand, 0.0);
+        for &(score, bit) in node {
+            if is_free_bit(words, bit) {
+                sum += score;
+                left -= 1;
+                if left == 0 {
+                    return (score, sum);
+                }
             }
         }
     }
+    (f64::INFINITY, f64::INFINITY)
+}
+
+/// The `(L_within, V_i)` pick at score cap `cap`: among nodes whose packed
+/// cost fits under the cap, the lowest max (`GenerateCombos` + `GetMinV`;
+/// a node's best `n` scores *are* its min-max combo), ties on sum, then
+/// node id. Writes that node's first `demand` free GPUs in node-local
+/// order into `out`. At least one node must qualify.
+fn packed_pick_into(
+    local: &[LocalGpu],
+    costs: &[PackedCost],
+    demand: usize,
+    cap: f64,
+    view: &ClusterView,
+    out: &mut Allocation,
+) {
+    let mut best: Option<(usize, f64, f64)> = None;
+    for (n, &(max_s, sum_s)) in costs.iter().enumerate() {
+        if max_s > cap {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some((_, bm, bs)) => {
+                max_s < bm - EPS || ((max_s - bm).abs() <= EPS && sum_s < bs - EPS)
+            }
+        };
+        if better {
+            best = Some((n, max_s, sum_s));
+        }
+    }
+    let (n, _, _) = best.expect("a node qualified at this cap");
+    let free = view.node_free(NodeId(n as u32));
+    let gpn = view.gpus_per_node();
     out.clear();
-    false
+    for &(_, bit) in &local[n * gpn..(n + 1) * gpn] {
+        if is_free_bit(free.words(), bit) {
+            out.push(GpuId(free.base().0 + bit));
+            if out.len() == demand {
+                return;
+            }
+        }
+    }
 }
 
 impl PlacementPolicy for PalPlacement {
@@ -238,41 +335,48 @@ impl PlacementPolicy for PalPlacement {
         out: &mut Allocation,
     ) {
         let demand = request.gpu_demand;
-        let per_node = state.topology().gpus_per_node;
-        ensure_class_order(&self.table, &mut self.orders, request.class);
-        let order = self.orders.get(request.class.0);
+        let class = request.class;
+        ensure_class_order(&self.table, &mut self.orders, class);
+        let order = self.orders.get(class.0);
 
-        if demand > 1 && demand <= per_node {
+        if demand > 1 && demand <= state.topology().gpus_per_node {
+            // The first entry is always packed (`l_across >= l_within`,
+            // ties resolve Within first), so the packed costs are needed
+            // up front; the spread pick's `demand`-th score is computed on
+            // the first `L_across` entry reached.
+            let (local, costs, packed_min) =
+                self.packed
+                    .refresh(&self.table, class, order, demand, ctx.view);
             let matrix = lv_matrix(
                 &mut self.lv_cache,
                 &self.table,
-                request.class,
+                class,
                 ctx.locality.l_within,
                 ctx.locality.l_across_for(request.model),
             );
+            let mut spread_max: Option<f64> = None;
             for entry in matrix.traverse() {
-                let found = match entry.locality {
-                    LocalityLevel::Within => packed_candidate_into(
-                        &self.table,
-                        &mut self.filt,
-                        request.class,
-                        demand,
-                        entry.v_value,
-                        ctx.view,
-                        out,
-                    ),
-                    LocalityLevel::Across => spread_candidate_into(
-                        &self.table,
-                        order,
-                        request.class,
-                        demand,
-                        entry.v_value,
-                        state,
-                        out,
-                    ),
-                };
-                if found {
-                    return;
+                let cap = entry.v_value + EPS;
+                match entry.locality {
+                    LocalityLevel::Within => {
+                        if packed_min <= cap {
+                            packed_pick_into(local, costs, demand, cap, ctx.view, out);
+                            return;
+                        }
+                    }
+                    LocalityLevel::Across => {
+                        let max = *spread_max.get_or_insert_with(|| {
+                            pmfirst_into(order, demand, state, out);
+                            if out.len() == demand {
+                                self.table.score(class, out[demand - 1])
+                            } else {
+                                f64::INFINITY
+                            }
+                        });
+                        if max <= cap {
+                            return; // `out` holds the spread pick
+                        }
+                    }
                 }
             }
         }

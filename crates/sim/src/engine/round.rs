@@ -18,7 +18,7 @@
 //!   assert sit *outside* the timed window, so the reported per-round
 //!   policy compute time (Figure 18) measures only the policy.
 
-use super::state::EngineState;
+use super::state::{EngineState, NO_SLOT};
 use super::telemetry::Observer;
 use super::EPS;
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
@@ -221,7 +221,8 @@ pub(crate) fn step_round(
                 let phase = std::mem::replace(&mut st.jobs[ji].phase, JobPhase::Waiting);
                 if let JobPhase::Running { gpus } = phase {
                     st.cluster.release(&gpus);
-                    st.scratch.old_allocs.push((ji, gpus));
+                    st.scratch.old_slot[ji] = st.scratch.old_allocs.len();
+                    st.scratch.old_allocs.push(gpus);
                 }
             }
         }
@@ -297,8 +298,8 @@ pub(crate) fn step_round(
         } else {
             // Re-placement of a previously running job: count a migration
             // if the GPU set changed.
-            let migrated = match st.scratch.old_allocs.iter_mut().find(|(j, _)| *j == ji) {
-                Some((_, old)) => {
+            let migrated = match st.scratch.old_allocs.get_mut(st.scratch.old_slot[ji]) {
+                Some(old) => {
                     old.sort_unstable();
                     st.scratch.alloc_sorted.clear();
                     st.scratch.alloc_sorted.extend_from_slice(&alloc);
@@ -319,7 +320,10 @@ pub(crate) fn step_round(
     // their vectors into the pool for future placements.
     {
         let scratch = &mut st.scratch;
-        for (_, mut gpus) in scratch.old_allocs.drain(..) {
+        for &ji in &scratch.prefix {
+            scratch.old_slot[ji] = NO_SLOT;
+        }
+        for mut gpus in scratch.old_allocs.drain(..) {
             gpus.clear();
             scratch.gpu_pool.push(gpus);
         }

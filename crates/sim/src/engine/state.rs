@@ -49,6 +49,9 @@ pub(crate) struct EngineState {
     pub(crate) scratch: RoundScratch,
 }
 
+/// [`RoundScratch::old_slot`] marker: the job has no released allocation.
+pub(crate) const NO_SLOT: usize = usize::MAX;
+
 /// Per-round temporaries, allocated once and reused every round.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
@@ -77,7 +80,11 @@ pub(crate) struct RoundScratch {
     pub(crate) gpu_pool: Vec<Vec<GpuId>>,
     /// Allocations released for non-sticky re-placement (the GPU vectors
     /// are *moved* out of the job phase, not cloned).
-    pub(crate) old_allocs: Vec<(usize, Vec<GpuId>)>,
+    pub(crate) old_allocs: Vec<Vec<GpuId>>,
+    /// Per-job index into `old_allocs` ([`NO_SLOT`] when the job released
+    /// nothing this round), so migration detection is an O(1) lookup;
+    /// reset when `old_allocs` is drained.
+    pub(crate) old_slot: Vec<usize>,
     /// `(finish time, GPU demand)` of jobs completing mid-round.
     pub(crate) completions: Vec<(f64, usize)>,
     /// Per-GPU ground-truth slowdowns for one telemetry observation.
@@ -108,6 +115,7 @@ impl RoundScratch {
             slowdown: vec![0.0; n],
             locality_penalty: vec![0.0; n],
             progress_per_round: vec![0.0; n],
+            old_slot: vec![NO_SLOT; n],
             ..Default::default()
         }
     }
