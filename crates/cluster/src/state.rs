@@ -94,6 +94,32 @@ impl ClusterState {
             .collect()
     }
 
+    /// Check that the free counts and free lists agree with the occupancy
+    /// flags and the topology — what a deserialized state must establish
+    /// before [`allocate`](Self::allocate) and [`release`](Self::release)
+    /// can trust them. O(GPUs).
+    pub fn check_consistent(&self) -> Result<(), String> {
+        let total = self.topology.total_gpus();
+        if self.in_use.len() != total {
+            return Err(format!(
+                "cluster has {} occupancy flags for {total} GPUs",
+                self.in_use.len()
+            ));
+        }
+        let mut rebuilt = ClusterState::new(self.topology);
+        let busy: Vec<GpuId> = (0..total as u32)
+            .map(GpuId)
+            .filter(|g| self.in_use[g.index()])
+            .collect();
+        rebuilt.allocate(&busy);
+        if rebuilt != *self {
+            return Err(
+                "cluster free counts or free lists disagree with its occupancy flags".into(),
+            );
+        }
+        Ok(())
+    }
+
     /// Mark GPUs busy. Panics if any is already in use or duplicated — a
     /// double-allocation is always a scheduler bug, never a recoverable
     /// condition.
@@ -127,6 +153,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn state() -> ClusterState {
         ClusterState::new(ClusterTopology::new(2, 4))
@@ -198,6 +225,30 @@ mod tests {
         // at all times.
         let from_view: Vec<usize> = s.view().per_node().map(|nf| nf.len()).collect();
         assert_eq!(s.free_count_by_node(), &from_view[..]);
+    }
+
+    #[test]
+    fn consistency_check_catches_drifted_counts() {
+        let mut s = state();
+        s.allocate(&[GpuId(1), GpuId(6)]);
+        assert_eq!(s.check_consistent(), Ok(()));
+        // Overwrite one serialized field, as a hand-edited state file would.
+        let with = |key: &str, value: Value| {
+            let mut v = s.to_value();
+            if let Value::Map(entries) = &mut v {
+                entries.iter_mut().find(|(k, _)| k == key).expect("field").1 = value;
+            }
+            ClusterState::from_value(&v).unwrap()
+        };
+        let flags = |n: usize| Value::Seq(vec![Value::Bool(false); n]);
+        for (bad, reason) in [
+            (with("in_use", flags(7)), "occupancy flags"),
+            (with("in_use", flags(8)), "disagree"),
+            (with("free_total", Value::Int(7)), "disagree"),
+        ] {
+            let err = bad.check_consistent().unwrap_err();
+            assert!(err.contains(reason), "{err}");
+        }
     }
 
     #[test]

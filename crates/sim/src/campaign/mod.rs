@@ -153,9 +153,11 @@ pub struct CampaignResult {
     /// The deterministic seed the cell's policy was built with.
     pub seed: u64,
     /// Worker threads the producing run was using (1 for
-    /// [`Campaign::run_sequential`]). Execution metadata, not simulation
-    /// state: two runs with different worker counts still produce
-    /// [`SimResult::same_outcome`]-identical `result`s.
+    /// [`Campaign::run_sequential`]; the pool size for
+    /// [`Campaign::what_if`] branches, which run on the campaign pool).
+    /// Execution metadata, not simulation state: two runs with different
+    /// worker counts still produce [`SimResult::same_outcome`]-identical
+    /// `result`s.
     pub workers: usize,
     /// The simulation output. `result.placement` carries the policy name.
     pub result: SimResult,
@@ -372,7 +374,9 @@ impl Campaign {
     pub fn run_sequential(&self) -> Result<Vec<CampaignResult>, SimError> {
         self.cell_indices()
             .into_iter()
-            .map(|(si, pi)| self.run_cell(si, pi, 1))
+            .map(|(si, pi)| {
+                self.run_cell_with(si, pi, 1, |sim, info| self.attach_metrics(sim, info))
+            })
             .collect()
     }
 
@@ -392,18 +396,13 @@ impl Campaign {
         }
     }
 
-    pub(crate) fn run_cell(
-        &self,
-        scenario_idx: usize,
-        policy_idx: Option<usize>,
-        workers: usize,
-    ) -> Result<CampaignResult, SimError> {
-        self.run_cell_with(scenario_idx, policy_idx, workers, |sim, info| {
-            if let Some(sink) = self.metrics.as_ref().and_then(|factory| factory(info)) {
-                sim.attach_sink(sink);
-            }
-            Ok(())
-        })
+    /// Attach the cell's metrics sink, if the campaign has a factory and
+    /// it returns one for `info`.
+    fn attach_metrics(&self, sim: &mut Simulation, info: &CellInfo) -> Result<(), SimError> {
+        if let Some(sink) = self.metrics.as_ref().and_then(|factory| factory(info)) {
+            sim.attach_sink(sink);
+        }
+        Ok(())
     }
 
     /// Build a cell's scenario with its policy column applied (the

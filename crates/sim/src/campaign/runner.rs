@@ -1,5 +1,7 @@
 //! Sink-driven campaign execution: worker-count resolution, the
-//! small-grid scoped pool, and the large-grid work-stealing runner.
+//! small-grid scoped pool, and the large-grid work-stealing runner. The
+//! same pool runs campaign cells and [`Campaign::what_if`] branches;
+//! only the per-cell preparation differs.
 //!
 //! Both execution paths produce identical outcomes for a fixed campaign
 //! seed — cell seeds are pure functions of `(seed, tag, policy)`, so
@@ -17,7 +19,8 @@
 //!   scenario row no longer serializes the tail of the sweep.
 
 use super::sink::ResultSink;
-use super::{Campaign, CellQueue};
+use super::{Campaign, CellInfo, CellQueue};
+use crate::engine::Simulation;
 use crate::error::SimError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,6 +94,19 @@ impl Campaign {
         skip: &(dyn Fn(usize) -> bool + Sync),
         sink: &dyn ResultSink,
     ) -> Result<CampaignRunStats, SimError> {
+        self.run_cells(skip, sink, &|sim, info| self.attach_metrics(sim, info))
+    }
+
+    /// The campaign worker pool: [`Campaign::run_cells_with_sink`] with
+    /// each started cell handed to `prepare` before it runs (see
+    /// [`Campaign::run_cell_with`]). Campaign runs attach metrics sinks
+    /// there; what-if branches import and verify their fork.
+    pub(crate) fn run_cells(
+        &self,
+        skip: &(dyn Fn(usize) -> bool + Sync),
+        sink: &dyn ResultSink,
+        prepare: &(dyn Fn(&mut Simulation, &CellInfo) -> Result<(), SimError> + Sync),
+    ) -> Result<CampaignRunStats, SimError> {
         let all = self.cell_indices();
         let cells_total = all.len();
         // Runnable cells as (cell index, scenario idx, policy idx).
@@ -126,7 +142,7 @@ impl Campaign {
         // result to the sink. Sim errors are per-cell (record, keep
         // going); sink errors poison the run (record, stop this worker).
         let run_one = |&(cell, si, pi): &(usize, usize, Option<usize>)| -> bool {
-            match self.run_cell(si, pi, workers) {
+            match self.run_cell_with(si, pi, workers, prepare) {
                 Ok(result) => match sink.accept(cell, result) {
                     Ok(()) => {
                         completed.fetch_add(1, Ordering::Relaxed);
@@ -144,34 +160,38 @@ impl Campaign {
             }
         };
 
+        // The calling thread works as worker 0, so a pool of `workers`
+        // spawns only `workers - 1` threads.
         if workers == 1 || n < workers * STEAL_THRESHOLD_CELLS_PER_WORKER {
             // Small grid: the original shared-counter scoped pool.
             let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n || !run_one(&cells[i]) {
-                            break;
-                        }
-                    });
+            let worker = || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || !run_one(&cells[i]) {
+                    break;
                 }
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(worker);
+                }
+                worker();
             });
         } else {
             let queue = CellQueue::new(n, workers);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queue = &queue;
-                    let run_one = &run_one;
-                    let cells = &cells;
-                    scope.spawn(move || {
-                        while let Some(i) = queue.pop(w) {
-                            if !run_one(&cells[i]) {
-                                break;
-                            }
-                        }
-                    });
+            let worker = |w: usize| {
+                while let Some(i) = queue.pop(w) {
+                    if !run_one(&cells[i]) {
+                        break;
+                    }
                 }
+            };
+            std::thread::scope(|scope| {
+                for w in 1..workers {
+                    let worker = &worker;
+                    scope.spawn(move || worker(w));
+                }
+                worker(0);
             });
             stats.steals = queue.steals();
         }

@@ -10,24 +10,32 @@
 //! to the fork point under the scenario's own placement, exports the
 //! engine state ([`Simulation::export_state`]), and imports that one
 //! state into a fresh simulation per policy column
-//! ([`Simulation::import_state`] with the placement's opaque state
-//! cleared — branch policies start fresh by design, observing only the
-//! rounds after the fork).
+//! ([`Simulation::import_state`] with the placement's opaque state and
+//! its wall-clock compute times cleared — branch policies start fresh by
+//! design, observing only the rounds after the fork).
+//!
+//! The prefixes run first, one after another; every (scenario, policy
+//! column) branch then runs on the same worker pool as
+//! [`Campaign::run_with_sink`], sized by [`Campaign::effective_workers`].
+//! Branches come back in column order whichever worker finished first,
+//! and a failing branch reports the first failing cell's error in cell
+//! order.
 //!
 //! Every branch's identity-independent state is digest-checked against
-//! the prefix immediately after import ([`fork_digest`]): all branches
-//! of one scenario provably continue from bit-identical state, so any
-//! difference in their results is attributable to the branch policy
-//! alone.
+//! the prefix immediately after import ([`fork_digest`], which streams
+//! the state into the hash without copying it or building a value
+//! tree): all branches of one scenario provably continue from
+//! bit-identical state, so any difference in their results is
+//! attributable to the branch policy alone.
 //!
 //! [`Simulation::export_state`]: crate::Simulation::export_state
 //! [`Simulation::import_state`]: crate::Simulation::import_state
 
-use super::{Campaign, CampaignResult};
+use super::{Campaign, CampaignResult, MemorySink};
 use crate::engine::StepOutcome;
 use crate::error::SimError;
 use crate::state::SimState;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Emitter, Serialize};
 
 /// The outcome of one [`Campaign::what_if`] call: one
 /// [`WhatIfScenario`] per registered scenario, in registration order.
@@ -54,8 +62,9 @@ pub struct WhatIfScenario {
     /// start from.
     pub prefix_digest: u64,
     /// The exported state every branch resumed from (placement state
-    /// already cleared) — persist it with `pal-config`'s state writer to
-    /// re-fork the same point later without re-running the prefix.
+    /// and placement compute times already cleared) — persist it with
+    /// `pal-config`'s state writer to re-fork the same point later
+    /// without re-running the prefix.
     pub fork_state: SimState,
     /// One completed result per policy column (a single branch under the
     /// scenario's own placement if the campaign has no policy axis), in
@@ -76,61 +85,119 @@ pub struct WhatIfScenario {
 /// because every retained field is deterministic, re-running the same
 /// what-if reproduces the digest exactly.
 ///
+/// The state is streamed ([`Serialize::emit`]) straight into the hash:
+/// no copy of the state and no [`Value`](serde::Value) tree is built.
+/// The excluded fields are hashed as their neutral values (empty names,
+/// `false`, `None`, no times), so the digest equals that of the state's
+/// value tree with those fields reset.
+///
 /// [`SimResult::same_outcome`]: crate::SimResult::same_outcome
 pub fn fork_digest(state: &SimState) -> u64 {
-    let mut neutral = state.clone();
-    neutral.scheduler = String::new();
-    neutral.placement = String::new();
-    neutral.sticky = false;
-    neutral.placement_state = None;
-    neutral.placement_compute_times = Vec::new();
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    absorb_value(&neutral.to_value(), &mut h);
-    h
+    let mut hasher = ForkHasher {
+        h: 0xCBF2_9CE4_8422_2325,
+        depth: 0,
+        skipping: None,
+    };
+    state.emit(&mut hasher);
+    hasher.h
 }
 
-fn absorb_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a over an injective encoding of the emitted tree: every node is
+/// tagged with its kind, and strings/sequences/maps are length-prefixed
+/// so adjacent fields cannot alias across boundaries. Values of the
+/// state's policy identity fields are replaced by their neutral values.
+struct ForkHasher {
+    h: u64,
+    /// Containers open around the next event (1 inside the state's map).
+    depth: usize,
+    /// While an identity field's value is being skipped: the containers
+    /// of that value still open (0 until its first event).
+    skipping: Option<usize>,
+}
+
+impl ForkHasher {
+    fn absorb(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.h ^= u64::from(b);
+            self.h = self.h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Absorb a scalar's byte `parts`, unless it is (part of) a skipped
+    /// value.
+    fn scalar(&mut self, parts: &[&[u8]]) {
+        match self.skipping {
+            Some(0) => self.skipping = None,
+            Some(_) => {}
+            None => parts.iter().for_each(|p| self.absorb(p)),
+        }
+    }
+
+    /// Open a sequence (`[`) or map (`{`) of `len` items.
+    fn open(&mut self, tag: &[u8], len: usize) {
+        match &mut self.skipping {
+            Some(open) => *open += 1,
+            None => {
+                self.absorb(tag);
+                self.absorb(&(len as u64).to_le_bytes());
+                self.depth += 1;
+            }
+        }
     }
 }
 
-/// Hash a [`Value`] tree with an injective encoding: every node is
-/// tagged with its kind, and strings/sequences/maps are length-prefixed
-/// so adjacent fields cannot alias across boundaries.
-fn absorb_value(v: &Value, h: &mut u64) {
-    match v {
-        Value::Unit => absorb_bytes(h, b"u"),
-        Value::Bool(b) => absorb_bytes(h, if *b { b"t" } else { b"f" }),
-        Value::Int(i) => {
-            absorb_bytes(h, b"i");
-            absorb_bytes(h, &i.to_le_bytes());
+impl Emitter for ForkHasher {
+    fn unit(&mut self) {
+        self.scalar(&[b"u"]);
+    }
+    fn bool(&mut self, v: bool) {
+        self.scalar(&[if v { b"t" } else { b"f" }]);
+    }
+    fn int(&mut self, v: i128) {
+        self.scalar(&[b"i", &v.to_le_bytes()]);
+    }
+    fn float(&mut self, v: f64) {
+        self.scalar(&[b"d", &v.to_bits().to_le_bytes()]);
+    }
+    fn str(&mut self, v: &str) {
+        self.scalar(&[b"s", &(v.len() as u64).to_le_bytes(), v.as_bytes()]);
+    }
+    fn seq(&mut self, len: usize) {
+        self.open(b"[", len);
+    }
+    fn map(&mut self, len: usize) {
+        self.open(b"{", len);
+    }
+    fn key(&mut self, key: &str) {
+        if self.skipping.is_some() {
+            return;
         }
-        Value::Float(x) => {
-            absorb_bytes(h, b"d");
-            absorb_bytes(h, &x.to_bits().to_le_bytes());
+        self.absorb(&(key.len() as u64).to_le_bytes());
+        self.absorb(key.as_bytes());
+        if self.depth != 1 {
+            return;
         }
-        Value::Str(s) => {
-            absorb_bytes(h, b"s");
-            absorb_bytes(h, &(s.len() as u64).to_le_bytes());
-            absorb_bytes(h, s.as_bytes());
-        }
-        Value::Seq(items) => {
-            absorb_bytes(h, b"[");
-            absorb_bytes(h, &(items.len() as u64).to_le_bytes());
-            for item in items {
-                absorb_value(item, h);
+        match key {
+            "scheduler" | "placement" => self.str(""),
+            "sticky" => self.bool(false),
+            "placement_state" => self.unit(),
+            "placement_compute_times" => {
+                self.seq(0);
+                self.end();
             }
+            _ => return,
         }
-        Value::Map(entries) => {
-            absorb_bytes(h, b"{");
-            absorb_bytes(h, &(entries.len() as u64).to_le_bytes());
-            for (key, item) in entries {
-                absorb_bytes(h, &(key.len() as u64).to_le_bytes());
-                absorb_bytes(h, key.as_bytes());
-                absorb_value(item, h);
+        self.skipping = Some(0);
+    }
+    fn end(&mut self) {
+        match &mut self.skipping {
+            Some(open) => {
+                *open -= 1;
+                if *open == 0 {
+                    self.skipping = None;
+                }
             }
+            None => self.depth -= 1,
         }
     }
 }
@@ -153,11 +220,11 @@ impl Campaign {
                 reason: format!("what-if fork time must be finite and non-negative, got {fork_t}"),
             });
         }
-        let mut scenarios = Vec::with_capacity(self.scenarios.len());
-        for (si, (tag, factory)) in self.scenarios.iter().enumerate() {
-            // Shared prefix under the scenario's own placement, stopped on
-            // the first round boundary at or after the fork time whether
-            // or not the engine skips rounds.
+        // Shared prefixes under each scenario's own placement, stopped on
+        // the first round boundary at or after the fork time whether or
+        // not the engine skips rounds.
+        let mut forks = Vec::with_capacity(self.scenarios.len());
+        for (_, factory) in &self.scenarios {
             let mut prefix = factory().start()?;
             while prefix.time() < fork_t {
                 if prefix.step_until(fork_t)? != StepOutcome::Running {
@@ -166,37 +233,58 @@ impl Campaign {
             }
             let mut fork = prefix.export_state();
             // Branch policies start fresh: what they would have learned
-            // before T belongs to the prefix's policy, not to them.
+            // before T, and the wall-clock time it took to place, belong
+            // to the prefix's policy, not to them. Dropping the times
+            // also makes the fork a deterministic function of the
+            // campaign and the fork time.
             fork.placement_state = None;
-            let prefix_digest = fork_digest(&fork);
+            fork.placement_compute_times.clear();
+            let digest = fork_digest(&fork);
+            forks.push((fork, digest));
+        }
 
-            let mut branches = Vec::new();
-            for pi in self.policy_columns() {
-                branches.push(self.run_cell_with(si, pi, 1, |sim, info| {
-                    sim.import_state(&fork)?;
-                    let resumed = fork_digest(&sim.export_state());
-                    if resumed != prefix_digest {
-                        return Err(SimError::StateImport {
-                            reason: format!(
-                                "what-if branch `{}` of scenario `{tag}` does not reproduce the \
-                                 shared prefix after import (digest {resumed:#018x} != \
-                                 {prefix_digest:#018x})",
-                                pi.map_or("<scenario placement>", |_| info.policy.as_str()),
-                            ),
-                        });
-                    }
-                    Ok(())
-                })?);
+        // Every (scenario, column) branch on the campaign pool; cells are
+        // scenario-major, so a cell's scenario is its index over the
+        // column count.
+        let columns = self.policy_columns().len();
+        let sink = MemorySink::new(self.num_cells());
+        self.run_cells(&|_| false, &sink, &|sim, info| {
+            let (fork, prefix_digest) = &forks[info.index / columns];
+            sim.import_state(fork)?;
+            let resumed = fork_digest(&sim.export_state());
+            if resumed != *prefix_digest {
+                return Err(SimError::StateImport {
+                    reason: format!(
+                        "what-if branch `{}` of scenario `{}` does not reproduce the shared \
+                         prefix after import (digest {resumed:#018x} != {prefix_digest:#018x})",
+                        if info.policy.is_empty() {
+                            "<scenario placement>"
+                        } else {
+                            &info.policy
+                        },
+                        info.scenario,
+                    ),
+                });
             }
-            scenarios.push(WhatIfScenario {
+            Ok(())
+        })?;
+        let mut branches = sink
+            .into_results()
+            .into_iter()
+            .map(|slot| slot.expect("every branch ran"));
+        let scenarios = self
+            .scenarios
+            .iter()
+            .zip(forks)
+            .map(|((tag, _), (fork, prefix_digest))| WhatIfScenario {
                 scenario: tag.clone(),
                 forked_at: fork.time,
                 prefix_rounds: fork.rounds,
                 prefix_digest,
                 fork_state: fork,
-                branches,
-            });
-        }
+                branches: branches.by_ref().take(columns).collect(),
+            })
+            .collect();
         Ok(WhatIfReport {
             fork_time: fork_t,
             scenarios,
@@ -208,12 +296,74 @@ impl Campaign {
 mod tests {
     use super::super::PolicySpec;
     use super::*;
+    use crate::config::SimConfig;
     use crate::placement::{PackedPlacement, RandomPlacement};
     use crate::scenario::Scenario;
     use crate::sched::Fifo;
+    use crate::serving::ServingJob;
     use pal_cluster::{ClusterTopology, JobClass, VariabilityProfile};
     use pal_gpumodel::Workload;
-    use pal_trace::{JobId, JobSpec, Trace};
+    use pal_trace::{JobId, JobSpec, ServingWorkload, Trace};
+    use proptest::prelude::*;
+    use serde::Value;
+
+    /// The tree path [`fork_digest`] streams: copy the state, reset the
+    /// identity fields, build its [`Value`] tree and hash that. Kept as
+    /// the reference the streamed digest must equal.
+    fn tree_fork_digest(state: &SimState) -> u64 {
+        let mut neutral = state.clone();
+        neutral.scheduler = String::new();
+        neutral.placement = String::new();
+        neutral.sticky = false;
+        neutral.placement_state = None;
+        neutral.placement_compute_times = Vec::new();
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        absorb_value(&neutral.to_value(), &mut h);
+        h
+    }
+
+    fn absorb_bytes(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn absorb_value(v: &Value, h: &mut u64) {
+        match v {
+            Value::Unit => absorb_bytes(h, b"u"),
+            Value::Bool(b) => absorb_bytes(h, if *b { b"t" } else { b"f" }),
+            Value::Int(i) => {
+                absorb_bytes(h, b"i");
+                absorb_bytes(h, &i.to_le_bytes());
+            }
+            Value::Float(x) => {
+                absorb_bytes(h, b"d");
+                absorb_bytes(h, &x.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                absorb_bytes(h, b"s");
+                absorb_bytes(h, &(s.len() as u64).to_le_bytes());
+                absorb_bytes(h, s.as_bytes());
+            }
+            Value::Seq(items) => {
+                absorb_bytes(h, b"[");
+                absorb_bytes(h, &(items.len() as u64).to_le_bytes());
+                for item in items {
+                    absorb_value(item, h);
+                }
+            }
+            Value::Map(entries) => {
+                absorb_bytes(h, b"{");
+                absorb_bytes(h, &(entries.len() as u64).to_le_bytes());
+                for (key, item) in entries {
+                    absorb_bytes(h, &(key.len() as u64).to_le_bytes());
+                    absorb_bytes(h, key.as_bytes());
+                    absorb_value(item, h);
+                }
+            }
+        }
+    }
 
     fn trace(n: u32) -> Trace {
         Trace::new(
@@ -357,6 +507,146 @@ mod tests {
             let err = campaign().what_if(t).unwrap_err();
             assert!(matches!(err, SimError::StateImport { .. }), "{t}: {err}");
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn streamed_fork_digest_matches_tree_oracle(
+            raw in proptest::collection::vec(
+                (0.0f64..6_000.0, 1usize..=4, 100u64..3_000, 0usize..3),
+                1..16,
+            ),
+            seed in 0u64..1_000,
+            steps in 0usize..20,
+            serving in any::<bool>(),
+            labels in (0usize..4, any::<bool>(), proptest::collection::vec(0.0f64..1.0, 0..4)),
+        ) {
+            let jobs = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (arrival, demand, iterations, class))| JobSpec {
+                    id: JobId(i as u32),
+                    model: Workload::ALL[i % Workload::ALL.len()],
+                    class: JobClass(class),
+                    arrival,
+                    gpu_demand: demand,
+                    iterations,
+                    base_iter_time: 1.0,
+                })
+                .collect();
+            // Seeded Random placement exports its RNG as placement state.
+            let mut scenario = Scenario::new(Trace::new("digest-prop", jobs), ClusterTopology::new(2, 4))
+                .profile(VariabilityProfile::from_raw(vec![vec![1.2; 8]; 3]))
+                .placement(RandomPlacement::new(seed));
+            if serving {
+                let w = ServingWorkload {
+                    work_median_s: 0.01,
+                    slo_s: 0.5,
+                    ..ServingWorkload::poisson("chat", 20.0, 50)
+                };
+                scenario = scenario.serving(ServingJob::new(w, 1, 1));
+            }
+            let mut sim = scenario.start().unwrap();
+            for _ in 0..steps {
+                if sim.step().unwrap() != StepOutcome::Running {
+                    break;
+                }
+            }
+            let mut state = sim.export_state();
+            prop_assert!(state.placement_state.is_some());
+            prop_assert_eq!(state.serving.len(), usize::from(serving));
+            prop_assert_eq!(fork_digest(&state), tree_fork_digest(&state));
+
+            // Identity fields with other values: neutralized in-stream.
+            let (name, sticky, times) = labels;
+            state.scheduler = "LAS".repeat(name);
+            state.placement = "P".repeat(name + 1);
+            state.sticky = sticky;
+            state.placement_compute_times.extend(times);
+            state.placement_compute_times.push(1e-3);
+            let streamed = fork_digest(&state);
+            prop_assert_eq!(streamed, tree_fork_digest(&state));
+            state.placement_state = None;
+            prop_assert_eq!(fork_digest(&state), streamed);
+        }
+    }
+
+    #[test]
+    fn parallel_branches_match_one_worker() {
+        let two_scenarios = |threads: usize| {
+            campaign().max_parallelism(threads).scenario("late", || {
+                let mut jobs = trace(6).jobs.clone();
+                for j in &mut jobs {
+                    j.arrival += 400.0;
+                }
+                Scenario::new(Trace::new("what-if-late", jobs), ClusterTopology::new(2, 4))
+                    .profile(VariabilityProfile::from_raw(vec![vec![1.1; 8]; 3]))
+                    .scheduler(Fifo)
+            })
+        };
+        let one = two_scenarios(1).what_if(700.0).unwrap();
+        let four = two_scenarios(4).what_if(700.0).unwrap();
+        assert_eq!(one.scenarios.len(), 2);
+        for (a, b) in one.scenarios.iter().zip(&four.scenarios) {
+            assert_eq!(a.scenario, b.scenario);
+            assert_eq!(a.prefix_digest, b.prefix_digest);
+            assert_eq!(a.branches.len(), 2);
+            for (x, y) in a.branches.iter().zip(&b.branches) {
+                assert_eq!(
+                    (&x.scenario, &x.policy, x.seed),
+                    (&y.scenario, &y.policy, y.seed)
+                );
+                assert!(
+                    x.result.same_outcome(&y.result),
+                    "{}/{}",
+                    x.scenario,
+                    x.policy
+                );
+                assert_eq!(
+                    (x.workers, y.workers),
+                    (1, 4),
+                    "branches report the pool size"
+                );
+            }
+        }
+        assert_eq!(
+            four.scenarios[0]
+                .branches
+                .iter()
+                .map(|b| b.policy.as_str())
+                .collect::<Vec<_>>(),
+            ["Random", "Packed"],
+            "branches come back in column order"
+        );
+    }
+
+    #[test]
+    fn failing_branch_reports_first_failing_cell() {
+        // Forked at zero, every branch runs the whole trace; the capped
+        // scenarios livelock after their round caps, and the later cell
+        // (the lower cap) is likely to fail first on the wall clock.
+        let capped = |max_rounds: usize| {
+            move || {
+                Scenario::new(trace(8), ClusterTopology::new(2, 4))
+                    .profile(VariabilityProfile::from_raw(vec![vec![1.2; 8]; 3]))
+                    .scheduler(Fifo)
+                    .config(SimConfig {
+                        max_rounds,
+                        ..SimConfig::default()
+                    })
+            }
+        };
+        let c = campaign()
+            .max_parallelism(4)
+            .scenario("cap-3", capped(3))
+            .scenario("cap-1", capped(1));
+        let err = c.what_if(0.0).unwrap_err();
+        assert!(
+            matches!(err, SimError::Livelock { rounds: 4 }),
+            "expected the cap-3 branch's error, got {err}"
+        );
     }
 
     #[test]

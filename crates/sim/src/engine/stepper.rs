@@ -309,7 +309,6 @@ impl Simulation {
                 self.state.jobs.len()
             )));
         }
-        state.validate().map_err(&fail)?;
         if state.cluster.topology() != self.state.cluster.topology() {
             return Err(fail(format!(
                 "state topology {:?} does not match simulation topology {:?}",
@@ -317,6 +316,7 @@ impl Simulation {
                 self.state.cluster.topology()
             )));
         }
+        state.validate().map_err(&fail)?;
         if let Some(ps) = &state.placement_state {
             if state.placement != self.placement.name() {
                 return Err(fail(format!(
@@ -469,10 +469,12 @@ impl std::fmt::Debug for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job_state::JobPhase;
     use crate::scenario::Scenario;
-    use pal_cluster::JobClass;
+    use pal_cluster::{ClusterState, GpuId, JobClass};
     use pal_gpumodel::Workload;
     use pal_trace::JobSpec;
+    use serde::Value;
 
     fn spec(id: u32, arrival: f64, demand: usize, ideal_secs: f64) -> JobSpec {
         JobSpec {
@@ -822,6 +824,79 @@ mod tests {
     #[test]
     fn import_rejects_short_rejection_flags() {
         assert_import_rejects(|s| s.rejected.truncate(1), "rejection flags");
+    }
+
+    #[test]
+    fn import_rejects_cluster_that_disagrees_with_running_jobs() {
+        // All GPUs free while job 0 runs: importing used to succeed and
+        // the run then panicked releasing a free GPU.
+        assert_import_rejects(
+            |s| s.cluster = ClusterState::new(*s.cluster.topology()),
+            "marks free",
+        );
+        // A GPU busy that no job or serving replica holds.
+        assert_import_rejects(|s| s.cluster.allocate(&[GpuId(3)]), "in use");
+        // Free counts that disagree with the occupancy flags.
+        assert_import_rejects(
+            |s| {
+                let mut v = s.cluster.to_value();
+                if let Value::Map(entries) = &mut v {
+                    let free_total = entries.iter_mut().find(|(k, _)| k == "free_total");
+                    free_total.expect("cluster field").1 = Value::Int(4);
+                }
+                s.cluster = ClusterState::from_value(&v).unwrap();
+            },
+            "disagree",
+        );
+        let mut sim = two_job_scenario().start().unwrap();
+        sim.step().unwrap();
+        let mut state = sim.export_state();
+        state.cluster = ClusterState::new(*state.cluster.topology());
+        let mut fresh = two_job_scenario().start().unwrap();
+        assert!(fresh.import_state(&state).is_err());
+        // The refused import left the fresh simulation runnable.
+        assert!(fresh.run_to_completion().is_ok());
+    }
+
+    #[test]
+    fn import_rejects_bad_running_allocations() {
+        let set_gpus = |gpus: Vec<u32>| {
+            move |s: &mut SimState| {
+                s.jobs[0].phase = JobPhase::Running {
+                    gpus: gpus.iter().map(|&g| GpuId(g)).collect(),
+                }
+            }
+        };
+        assert_import_rejects(set_gpus(vec![0]), "demands 2");
+        assert_import_rejects(set_gpus(vec![0, 0]), "held twice");
+        assert_import_rejects(set_gpus(vec![0, 9]), "out of range");
+    }
+
+    #[test]
+    fn import_rejects_queue_and_counters_that_disagree_with_jobs() {
+        assert_import_rejects(|s| s.active_demand = 0, "active_demand");
+        assert_import_rejects(|s| s.active_queue.clear(), "active_queue");
+        assert_import_rejects(
+            |s| {
+                s.next_admit = 2;
+                s.active_queue.push(1);
+            },
+            "active_demand",
+        );
+        assert_import_rejects(
+            |s| {
+                s.next_admit = 2;
+                s.active_queue.push(1);
+                s.jobs[1].spec.gpu_demand = usize::MAX;
+            },
+            "active_demand",
+        );
+        assert_import_rejects(|s| s.finished = 1, "finished 1");
+        assert_import_rejects(|s| s.rejected[1] = true, "admission has not reached");
+        assert_import_rejects(
+            |s| s.jobs[1].phase = JobPhase::Finished { at: 50.0 },
+            "never admitted",
+        );
     }
 
     #[test]

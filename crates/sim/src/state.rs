@@ -23,7 +23,7 @@
 //! [`Simulation::import_state`]: crate::Simulation::import_state
 //! [`PlacementPolicy::export_state`]: crate::PlacementPolicy::export_state
 
-use crate::job_state::ActiveJob;
+use crate::job_state::{ActiveJob, JobPhase};
 use pal_cluster::ClusterState;
 use pal_stats::StepSeries;
 use pal_trace::ServingRequest;
@@ -93,7 +93,10 @@ pub struct SimState {
 impl SimState {
     /// Check the state's internal consistency — what an importer must
     /// establish before the engine indexes with it. A state that fails
-    /// would otherwise panic mid-run or never finish.
+    /// would otherwise panic mid-run or never finish. Cross-checks the
+    /// counters, the queue and the cluster against the job table in one
+    /// O(jobs + GPUs) pass; expects the cluster's topology to be the
+    /// importer's (checked first, so its sizes are trusted).
     pub(crate) fn validate(&self) -> Result<(), String> {
         let n = self.jobs.len();
         if self.rejected.len() != n {
@@ -121,15 +124,105 @@ impl SimState {
                 ));
             }
         }
-        for job in &self.jobs {
+        self.cluster.check_consistent()?;
+
+        // One pass over the jobs: each job's phase against admission, the
+        // queue and the cluster, tallying what the counters must equal.
+        let total_gpus = self.cluster.topology().total_gpus();
+        let mut held = vec![false; total_gpus];
+        let (mut held_gpus, mut queued_demand, mut completed, mut rejected) =
+            (0usize, 0usize, 0, 0);
+        for (ji, job) in self.jobs.iter().enumerate() {
+            let id = job.spec.id.0;
             for (field, v) in [
                 ("remaining_work", job.remaining_work),
                 ("attained_service", job.attained_service),
             ] {
                 if !v.is_finite() || v < 0.0 {
-                    return Err(format!("job {} has {field} {v}", job.spec.id.0));
+                    return Err(format!("job {id} has {field} {v}"));
                 }
             }
+            let processed = ji < self.next_admit;
+            if self.rejected[ji] {
+                rejected += 1;
+                if !processed {
+                    return Err(format!(
+                        "job {id} is rejected but admission has not reached it"
+                    ));
+                }
+            }
+            let admitted = processed && !self.rejected[ji];
+            match &job.phase {
+                JobPhase::Waiting => {}
+                _ if !admitted => {
+                    return Err(format!("job {id} has started but was never admitted"));
+                }
+                JobPhase::Finished { .. } => completed += 1,
+                JobPhase::Running { gpus } => {
+                    if gpus.len() != job.spec.gpu_demand {
+                        return Err(format!(
+                            "job {id} runs on {} GPUs but demands {}",
+                            gpus.len(),
+                            job.spec.gpu_demand
+                        ));
+                    }
+                    for &g in gpus {
+                        if g.index() >= total_gpus || std::mem::replace(&mut held[g.index()], true)
+                        {
+                            return Err(format!(
+                                "job {id} runs on {g}, which is out of range or held twice"
+                            ));
+                        }
+                        if self.cluster.is_free(g) {
+                            return Err(format!(
+                                "job {id} runs on {g}, which the cluster marks free"
+                            ));
+                        }
+                    }
+                    held_gpus += gpus.len();
+                }
+            }
+            let unfinished = admitted && job.is_active();
+            if queued[ji] != unfinished {
+                return Err(format!(
+                    "active_queue {} job {id}, which is {}",
+                    if queued[ji] { "holds" } else { "lacks" },
+                    if unfinished {
+                        "admitted and unfinished"
+                    } else {
+                        "not admitted or finished"
+                    }
+                ));
+            }
+            if unfinished {
+                // Saturating: demands come from the file and may be huge.
+                queued_demand = queued_demand.saturating_add(job.spec.gpu_demand);
+            }
+        }
+        if self.active_demand != queued_demand {
+            return Err(format!(
+                "active_demand {} is not the queue's total demand {queued_demand}",
+                self.active_demand
+            ));
+        }
+        if self.finished != completed + rejected {
+            return Err(format!(
+                "finished {} is not {completed} completed plus {rejected} rejected jobs",
+                self.finished
+            ));
+        }
+        // Serving replicas hold GPUs no job records; only their count is
+        // in the state.
+        let serving_gpus = self
+            .serving
+            .iter()
+            .fold(0, |sum: usize, d| sum.saturating_add(d.gpus));
+        if self.cluster.busy_count() != held_gpus.saturating_add(serving_gpus) {
+            return Err(format!(
+                "cluster has {} GPUs in use, but running jobs hold {held_gpus} and serving \
+                 {serving_gpus}",
+                self.cluster.busy_count()
+            ));
         }
         Ok(())
     }

@@ -26,6 +26,9 @@
 //! | unit enum variant          | `Str(variant name)`                       |
 //! | data enum variant          | `Map { variant name: payload }`           |
 //!
+//! [`Serialize::emit`] streams the same tree as [`Emitter`] events
+//! without building it, for writers that only walk the tree once.
+//!
 //! Struct deserialization is strict: unknown and duplicate keys are
 //! errors (catching config typos), while a missing key reads as
 //! [`Value::Unit`] so `Option` fields default to `None` and sequences
@@ -163,10 +166,94 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Lower `self` into a [`Value`] tree.
+/// Receiver of a value's serialization events, in the order a
+/// depth-first walk of its [`Value`] tree visits the nodes: one event per
+/// scalar, and `seq`/`map` … `end` around a container's items (each map
+/// item preceded by its `key`). [`Serialize::emit`] streams these events
+/// without building the tree; [`emit_value`] replays a built tree.
+pub trait Emitter {
+    /// [`Value::Unit`].
+    fn unit(&mut self);
+    /// [`Value::Bool`].
+    fn bool(&mut self, v: bool);
+    /// [`Value::Int`].
+    fn int(&mut self, v: i128);
+    /// [`Value::Float`].
+    fn float(&mut self, v: f64);
+    /// [`Value::Str`].
+    fn str(&mut self, v: &str);
+    /// Open a [`Value::Seq`] of `len` items, closed by [`end`](Self::end).
+    fn seq(&mut self, len: usize);
+    /// Open a [`Value::Map`] of `len` entries, closed by [`end`](Self::end).
+    fn map(&mut self, len: usize);
+    /// The key of the map entry whose value comes next.
+    fn key(&mut self, key: &str);
+    /// Close the innermost open sequence or map.
+    fn end(&mut self);
+}
+
+/// Emit the events of an already-built [`Value`] tree.
+pub fn emit_value(value: &Value, out: &mut dyn Emitter) {
+    match value {
+        Value::Unit => out.unit(),
+        Value::Bool(b) => out.bool(*b),
+        Value::Int(i) => out.int(*i),
+        Value::Float(x) => out.float(*x),
+        Value::Str(s) => out.str(s),
+        Value::Seq(items) => {
+            out.seq(items.len());
+            for item in items {
+                emit_value(item, out);
+            }
+            out.end();
+        }
+        Value::Map(entries) => {
+            out.map(entries.len());
+            for (key, item) in entries {
+                out.key(key);
+                emit_value(item, out);
+            }
+            out.end();
+        }
+    }
+}
+
+/// Emit `items` as one sequence.
+fn emit_seq<'a, T: Serialize + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+    out: &mut dyn Emitter,
+) {
+    out.seq(items.len());
+    for item in items {
+        item.emit(out);
+    }
+    out.end();
+}
+
+/// Emit `entries` as one map, in the order given.
+fn emit_map<'a, V: Serialize + 'a>(
+    entries: impl ExactSizeIterator<Item = (&'a String, &'a V)>,
+    out: &mut dyn Emitter,
+) {
+    out.map(entries.len());
+    for (k, v) in entries {
+        out.key(k);
+        v.emit(out);
+    }
+    out.end();
+}
+
+/// Lower `self` into a [`Value`] tree, or stream it as [`Emitter`] events.
 pub trait Serialize {
     /// Serialize into the shim's self-describing value tree.
     fn to_value(&self) -> Value;
+
+    /// Stream the events of [`to_value`](Self::to_value)'s tree into
+    /// `out` without building it. The default builds the tree and walks
+    /// it; derived and container impls override it to emit directly.
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_value(&self.to_value(), out);
+    }
 }
 
 /// Rebuild `Self` from a [`Value`] tree.
@@ -187,6 +274,10 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.bool(*self);
+    }
 }
 
 impl<'de> Deserialize<'de> for bool {
@@ -203,6 +294,10 @@ macro_rules! int_impls {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i128)
+            }
+
+            fn emit(&self, out: &mut dyn Emitter) {
+                out.int(*self as i128);
             }
         }
         impl<'de> Deserialize<'de> for $t {
@@ -227,6 +322,10 @@ impl Serialize for i128 {
     fn to_value(&self) -> Value {
         Value::Int(*self)
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.int(*self);
+    }
 }
 
 impl<'de> Deserialize<'de> for i128 {
@@ -241,6 +340,10 @@ impl<'de> Deserialize<'de> for i128 {
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.float(*self);
     }
 }
 
@@ -260,6 +363,10 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(f64::from(*self))
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.float(f64::from(*self));
+    }
 }
 
 impl<'de> Deserialize<'de> for f32 {
@@ -271,6 +378,10 @@ impl<'de> Deserialize<'de> for f32 {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.str(self);
     }
 }
 
@@ -287,11 +398,19 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.str(self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -311,6 +430,10 @@ impl<'de> Deserialize<'de> for char {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_seq(self.iter(), out);
     }
 }
 
@@ -334,11 +457,19 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_seq(self.iter(), out);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_seq(self.iter(), out);
     }
 }
 
@@ -371,6 +502,13 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Unit,
         }
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        match self {
+            Some(v) => v.emit(out),
+            None => out.unit(),
+        }
+    }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
@@ -386,6 +524,10 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        (**self).emit(out);
+    }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
@@ -397,6 +539,10 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        (**self).emit(out);
     }
 }
 
@@ -410,6 +556,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        (**self).emit(out);
+    }
 }
 
 macro_rules! tuple_impls {
@@ -417,6 +567,12 @@ macro_rules! tuple_impls {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),+])
+            }
+
+            fn emit(&self, out: &mut dyn Emitter) {
+                out.seq([$($idx),+].len());
+                $(self.$idx.emit(out);)+
+                out.end();
             }
         }
         impl<'de, $($name: Deserialize<'de>),+> Deserialize<'de> for ($($name,)+) {
@@ -458,6 +614,12 @@ impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
                 .collect(),
         )
     }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        emit_map(entries.into_iter(), out);
+    }
 }
 
 impl<'de, V: Deserialize<'de>, S: std::hash::BuildHasher + Default> Deserialize<'de>
@@ -482,6 +644,10 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
                 .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
+    }
+
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_map(self.iter(), out);
     }
 }
 

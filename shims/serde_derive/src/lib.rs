@@ -16,12 +16,17 @@
 //!   (`{name: inner}`), tuple variants (`{name: [..]}`), and struct
 //!   variants (`{name: {field: ..}}`) — serde's externally-tagged layout.
 //!
+//! `Serialize` also gets an `emit` that streams the same tree's events
+//! (fields in declaration order) into a `serde::Emitter` without building
+//! it.
+//!
 //! Generic types are rejected with a `compile_error!`; none exist in the
 //! workspace, and container impls live in the `serde` shim itself.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// `#[derive(Serialize)]`: implements `serde::Serialize::to_value`.
+/// `#[derive(Serialize)]`: implements `serde::Serialize::to_value` and
+/// its streaming twin `serde::Serialize::emit`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Serialize)
@@ -272,9 +277,37 @@ fn ser_named(names: &[String], expr_prefix: &str) -> String {
     format!("::serde::Value::Map(vec![{}])", entries.join(", "))
 }
 
+/// Emit statements for named fields as one map; `expr_prefix` is `&self.`
+/// for structs, empty for match bindings (already references). The
+/// emitter is `__out`, so no field binding can shadow it.
+fn emit_named(names: &[String], expr_prefix: &str) -> String {
+    let entries: String = names
+        .iter()
+        .map(|n| format!("__out.key({n:?}); ::serde::Serialize::emit({expr_prefix}{n}, __out);"))
+        .collect();
+    format!("__out.map({}); {entries} __out.end();", names.len())
+}
+
+/// Emit statements for `exprs` as one sequence.
+fn emit_seq(exprs: &[String]) -> String {
+    let items: String = exprs
+        .iter()
+        .map(|e| format!("::serde::Serialize::emit({e}, __out);"))
+        .collect();
+    format!("__out.seq({}); {items} __out.end();", exprs.len())
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
+            let emit = match fields {
+                Fields::Named(names) => emit_named(names, "&self."),
+                Fields::Tuple(1) => "::serde::Serialize::emit(&self.0, __out);".to_string(),
+                Fields::Tuple(n) => {
+                    emit_seq(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
+                }
+                Fields::Unit => "__out.unit();".to_string(),
+            };
             let body = match fields {
                 Fields::Named(names) => ser_named(names, "self."),
                 Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -289,6 +322,7 @@ fn gen_serialize(item: &Item) -> String {
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+                     fn emit(&self, __out: &mut dyn ::serde::Emitter) {{ {emit} }}\n\
                  }}"
             )
         }
@@ -327,13 +361,44 @@ fn gen_serialize(item: &Item) -> String {
                     }
                 })
                 .collect();
+            let emit_arms: Vec<String> = variants
+                .iter()
+                .map(|v| {
+                    let vn = &v.name;
+                    // Data variants are single-entry maps around the payload.
+                    let (pattern, payload) = match &v.fields {
+                        Fields::Unit => {
+                            return format!("{name}::{vn} => __out.str({vn:?}),");
+                        }
+                        Fields::Named(names) => (
+                            format!("{{ {} }}", names.join(", ")),
+                            emit_named(names, ""),
+                        ),
+                        Fields::Tuple(1) => (
+                            "(f0)".to_string(),
+                            "::serde::Serialize::emit(f0, __out);".to_string(),
+                        ),
+                        Fields::Tuple(n) => {
+                            let bindings: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                            (format!("({})", bindings.join(", ")), emit_seq(&bindings))
+                        }
+                    };
+                    format!(
+                        "{name}::{vn} {pattern} => {{ __out.map(1); __out.key({vn:?}); {payload} __out.end(); }}"
+                    )
+                })
+                .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{\n\
                          match self {{ {} }}\n\
                      }}\n\
+                     fn emit(&self, __out: &mut dyn ::serde::Emitter) {{\n\
+                         match self {{ {} }}\n\
+                     }}\n\
                  }}",
-                arms.join("\n")
+                arms.join("\n"),
+                emit_arms.join("\n")
             )
         }
     }
