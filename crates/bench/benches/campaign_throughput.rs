@@ -1,25 +1,24 @@
 //! Criterion benchmark for fleet-scale campaign execution: a 16×16 grid
-//! (256 cells) driven through the work-stealing runner, measuring grid
+//! (256 cells) driven through the campaign worker pool, measuring grid
 //! wall time and pinning deterministic cells-completed counts.
 //!
 //! The grid deliberately skews per-cell cost (scenario rows carry
-//! different trace sizes), so the contiguous-chunk initial distribution
-//! is unbalanced and the steal-half path actually runs — the wall-time
-//! entry `grid/16x16/run_with_sink` tracks what fleet sweeps cost
-//! end-to-end, runner included.
+//! different trace sizes), so workers finish cells out of order and the
+//! shared cell cursor has to balance them — the wall-time entry
+//! `grid/16x16/run_with_sink` tracks what fleet sweeps cost end-to-end,
+//! runner included.
 //!
 //! Beyond wall time, `main` records *deterministic* counts into
 //! `BENCH_engine.json` under the `cells/` prefix the CI gate pins
 //! bit-exactly:
 //!
-//! - `cells/16x16/completed`: every cell of a full run reaches the sink
-//!   exactly once (a cell running twice fails the gate; a dropped cell
-//!   fails this bench's own assertion, and CI with it);
+//! - `cells/16x16/completed`: every cell of a full run fills its sink
+//!   slot (a dropped or twice-run cell also fails this bench's own
+//!   `cells_run` assertion, and CI with it);
 //! - `cells/16x16/resumed_after_128`: a simulated resume skipping the
 //!   first half of the grid runs exactly the other half.
 //!
-//! Worker count is pinned with `max_parallelism(8)` so the counts and
-//! the execution path (32 cells/worker ≥ the steal threshold) do not
+//! Worker count is pinned with `max_parallelism(8)` so the counts do not
 //! depend on the runner machine's core count.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
@@ -35,7 +34,7 @@ use std::sync::Arc;
 const WORKERS: usize = 8;
 
 /// A small trace whose size grows with the scenario row, skewing
-/// per-cell cost so the work-stealing queue has imbalance to fix.
+/// per-cell cost so workers finish cells out of order.
 fn row_trace(row: usize) -> Trace {
     let jobs = 4 + 2 * row; // rows 0..16 → 4..36 jobs
     Trace::new(
@@ -96,7 +95,7 @@ fn bench_grid(c: &mut Criterion) {
             let sink = MemorySink::new(campaign.num_cells());
             let stats = campaign.run_with_sink(&sink).expect("bench campaign");
             assert_eq!(stats.cells_run, 256, "grid lost cells mid-run");
-            black_box(stats.steals)
+            black_box(stats.cells_run)
         })
     });
     group.finish();

@@ -31,10 +31,10 @@
 //! The fleet-scale surface decomposes that into three parts:
 //!
 //! - [`runner`]: [`Campaign::run_with_sink`] /
-//!   [`Campaign::run_cells_with_sink`] drive cells through a
-//!   work-stealing [`queue::CellQueue`] (large grids) or the original
-//!   scoped thread pool (small grids) and hand each completed result to a
-//!   sink instead of accumulating it;
+//!   [`Campaign::run_cells_with_sink`] drive cells through one scoped
+//!   worker pool — workers pull cells off a shared cursor, in cell order
+//!   — and hand each completed result to a sink instead of accumulating
+//!   it;
 //! - [`sink`]: the [`ResultSink`] trait with the in-memory
 //!   [`MemorySink`] collector. Streaming sinks (the `pal-config` crate's
 //!   JSONL spill sink) bound memory to O(workers × one result) and make
@@ -45,12 +45,10 @@
 //!   (re-running a cell is byte-identical because its seed is a pure
 //!   function of `(campaign seed, tag, policy)`).
 
-pub mod queue;
 pub mod runner;
 pub mod sink;
 pub mod what_if;
 
-pub use queue::CellQueue;
 pub use runner::{CampaignRunStats, FALLBACK_WORKERS};
 pub use sink::{MemorySink, ResultSink};
 pub use what_if::{fork_digest, WhatIfReport, WhatIfScenario};

@@ -1,25 +1,17 @@
-//! Sink-driven campaign execution: worker-count resolution, the
-//! small-grid scoped pool, and the large-grid work-stealing runner. The
-//! same pool runs campaign cells and [`Campaign::what_if`] branches;
-//! only the per-cell preparation differs.
+//! Sink-driven campaign execution: worker-count resolution and the one
+//! scoped worker pool that runs campaign cells and
+//! [`Campaign::what_if`] branches; only the per-cell preparation differs.
 //!
-//! Both execution paths produce identical outcomes for a fixed campaign
-//! seed — cell seeds are pure functions of `(seed, tag, policy)`, so
-//! *which thread* runs a cell (and in what order) is unobservable in the
-//! results. The split is purely a throughput matter:
-//!
-//! - **small grids** (fewer than [`STEAL_THRESHOLD_CELLS_PER_WORKER`]
-//!   cells per worker) keep the original shared-counter scoped pool —
-//!   with so few cells there is nothing to rebalance, and a bare
-//!   `fetch_add` beats deque locks;
-//! - **larger grids** run through the work-stealing
-//!   [`CellQueue`]: contiguous chunks keep row-adjacent
-//!   cells (sharing `Arc`'d traces/profiles) on one worker, and
-//!   steal-half rebalances when cell costs are skewed, so one expensive
-//!   scenario row no longer serializes the tail of the sweep.
+//! Workers pull runnable cells, in cell order, from one shared
+//! `fetch_add` cursor. That is greedy per-cell load balancing: a worker
+//! takes the next cell the moment it finishes its last, so one expensive
+//! cell never holds cheap ones hostage behind it. Outcomes are identical
+//! for any worker count — cell seeds are pure functions of
+//! `(seed, tag, policy)`, so *which thread* runs a cell (and in what
+//! order) is unobservable in the results.
 
 use super::sink::ResultSink;
-use super::{Campaign, CellInfo, CellQueue};
+use super::{Campaign, CellInfo};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,12 +28,8 @@ use std::sync::Mutex;
 /// that quietly degraded to 4 threads is visible in its own output.
 pub const FALLBACK_WORKERS: usize = 4;
 
-/// Below this many runnable cells per worker, the work-stealing queue is
-/// skipped in favour of the shared-counter scoped pool.
-pub const STEAL_THRESHOLD_CELLS_PER_WORKER: usize = 4;
-
 /// What a sink-driven run did: the execution metadata that is *not* in
-/// the sink (worker count, skip accounting, steal diagnostics).
+/// the sink (worker count and skip accounting).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignRunStats {
     /// Worker threads used ([`Campaign::effective_workers`]).
@@ -53,8 +41,9 @@ pub struct CampaignRunStats {
     /// Cells the skip predicate excluded (already-completed cells of a
     /// resumed grid).
     pub cells_skipped: usize,
-    /// Successful steal operations in the work-stealing queue (0 on the
-    /// small-grid path). Nondeterministic — diagnostics only.
+    /// Always 0: workers share one cell cursor, so there is nothing to
+    /// steal. Kept only because the e2e benchmark still reports it as
+    /// `campaign.steals`; it goes when that metric does.
     pub steals: usize,
 }
 
@@ -76,9 +65,11 @@ impl Campaign {
     /// [`CampaignResult`](super::CampaignResult) into
     /// `sink` instead of collecting a `Vec`. Memory is bounded by the
     /// sink (O(workers × one result) for a streaming sink), not by the
-    /// grid. Returns run statistics; if any cell fails, every other cell
-    /// still runs and the first failing cell's error (in cell order) is
-    /// returned.
+    /// grid. Returns run statistics, or the error of the first failing
+    /// cell in cell order. A cell whose simulation fails does not stop
+    /// the run. A sink error stops only the worker that hit it: the other
+    /// workers still run every remaining cell, but with one worker no
+    /// later cell runs.
     pub fn run_with_sink(&self, sink: &dyn ResultSink) -> Result<CampaignRunStats, SimError> {
         self.run_cells_with_sink(&|_| false, sink)
     }
@@ -118,97 +109,64 @@ impl Campaign {
             .collect();
         let n = cells.len();
         let workers = self.effective_workers(n);
-        let mut stats = CampaignRunStats {
-            workers,
-            cells_total,
-            cells_run: 0,
-            cells_skipped: cells_total - n,
-            steals: 0,
-        };
-        if n == 0 {
-            return Ok(stats);
-        }
 
         // First error per cell, resolved to cell order below.
         let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
-        let completed = AtomicUsize::new(0);
         let record = |cell: usize, err: SimError| {
             errors
                 .lock()
                 .expect("campaign error lock")
                 .push((cell, err));
         };
-        // One worker body shared by both pools: run the cell, hand the
-        // result to the sink. Sim errors are per-cell (record, keep
-        // going); sink errors poison the run (record, stop this worker).
-        let run_one = |&(cell, si, pi): &(usize, usize, Option<usize>)| -> bool {
-            match self.run_cell_with(si, pi, workers, prepare) {
-                Ok(result) => match sink.accept(cell, result) {
-                    Ok(()) => {
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        true
-                    }
-                    Err(e) => {
-                        record(cell, e);
-                        false
-                    }
-                },
-                Err(e) => {
-                    record(cell, e);
-                    true
+        let completed = AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
+        // Run the next cell off the shared cursor and hand its result to
+        // the sink. Sim errors are per-cell (record, keep going); a sink
+        // error stops the worker that hit it (record, return), while the
+        // other workers keep draining the cursor.
+        let worker = || {
+            while let Some(&(cell, si, pi)) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                match self.run_cell_with(si, pi, workers, prepare) {
+                    Ok(result) => match sink.accept(cell, result) {
+                        Ok(()) => {
+                            completed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => return record(cell, e),
+                    },
+                    Err(e) => record(cell, e),
                 }
             }
         };
-
         // The calling thread works as worker 0, so a pool of `workers`
         // spawns only `workers - 1` threads.
-        if workers == 1 || n < workers * STEAL_THRESHOLD_CELLS_PER_WORKER {
-            // Small grid: the original shared-counter scoped pool.
-            let next = AtomicUsize::new(0);
-            let worker = || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || !run_one(&cells[i]) {
-                    break;
-                }
-            };
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(worker);
-                }
-                worker();
-            });
-        } else {
-            let queue = CellQueue::new(n, workers);
-            let worker = |w: usize| {
-                while let Some(i) = queue.pop(w) {
-                    if !run_one(&cells[i]) {
-                        break;
-                    }
-                }
-            };
-            std::thread::scope(|scope| {
-                for w in 1..workers {
-                    let worker = &worker;
-                    scope.spawn(move || worker(w));
-                }
-                worker(0);
-            });
-            stats.steals = queue.steals();
-        }
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
+            worker();
+        });
 
-        stats.cells_run = completed.load(Ordering::Relaxed);
-        let mut errors = errors.into_inner().expect("campaign error lock");
-        errors.sort_by_key(|&(cell, _)| cell);
-        match errors.into_iter().next() {
+        let first_error = errors
+            .into_inner()
+            .expect("campaign error lock")
+            .into_iter()
+            .min_by_key(|&(cell, _)| cell);
+        match first_error {
             Some((_, err)) => Err(err),
-            None => Ok(stats),
+            None => Ok(CampaignRunStats {
+                workers,
+                cells_total,
+                cells_run: completed.into_inner(),
+                cells_skipped: cells_total - n,
+                steals: 0,
+            }),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{MemorySink, PolicySpec};
+    use super::super::{CampaignResult, MemorySink, PolicySpec};
     use super::*;
     use crate::placement::{PackedPlacement, RandomPlacement};
     use crate::scenario::Scenario;
@@ -218,27 +176,27 @@ mod tests {
     use pal_trace::{JobId, JobSpec, Trace};
     use std::sync::Arc;
 
-    /// A grid big enough (8×4 = 32 cells) that 4 workers take the
-    /// work-stealing path (32 ≥ 4 × STEAL_THRESHOLD_CELLS_PER_WORKER).
+    /// An 8×4 = 32-cell grid whose rows grow in trace length (6 to 34
+    /// jobs), so cell costs are skewed and 4 workers finish cells out of
+    /// order.
     fn wide_campaign(parallelism: usize) -> Campaign {
-        let trace = Arc::new(Trace::new(
-            "runner-test",
-            (0..6)
-                .map(|i| JobSpec {
-                    id: JobId(i),
-                    model: Workload::ResNet50,
-                    class: JobClass(i as usize % 3),
-                    arrival: i as f64 * 200.0,
-                    gpu_demand: 1 + (i as usize % 3),
-                    iterations: 200 + 50 * i as u64,
-                    base_iter_time: 1.0,
-                })
-                .collect::<Vec<_>>(),
-        ));
         let profile = Arc::new(VariabilityProfile::from_raw(vec![vec![1.2; 8]; 3]));
         let mut c = Campaign::new().seed(0xFEED).max_parallelism(parallelism);
         for row in 0..8 {
-            let trace = Arc::clone(&trace);
+            let trace = Arc::new(Trace::new(
+                "runner-test",
+                (0..6 + 4 * row)
+                    .map(|i| JobSpec {
+                        id: JobId(i),
+                        model: Workload::ResNet50,
+                        class: JobClass(i as usize % 3),
+                        arrival: i as f64 * 200.0,
+                        gpu_demand: 1 + (i as usize % 3),
+                        iterations: 200 + 50 * i as u64,
+                        base_iter_time: 1.0,
+                    })
+                    .collect::<Vec<_>>(),
+            ));
             let profile = Arc::clone(&profile);
             c = c.scenario(format!("row-{row}"), move || {
                 Scenario::new(Arc::clone(&trace), ClusterTopology::new(2, 4))
@@ -262,8 +220,39 @@ mod tests {
         ])
     }
 
+    /// Counts how often each cell reaches the sink, refusing `refuse`.
+    struct CountingSink {
+        accepted: Mutex<Vec<usize>>,
+        refuse: Option<usize>,
+    }
+
+    impl CountingSink {
+        fn new(cells: usize, refuse: Option<usize>) -> Self {
+            CountingSink {
+                accepted: Mutex::new(vec![0; cells]),
+                refuse,
+            }
+        }
+
+        fn counts(self) -> Vec<usize> {
+            self.accepted.into_inner().unwrap()
+        }
+    }
+
+    impl ResultSink for CountingSink {
+        fn accept(&self, cell: usize, _: CampaignResult) -> Result<(), SimError> {
+            if self.refuse == Some(cell) {
+                return Err(SimError::Sink {
+                    message: format!("refused cell {cell}"),
+                });
+            }
+            self.accepted.lock().unwrap()[cell] += 1;
+            Ok(())
+        }
+    }
+
     #[test]
-    fn work_stealing_path_matches_sequential_outcomes() {
+    fn parallel_pool_matches_sequential_outcomes() {
         let wide = wide_campaign(4);
         let seq = wide.run_sequential().unwrap();
         let par = wide.run().unwrap();
@@ -337,6 +326,48 @@ mod tests {
         let c = wide_campaign(4);
         for r in c.run_sequential().unwrap() {
             assert_eq!(r.workers, 1);
+        }
+    }
+
+    #[test]
+    fn every_cell_reaches_the_sink_exactly_once() {
+        let c = wide_campaign(4);
+        let sink = CountingSink::new(c.num_cells(), None);
+        let stats = c.run_with_sink(&sink).unwrap();
+        assert_eq!(sink.counts(), vec![1; 32]);
+        assert_eq!(stats.cells_run, 32);
+    }
+
+    #[test]
+    fn sink_error_stops_one_worker_and_the_others_finish_the_grid() {
+        let c = wide_campaign(4);
+        let sink = CountingSink::new(c.num_cells(), Some(5));
+        let err = c.run_with_sink(&sink).unwrap_err();
+        assert!(matches!(err, SimError::Sink { .. }), "{err}");
+        let counts = sink.counts();
+        for (cell, &n) in counts.iter().enumerate() {
+            assert_eq!(n, usize::from(cell != 5), "cell {cell}");
+        }
+    }
+
+    #[test]
+    fn earlier_sim_error_wins_over_later_sink_error() {
+        let fail_cell_3 = |_: &mut Simulation, info: &CellInfo| {
+            if info.index == 3 {
+                return Err(SimError::StateImport {
+                    reason: "cell 3 refused".into(),
+                });
+            }
+            Ok(())
+        };
+        for workers in [1, 4] {
+            let c = wide_campaign(workers);
+            let sink = CountingSink::new(c.num_cells(), Some(20));
+            let err = c.run_cells(&|_| false, &sink, &fail_cell_3).unwrap_err();
+            assert!(
+                matches!(&err, SimError::StateImport { reason } if reason == "cell 3 refused"),
+                "{workers} workers: {err}"
+            );
         }
     }
 }

@@ -14,8 +14,10 @@
 //!
 //! Sinks are shared across worker threads, so [`ResultSink::accept`]
 //! takes `&self` and implementations synchronize internally. A sink
-//! error aborts the accepting worker and surfaces from the run (as
-//! [`SimError::Sink`]), ahead of any per-cell simulation error.
+//! error stops the worker that hit it; the other workers keep running
+//! cells. Like a per-cell simulation error, it surfaces from the run
+//! (as [`SimError::Sink`]) only if no earlier cell, in cell order,
+//! failed.
 
 use super::CampaignResult;
 use crate::error::SimError;

@@ -692,29 +692,31 @@ mod tests {
         assert_eq!(reference.executed_rounds, from_resume.executed_rounds);
     }
 
-    #[test]
-    fn export_import_resumes_serving_and_rng_state() {
+    /// A scenario exercising both kinds of hidden run state: the
+    /// placement RNG (Random) and a 400-request serving deployment.
+    fn serving_scenario(rate_per_s: f64) -> Scenario {
         use crate::placement::RandomPlacement;
         use pal_trace::ServingWorkload;
-        // A scenario exercising both kinds of hidden run state: the
-        // placement RNG (Random) and a mid-stream serving deployment.
-        let scenario = || {
-            let w = ServingWorkload {
-                work_median_s: 0.01,
-                work_sigma: 0.2,
-                slo_s: 0.5,
-                ..ServingWorkload::poisson("chat", 20.0, 400)
-            };
-            Scenario::new(
-                Trace::new(
-                    "mix",
-                    vec![spec(0, 0.0, 2, 900.0), spec(1, 200.0, 1, 500.0)],
-                ),
-                ClusterTopology::new(2, 4),
-            )
-            .placement(RandomPlacement::new(11))
-            .serving(ServingJob::new(w, 1, 1))
+        let w = ServingWorkload {
+            work_median_s: 0.01,
+            work_sigma: 0.2,
+            slo_s: 0.5,
+            ..ServingWorkload::poisson("chat", rate_per_s, 400)
         };
+        Scenario::new(
+            Trace::new(
+                "mix",
+                vec![spec(0, 0.0, 2, 900.0), spec(1, 200.0, 1, 500.0)],
+            ),
+            ClusterTopology::new(2, 4),
+        )
+        .placement(RandomPlacement::new(11))
+        .serving(ServingJob::new(w, 1, 1))
+    }
+
+    #[test]
+    fn export_import_resumes_serving_and_rng_state() {
+        let scenario = || serving_scenario(20.0);
         let reference = scenario().start().unwrap().run_to_completion().unwrap();
         let mut first = scenario().start().unwrap();
         first.step().unwrap();
@@ -782,6 +784,103 @@ mod tests {
         assert!(
             matches!(&err, Err(SimError::StateImport { reason }) if reason.contains(field)),
             "{field}: {err:?}"
+        );
+    }
+
+    /// Export a serving scenario after one round, corrupt its state, and
+    /// require a fresh simulation to refuse the import. At 0.5 requests/s
+    /// the 400-request stream is still mid-flight after the round.
+    fn assert_serving_import_rejects(corrupt: impl Fn(&mut SimState), field: &str) {
+        let mut sim = serving_scenario(0.5).start().unwrap();
+        sim.step().unwrap();
+        let mut state = sim.export_state();
+        let s = &state.serving[0];
+        assert!(s.completed > 0 && s.next.is_some(), "stream is mid-flight");
+        let mut fresh = serving_scenario(0.5).start().unwrap();
+        fresh
+            .import_state(&state)
+            .expect("the uncorrupted state imports");
+        corrupt(&mut state);
+        let err = serving_scenario(0.5).start().unwrap().import_state(&state);
+        assert!(
+            matches!(&err, Err(SimError::StateImport { reason }) if reason.contains(field)),
+            "{field}: {err:?}"
+        );
+    }
+
+    #[test]
+    fn import_rejects_serving_gpus_other_than_the_deployment() {
+        // The cluster keeps agreeing with the counted GPUs, so only the
+        // serving check can catch the mismatch.
+        assert_serving_import_rejects(
+            |s| {
+                s.serving[0].gpus += 1;
+                let free = s.cluster.free_gpus()[0];
+                s.cluster.allocate(&[free]);
+            },
+            "gpus 2",
+        );
+    }
+
+    #[test]
+    fn import_rejects_serving_stream_position_past_the_workload() {
+        // Overflowed `arrived + 1` in debug builds; ~10^19 pulls in release.
+        assert_serving_import_rejects(|s| s.serving[0].arrived = u64::MAX, "arrived");
+        // The stream is exhausted at 400 arrivals, so no lookahead is left.
+        assert_serving_import_rejects(
+            |s| s.serving[0].arrived = 400,
+            "arrived 400 with a lookahead",
+        );
+        // No lookahead mid-stream reached `unreachable!` in `advance_to`.
+        assert_serving_import_rejects(|s| s.serving[0].next = None, "without a lookahead");
+    }
+
+    #[test]
+    fn import_rejects_serving_queue_that_disagrees_with_counters() {
+        assert_serving_import_rejects(|s| s.serving[0].completed += 1, "queued");
+        assert_serving_import_rejects(
+            |s| {
+                let next = s.serving[0].next.unwrap();
+                s.serving[0].queue.push(next);
+            },
+            "queued",
+        );
+    }
+
+    #[test]
+    fn import_rejects_serving_latency_log_or_slo_count_past_completed() {
+        assert_serving_import_rejects(
+            |s| {
+                s.serving[0].latencies.pop();
+            },
+            "latencies",
+        );
+        assert_serving_import_rejects(
+            |s| s.serving[0].slo_met = s.serving[0].completed + 1,
+            "slo_met",
+        );
+    }
+
+    #[test]
+    fn import_rejects_non_finite_or_negative_serving_latency() {
+        // A NaN latency panicked at the end-of-run latency sort.
+        assert_serving_import_rejects(|s| s.serving[0].latencies[0] = f64::NAN, "latency NaN");
+        assert_serving_import_rejects(|s| s.serving[0].latencies[0] = -1.0, "latency -1");
+    }
+
+    #[test]
+    fn import_rejects_bad_serving_replica_times() {
+        assert_serving_import_rejects(
+            |s| s.serving[0].replicas[0].slowdown = 0.0,
+            "replica slowdown",
+        );
+        assert_serving_import_rejects(
+            |s| s.serving[0].replicas[0].slowdown = f64::NAN,
+            "replica slowdown",
+        );
+        assert_serving_import_rejects(
+            |s| s.serving[0].replicas[0].free_at = f64::INFINITY,
+            "replica slowdown",
         );
     }
 

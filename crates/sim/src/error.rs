@@ -94,9 +94,10 @@ pub enum SimError {
     },
     /// A campaign result sink failed to accept a completed cell (disk
     /// full, spill-directory I/O error, out-of-range cell index, …).
-    /// Unlike per-cell simulation errors, a sink error aborts the worker
-    /// that hit it: the sink is shared state, and continuing to stream
-    /// into a broken sink would silently drop results.
+    /// Unlike a per-cell simulation error, a sink error stops the worker
+    /// that hit it from taking more cells (the other workers keep going):
+    /// the sink is shared state, and streaming on into a broken sink
+    /// would silently drop results.
     Sink {
         /// What the sink reported.
         message: String,

@@ -62,8 +62,8 @@ pub mod state;
 
 pub use admission::{AdmissionCtx, AdmissionPolicy, AdmitAll};
 pub use campaign::{
-    fork_digest, Campaign, CampaignResult, CampaignRunStats, CellInfo, CellQueue, MemorySink,
-    PolicySpec, ResultSink, WhatIfReport, WhatIfScenario, FALLBACK_WORKERS,
+    fork_digest, Campaign, CampaignResult, CampaignRunStats, CellInfo, MemorySink, PolicySpec,
+    ResultSink, WhatIfReport, WhatIfScenario, FALLBACK_WORKERS,
 };
 pub use config::SimConfig;
 pub use engine::{SimSnapshot, Simulation, StepOutcome};

@@ -289,22 +289,10 @@ impl Deployment {
     /// queued arrival consumed one pull, plus one for the lookahead —
     /// then the lookahead and queue are overwritten wholesale, so the
     /// resumed deployment sees exactly the continuation the exported one
-    /// would have.
+    /// would have. A state [`Deployment::check_state`] refuses leaves the
+    /// deployment untouched.
     fn import_state(&mut self, s: &ServingState) -> Result<(), String> {
-        if s.workload != self.name {
-            return Err(format!(
-                "serving state for workload `{}` does not match deployment `{}`",
-                s.workload, self.name
-            ));
-        }
-        if s.replicas.len() != self.replicas.len() {
-            return Err(format!(
-                "serving state for `{}` has {} replicas, deployment has {}",
-                s.workload,
-                s.replicas.len(),
-                self.replicas.len()
-            ));
-        }
+        self.check_state(s)?;
         let mut stream = self.workload.stream();
         for _ in 0..s.arrived + u64::from(s.next.is_some()) {
             stream.next();
@@ -319,12 +307,78 @@ impl Deployment {
         self.latencies = s.latencies.clone();
         self.first_arrival = s.first_arrival;
         self.last_finish = s.last_finish;
-        self.gpus = s.gpus;
         for (r, rs) in self.replicas.iter_mut().zip(&s.replicas) {
             r.slowdown = rs.slowdown;
             r.free_at = rs.free_at;
         }
         self.batch.clear();
+        Ok(())
+    }
+
+    /// Refuse a state that disagrees with this deployment or with itself.
+    /// Without the counter and value checks, a stream position past the
+    /// workload's end replays (or overflows) an unbounded pull count, a
+    /// lookahead missing mid-stream reaches `advance_to`'s
+    /// `unreachable!`, and a NaN latency panics in
+    /// [`Deployment::metrics`].
+    fn check_state(&self, s: &ServingState) -> Result<(), String> {
+        let fail = |what: String| Err(format!("serving state for `{}`: {what}", s.workload));
+        if s.workload != self.name {
+            return fail(format!("does not match deployment `{}`", self.name));
+        }
+        if s.replicas.len() != self.replicas.len() {
+            return fail(format!(
+                "{} replicas, deployment has {}",
+                s.replicas.len(),
+                self.replicas.len()
+            ));
+        }
+        if s.gpus != self.gpus {
+            return fail(format!(
+                "gpus {} but the deployment holds {}",
+                s.gpus, self.gpus
+            ));
+        }
+        // `next` is `None` exactly when the stream is exhausted, so this
+        // also bounds the replayed pull count `arrived + next.is_some()`.
+        if s.arrived > self.total || s.next.is_none() != (s.arrived == self.total) {
+            return fail(format!(
+                "arrived {} with{} a lookahead request does not fit a {}-request stream",
+                s.arrived,
+                if s.next.is_some() { "" } else { "out" },
+                self.total
+            ));
+        }
+        if s.completed.checked_add(s.queue.len() as u64) != Some(s.arrived) {
+            return fail(format!(
+                "completed {} + queued {} != arrived {}",
+                s.completed,
+                s.queue.len(),
+                s.arrived
+            ));
+        }
+        if s.latencies.len() as u64 != s.completed || s.slo_met > s.completed {
+            return fail(format!(
+                "{} latencies and slo_met {} for {} completed requests",
+                s.latencies.len(),
+                s.slo_met,
+                s.completed
+            ));
+        }
+        if let Some(l) = s.latencies.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
+            return fail(format!("latency {l} is not finite and non-negative"));
+        }
+        if let Some(r) = s
+            .replicas
+            .iter()
+            .find(|r| !(r.slowdown.is_finite() && r.slowdown > 0.0 && r.free_at.is_finite()))
+        {
+            return fail(format!(
+                "replica slowdown {} / free_at {} (need a finite slowdown > 0 and a finite \
+                 free_at)",
+                r.slowdown, r.free_at
+            ));
+        }
         Ok(())
     }
 
