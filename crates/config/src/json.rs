@@ -20,6 +20,7 @@
 
 use crate::toml::TomlError;
 use serde::Value;
+use std::fmt::Write;
 
 /// Serialize a [`Value`] tree as one line of canonical JSON.
 ///
@@ -39,7 +40,9 @@ fn write_value(value: &Value, out: &mut String) -> Result<(), String> {
     match value {
         Value::Unit => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(x) => {
             if !x.is_finite() {
                 return Err(format!("cannot serialize non-finite float {x} as JSON"));
@@ -47,7 +50,7 @@ fn write_value(value: &Value, out: &mut String) -> Result<(), String> {
             if *x == 0.0 && x.is_sign_negative() {
                 out.push_str("-0.0");
             } else {
-                out.push_str(&x.to_string());
+                let _ = write!(out, "{x}");
             }
         }
         Value::Str(s) => write_string(s, out),
@@ -89,7 +92,7 @@ fn write_string(s: &str, out: &mut String) {
             '\u{8}' => out.push_str("\\b"),
             '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -99,66 +102,73 @@ fn write_string(s: &str, out: &mut String) {
 
 /// Parse one JSON document; trailing content after the value is an error.
 pub fn parse_json(src: &str) -> Result<Value, TomlError> {
-    let mut p = JsonParser::new(src);
+    let mut p = JsonParser { src, pos: 0 };
     p.skip_filler();
     let v = p.parse_value()?;
     p.skip_filler();
-    if let Some(c) = p.peek() {
+    if let Some(c) = p.peek_char() {
         return Err(p.err(format!("unexpected `{c}` after JSON value")));
     }
     Ok(v)
 }
 
-struct JsonParser {
-    chars: Vec<char>,
+/// A cursor over the input's bytes. Every token boundary the grammar
+/// stops at is an ASCII byte, so slices between them are valid UTF-8;
+/// line and column are derived from the byte offset only when an error
+/// is built.
+struct JsonParser<'a> {
+    src: &'a str,
     pos: usize,
-    line: usize,
-    col: usize,
 }
 
-impl JsonParser {
-    fn new(src: &str) -> Self {
-        JsonParser {
-            chars: src.chars().collect(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
+impl JsonParser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.src.as_bytes()
     }
 
+    /// An error at the current position. The column counts characters,
+    /// not bytes; a position inside a multi-byte character (after a
+    /// failed one-byte match) counts that character as consumed.
     fn err(&self, message: impl Into<String>) -> TomlError {
+        let before = &self.bytes()[..self.pos];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
         TomlError {
-            line: self.line,
-            col: self.col,
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count(),
+            col: 1 + before[line_start..]
+                .iter()
+                .filter(|&&b| b & 0xC0 != 0x80)
+                .count(),
             message: message.into(),
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
+    /// The character at the current position, for diagnostics.
+    fn peek_char(&self) -> Option<char> {
+        self.src.get(self.pos..)?.chars().next()
+    }
+
+    /// Consume one byte. A caller that finds the wrong byte reports the
+    /// error after it, as if the whole character were consumed.
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
         self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+        Some(b)
     }
 
     fn skip_filler(&mut self) {
         loop {
             match self.peek() {
-                Some(' ' | '\t' | '\n' | '\r') => {
-                    self.bump();
-                }
-                Some('/') if self.chars.get(self.pos + 1) == Some(&'/') => {
-                    while !matches!(self.peek(), None | Some('\n')) {
-                        self.bump();
+                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                Some(b'/') if self.bytes().get(self.pos + 1) == Some(&b'/') => {
+                    while !matches!(self.peek(), None | Some(b'\n')) {
+                        self.pos += 1;
                     }
                 }
                 _ => return,
@@ -168,20 +178,22 @@ impl JsonParser {
 
     fn parse_value(&mut self) -> Result<Value, TomlError> {
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(Value::Str(self.parse_string()?)),
-            Some('t') => self.parse_keyword("true", Value::Bool(true)),
-            Some('f') => self.parse_keyword("false", Value::Bool(false)),
-            Some('n') => self.parse_keyword("null", Value::Unit),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.err(format!("expected JSON value, found `{c}`"))),
-            None => Err(self.err("expected JSON value, found end of input")),
+            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_array(),
+            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
+            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
+            Some(b'n') => self.parse_keyword("null", Value::Unit),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
+            _ => match self.peek_char() {
+                Some(c) => Err(self.err(format!("expected JSON value, found `{c}`"))),
+                None => Err(self.err("expected JSON value, found end of input")),
+            },
         }
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, TomlError> {
-        for expected in word.chars() {
+        for expected in word.bytes() {
             if self.bump() != Some(expected) {
                 return Err(self.err(format!("expected `{word}`")));
             }
@@ -190,12 +202,12 @@ impl JsonParser {
     }
 
     fn parse_object(&mut self) -> Result<Value, TomlError> {
-        self.bump(); // '{'
+        self.pos += 1; // '{'
         let mut entries: Vec<(String, Value)> = Vec::new();
         loop {
             self.skip_filler();
-            if self.peek() == Some('}') {
-                self.bump();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
                 return Ok(Value::Map(entries));
             }
             let key = self.parse_string()?;
@@ -203,7 +215,7 @@ impl JsonParser {
                 return Err(self.err(format!("duplicate key `{key}`")));
             }
             self.skip_filler();
-            if self.bump() != Some(':') {
+            if self.bump() != Some(b':') {
                 return Err(self.err("expected `:` after object key"));
             }
             self.skip_filler();
@@ -211,11 +223,9 @@ impl JsonParser {
             entries.push((key, value));
             self.skip_filler();
             match self.peek() {
-                Some(',') => {
-                    self.bump();
-                }
-                Some('}') => {
-                    self.bump();
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
                     return Ok(Value::Map(entries));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
@@ -224,22 +234,20 @@ impl JsonParser {
     }
 
     fn parse_array(&mut self) -> Result<Value, TomlError> {
-        self.bump(); // '['
+        self.pos += 1; // '['
         let mut items = Vec::new();
         loop {
             self.skip_filler();
-            if self.peek() == Some(']') {
-                self.bump();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
                 return Ok(Value::Seq(items));
             }
             items.push(self.parse_value()?);
             self.skip_filler();
             match self.peek() {
-                Some(',') => {
-                    self.bump();
-                }
-                Some(']') => {
-                    self.bump();
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
                     return Ok(Value::Seq(items));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
@@ -248,55 +256,66 @@ impl JsonParser {
     }
 
     fn parse_string(&mut self) -> Result<String, TomlError> {
-        if self.bump() != Some('"') {
+        if self.bump() != Some(b'"') {
             return Err(self.err("expected string"));
         }
         let mut out = String::new();
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('/') => out.push('/'),
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| self.err("bad \\u escape: expected 4 hex digits"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| self.err("bad \\u escape: invalid code point"))?,
-                        );
+            // Copy the run up to the next quote or backslash in one slice.
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(run) = run else {
+                self.pos = self.src.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes()[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(c) = self.peek_char() else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += c.len_utf8();
+            match c {
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'r' => out.push('\r'),
+                'b' => out.push('\u{8}'),
+                'f' => out.push('\u{c}'),
+                '/' => out.push('/'),
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                'u' => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        let d = self
+                            .bump()
+                            .and_then(|b| char::from(b).to_digit(16))
+                            .ok_or_else(|| self.err("bad \\u escape: expected 4 hex digits"))?;
+                        code = code * 16 + d;
                     }
-                    Some(c) => return Err(self.err(format!("unknown escape `\\{c}`"))),
-                    None => return Err(self.err("unterminated string")),
-                },
-                Some(c) => out.push(c),
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| self.err("bad \\u escape: invalid code point"))?,
+                    );
+                }
+                c => return Err(self.err(format!("unknown escape `\\{c}`"))),
             }
         }
     }
 
     fn parse_number(&mut self) -> Result<Value, TomlError> {
-        let mut tok = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                tok.push(c);
-                self.bump();
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                self.pos += 1;
             } else {
                 break;
             }
         }
+        let tok = &self.src[start..self.pos];
         if !tok.contains(['.', 'e', 'E']) {
             if let Ok(n) = tok.parse::<i128>() {
                 return Ok(Value::Int(n));
@@ -353,6 +372,17 @@ mod tests {
 
         let err = parse_json("{\"a\": 1} trailing").unwrap_err();
         assert!(err.message.contains("after JSON value"), "{err}");
+    }
+
+    #[test]
+    fn error_columns_count_characters_not_bytes() {
+        // `é` is two bytes and `€` three; each error lands after the
+        // character that broke the grammar.
+        let err = parse_json("{\"é\": tru}").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 11), "{err}");
+        let err = parse_json("{\"a\": 1,\n \"€\" 2}").unwrap_err();
+        assert_eq!((err.line, err.col), (2, 7), "{err}");
+        assert!(err.message.contains("expected `:`"), "{err}");
     }
 
     #[test]

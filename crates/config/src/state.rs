@@ -139,11 +139,28 @@ mod tests {
     fn version_mismatch_is_a_clear_error() {
         let state = exported_state();
         let line = state_to_json(&state).unwrap();
-        let future = line.replacen("\"version\":1", "\"version\":999", 1);
+        let current = format!("\"version\":{STATE_FORMAT_VERSION}");
+        let future = line.replacen(&current, "\"version\":999", 1);
         assert_ne!(future, line, "version field should be present");
         let err = state_from_json("mem.json", &future).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("v999"), "{msg}");
+        assert!(msg.contains("different version"), "{msg}");
+    }
+
+    #[test]
+    fn v1_documents_get_the_version_error() {
+        // The v1 layout: every job's spec and runtime state, and one
+        // rejection flag per job.
+        let v1 = r#"{"version":1,"trace":"pair","scheduler":"FIFO","placement":"Packed",
+            "sticky":false,"time":300,"rounds":1,"executed_rounds":1,"finished":0,
+            "next_admit":1,"active_queue":[0],"active_demand":2,
+            "jobs":[{"spec":{"id":0,"model":"ResNet50","class":0,"arrival":0,
+            "gpu_demand":2,"iterations":40,"base_iter_time":1},"phase":"Waiting",
+            "remaining_work":40,"attained_service":0,"first_start":null,
+            "migrations":0,"preemptions":0}],"rejected":[false]}"#;
+        let msg = state_from_json("v1.json", v1).unwrap_err().to_string();
+        assert!(msg.contains("state format v1 is not supported"), "{msg}");
         assert!(msg.contains("different version"), "{msg}");
     }
 

@@ -34,7 +34,7 @@
 use super::{Campaign, CampaignResult, MemorySink};
 use crate::engine::StepOutcome;
 use crate::error::SimError;
-use crate::state::SimState;
+use crate::state::{FnvEmitter, SimState};
 use serde::{Deserialize, Emitter, Serialize};
 
 /// The outcome of one [`Campaign::what_if`] call: one
@@ -94,20 +94,18 @@ pub struct WhatIfScenario {
 /// [`SimResult::same_outcome`]: crate::SimResult::same_outcome
 pub fn fork_digest(state: &SimState) -> u64 {
     let mut hasher = ForkHasher {
-        h: 0xCBF2_9CE4_8422_2325,
+        fnv: FnvEmitter::new(),
         depth: 0,
         skipping: None,
     };
     state.emit(&mut hasher);
-    hasher.h
+    hasher.fnv.h
 }
 
-/// FNV-1a over an injective encoding of the emitted tree: every node is
-/// tagged with its kind, and strings/sequences/maps are length-prefixed
-/// so adjacent fields cannot alias across boundaries. Values of the
-/// state's policy identity fields are replaced by their neutral values.
+/// [`FnvEmitter`]'s encoding of the emitted state, with the values of
+/// the state's policy identity fields replaced by their neutral values.
 struct ForkHasher {
-    h: u64,
+    fnv: FnvEmitter,
     /// Containers open around the next event (1 inside the state's map).
     depth: usize,
     /// While an identity field's value is being skipped: the containers
@@ -116,30 +114,22 @@ struct ForkHasher {
 }
 
 impl ForkHasher {
-    fn absorb(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= u64::from(b);
-            self.h = self.h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Absorb a scalar's byte `parts`, unless it is (part of) a skipped
+    /// Hash a scalar event with `emit`, unless it is (part of) a skipped
     /// value.
-    fn scalar(&mut self, parts: &[&[u8]]) {
+    fn scalar(&mut self, emit: impl FnOnce(&mut FnvEmitter)) {
         match self.skipping {
             Some(0) => self.skipping = None,
             Some(_) => {}
-            None => parts.iter().for_each(|p| self.absorb(p)),
+            None => emit(&mut self.fnv),
         }
     }
 
-    /// Open a sequence (`[`) or map (`{`) of `len` items.
-    fn open(&mut self, tag: &[u8], len: usize) {
+    /// Open a sequence or map (hashed by `emit`).
+    fn open(&mut self, emit: impl FnOnce(&mut FnvEmitter)) {
         match &mut self.skipping {
             Some(open) => *open += 1,
             None => {
-                self.absorb(tag);
-                self.absorb(&(len as u64).to_le_bytes());
+                emit(&mut self.fnv);
                 self.depth += 1;
             }
         }
@@ -148,32 +138,31 @@ impl ForkHasher {
 
 impl Emitter for ForkHasher {
     fn unit(&mut self) {
-        self.scalar(&[b"u"]);
+        self.scalar(|f| f.unit());
     }
     fn bool(&mut self, v: bool) {
-        self.scalar(&[if v { b"t" } else { b"f" }]);
+        self.scalar(|f| f.bool(v));
     }
     fn int(&mut self, v: i128) {
-        self.scalar(&[b"i", &v.to_le_bytes()]);
+        self.scalar(|f| f.int(v));
     }
     fn float(&mut self, v: f64) {
-        self.scalar(&[b"d", &v.to_bits().to_le_bytes()]);
+        self.scalar(|f| f.float(v));
     }
     fn str(&mut self, v: &str) {
-        self.scalar(&[b"s", &(v.len() as u64).to_le_bytes(), v.as_bytes()]);
+        self.scalar(|f| f.str(v));
     }
     fn seq(&mut self, len: usize) {
-        self.open(b"[", len);
+        self.open(|f| f.seq(len));
     }
     fn map(&mut self, len: usize) {
-        self.open(b"{", len);
+        self.open(|f| f.map(len));
     }
     fn key(&mut self, key: &str) {
         if self.skipping.is_some() {
             return;
         }
-        self.absorb(&(key.len() as u64).to_le_bytes());
-        self.absorb(key.as_bytes());
+        self.fnv.key(key);
         if self.depth != 1 {
             return;
         }

@@ -22,10 +22,11 @@ use crate::observe::MetricsSink;
 use crate::placement::PlacementPolicy;
 use crate::sched::SchedulingPolicy;
 use crate::serving::{ServingEngine, ServingJob, ServingSnapshot};
-use crate::state::{SimState, STATE_FORMAT_VERSION};
+use crate::state::{trace_digest, JobProgress, SimState, STATE_FORMAT_VERSION};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
 use pal_trace::{JobId, Trace};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// The resolved ingredients of a run, bundled by
@@ -57,6 +58,9 @@ pub(crate) struct SimulationParts {
 /// bit-identical to [`Scenario::run`](crate::Scenario::run).
 pub struct Simulation {
     trace_name: String,
+    /// [`trace_digest`] of the trace's specs, computed by the first
+    /// export or import that needs it (a what-if branch needs it twice).
+    trace_digest: OnceCell<u64>,
     ideal_gpu_seconds: f64,
     /// Training capacity: cluster GPUs minus those serving replicas hold
     /// (the whole cluster when no serving jobs are deployed).
@@ -161,6 +165,7 @@ impl Simulation {
         Simulation {
             ideal_gpu_seconds: trace.total_ideal_gpu_service(),
             trace_name: trace.name.clone(),
+            trace_digest: OnceCell::new(),
             training_gpus: total_gpus - held,
             profile,
             truth,
@@ -233,11 +238,13 @@ impl Simulation {
         )
     }
 
-    /// Export the run's complete persistent state at the current round
-    /// boundary: job table, cluster occupancy, clocks, telemetry
-    /// accumulators, the placement policy's opaque state, and every
-    /// serving deployment's position. Per-round scratch is rebuilt on
-    /// resume, so it is not exported (see [`crate::state`]).
+    /// Export the run's persistent state at the current round boundary:
+    /// the progress of every admitted job, cluster occupancy, clocks,
+    /// telemetry accumulators, the placement policy's opaque state, and
+    /// every serving deployment's position. Job specs and the jobs
+    /// admission has not reached are the trace's and are left out, as is
+    /// per-round scratch, which is rebuilt on resume (see
+    /// [`crate::state`]).
     ///
     /// Feeding the result to [`import_state`](Simulation::import_state)
     /// on a freshly [`Scenario::start`](crate::Scenario::start)-ed
@@ -247,6 +254,8 @@ impl Simulation {
         SimState {
             version: STATE_FORMAT_VERSION,
             trace: self.trace_name.clone(),
+            trace_jobs: self.state.jobs.len(),
+            trace_digest: self.trace_digest(),
             scheduler: self.scheduler.name().to_string(),
             placement: self.placement.name().to_string(),
             sticky: self.config.sticky,
@@ -257,8 +266,13 @@ impl Simulation {
             next_admit: self.state.next_admit,
             active_queue: self.state.active_queue.clone(),
             active_demand: self.state.active_demand,
-            jobs: self.state.jobs.clone(),
-            rejected: self.state.rejected.clone(),
+            jobs: self.state.jobs[..self.state.next_admit]
+                .iter()
+                .map(JobProgress::from)
+                .collect(),
+            rejected: (0..self.state.next_admit)
+                .filter(|&ji| self.state.rejected[ji])
+                .collect(),
             cluster: self.state.cluster.clone(),
             gpus_in_use: self.telemetry.gpus_in_use.clone(),
             busy_gpu_seconds: self.telemetry.busy_gpu_seconds,
@@ -276,10 +290,14 @@ impl Simulation {
     /// into this freshly started simulation, replacing its `t = 0` state.
     ///
     /// The receiving simulation must have been started from a compatible
-    /// scenario: same format version, same trace, same job count, same
-    /// topology, and matching serving deployments. The state must also be
-    /// internally consistent: unique in-range queue indices, counters no
-    /// larger than the job table, finite non-negative work values, and no
+    /// scenario: same format version, same trace (name, job count and
+    /// spec digest), same topology, and matching serving deployments.
+    /// Every job is rebuilt from this simulation's own spec plus the
+    /// state's progress; jobs admission has not reached start fresh. The
+    /// state must also be internally consistent: finite clocks that do
+    /// not run backwards, unique in-range queue and rejection indices,
+    /// counters that match the jobs, finite non-negative work values,
+    /// allocations that match the specs' demands and the cluster, and no
     /// more executed than simulated rounds. The *policies* may
     /// differ — that is the point of what-if forking — except that a
     /// state carrying `placement_state` must be imported into the same
@@ -302,11 +320,19 @@ impl Simulation {
                 state.trace, self.trace_name
             )));
         }
-        if state.jobs.len() != self.state.jobs.len() {
+        if state.trace_jobs != self.state.jobs.len() {
             return Err(fail(format!(
-                "state has {} jobs, trace has {}",
-                state.jobs.len(),
+                "state is from a trace of {} jobs, trace has {}",
+                state.trace_jobs,
                 self.state.jobs.len()
+            )));
+        }
+        let digest = self.trace_digest();
+        if state.trace_digest != digest {
+            return Err(fail(format!(
+                "state's trace digest {:#018x} does not match the trace's job specs \
+                 ({digest:#018x})",
+                state.trace_digest
             )));
         }
         if state.cluster.topology() != self.state.cluster.topology() {
@@ -316,7 +342,7 @@ impl Simulation {
                 self.state.cluster.topology()
             )));
         }
-        state.validate().map_err(&fail)?;
+        state.validate(&self.state.jobs).map_err(&fail)?;
         if let Some(ps) = &state.placement_state {
             if state.placement != self.placement.name() {
                 return Err(fail(format!(
@@ -338,8 +364,16 @@ impl Simulation {
                 )));
             }
         }
-        self.state.jobs = state.jobs.clone();
-        self.state.rejected = state.rejected.clone();
+        for (ji, job) in self.state.jobs.iter_mut().enumerate() {
+            match state.jobs.get(ji) {
+                Some(progress) => progress.restore(job),
+                None => *job = ActiveJob::new(job.spec.clone()),
+            }
+        }
+        self.state.rejected.fill(false);
+        for &ji in &state.rejected {
+            self.state.rejected[ji] = true;
+        }
         self.state.cluster = state.cluster.clone();
         self.state.t = state.time;
         self.state.finished = state.finished;
@@ -350,11 +384,18 @@ impl Simulation {
         self.state.active_demand = state.active_demand;
         // Scratch is derived, per-executed-round state: reset it exactly
         // as `EngineState::new` builds it.
-        self.state.scratch = RoundScratch::new(state.jobs.len());
+        self.state.scratch = RoundScratch::new(self.state.jobs.len());
         self.telemetry.gpus_in_use = state.gpus_in_use.clone();
         self.telemetry.busy_gpu_seconds = state.busy_gpu_seconds;
         self.telemetry.placement_compute_times = state.placement_compute_times.clone();
         Ok(())
+    }
+
+    /// [`trace_digest`] of the trace this simulation runs.
+    fn trace_digest(&self) -> u64 {
+        *self
+            .trace_digest
+            .get_or_init(|| trace_digest(self.state.jobs.iter().map(|job| &job.spec)))
     }
 
     /// Simulated time, seconds: the start of the next round to execute.
@@ -903,7 +944,7 @@ mod tests {
     #[test]
     fn import_rejects_bad_remaining_work() {
         assert_import_rejects(|s| s.jobs[0].remaining_work = f64::NAN, "remaining_work");
-        assert_import_rejects(|s| s.jobs[1].remaining_work = -1.0, "remaining_work");
+        assert_import_rejects(|s| s.jobs[0].remaining_work = -1.0, "remaining_work");
     }
 
     #[test]
@@ -920,9 +961,130 @@ mod tests {
         assert_import_rejects(|s| s.rounds = 0, "executed_rounds");
     }
 
+    /// Admit job 1 in the exported two-job state (fresh, waiting, queued),
+    /// so the state has two progress entries.
+    fn admit_second_job(s: &mut SimState) {
+        s.next_admit = 2;
+        s.jobs
+            .push(JobProgress::from(&ActiveJob::new(spec(1, 100.0, 2, 400.0))));
+        s.active_queue.push(1);
+        s.active_demand += 2;
+    }
+
     #[test]
-    fn import_rejects_short_rejection_flags() {
-        assert_import_rejects(|s| s.rejected.truncate(1), "rejection flags");
+    fn import_rejects_unsorted_repeated_or_unadmitted_rejections() {
+        assert_import_rejects(
+            |s| s.rejected.push(1),
+            "job 1 is rejected but admission has not reached it",
+        );
+        assert_import_rejects(|s| s.rejected.extend([0, 0]), "unsorted or repeated");
+        assert_import_rejects(
+            |s| {
+                admit_second_job(s);
+                s.rejected.extend([1, 0]);
+            },
+            "unsorted or repeated",
+        );
+    }
+
+    #[test]
+    fn import_rejects_a_different_trace() {
+        // Same name and job count, one spec changed: only the digest
+        // tells the traces apart. A v1 state carried its own specs, so
+        // this import used to succeed and run the file's workload.
+        let mut sim = two_job_scenario().start().unwrap();
+        sim.step().unwrap();
+        let state = sim.export_state();
+        let mut other = Scenario::new(
+            Trace::new(
+                "step",
+                vec![spec(0, 0.0, 2, 700.0), spec(1, 100.0, 3, 400.0)],
+            ),
+            ClusterTopology::new(1, 4),
+        )
+        .start()
+        .unwrap();
+        let err = other.import_state(&state);
+        assert!(
+            matches!(&err, Err(SimError::StateImport { reason }) if reason.contains("trace digest")),
+            "{err:?}"
+        );
+        assert!(
+            other.run_to_completion().is_ok(),
+            "the refused import left it runnable"
+        );
+
+        assert_import_rejects(|s| s.trace_jobs = 3, "trace of 3 jobs");
+    }
+
+    #[test]
+    fn import_rejects_progress_entries_other_than_next_admit() {
+        assert_import_rejects(
+            |s| s.jobs.push(s.jobs[0].clone()),
+            "2 job progress entries for next_admit 1",
+        );
+        assert_import_rejects(|s| s.jobs.clear(), "0 job progress entries");
+    }
+
+    /// Rewrite the exported GPUs-in-use breakpoints through the series'
+    /// value tree (its fields are private, and `push` refuses going back).
+    fn set_breakpoints(s: &mut SimState, points: &[(f64, f64)]) {
+        let mut v = s.gpus_in_use.to_value();
+        if let Value::Map(entries) = &mut v {
+            let field = entries.iter_mut().find(|(k, _)| k == "points");
+            field.expect("series field").1 = points.to_value();
+        }
+        s.gpus_in_use = pal_stats::StepSeries::from_value(&v).unwrap();
+    }
+
+    #[test]
+    fn import_rejects_bad_clocks() {
+        // NaN and negative times passed import, then panicked appending
+        // to the GPUs-in-use series ("time went backwards").
+        assert_import_rejects(|s| s.time = f64::NAN, "time NaN");
+        assert_import_rejects(|s| s.time = -1e9, "time -1000000000");
+        // An infinite time gave infinite JCTs.
+        assert_import_rejects(|s| s.time = f64::INFINITY, "time inf");
+        assert_import_rejects(|s| s.busy_gpu_seconds = f64::NAN, "busy_gpu_seconds NaN");
+        assert_import_rejects(|s| s.busy_gpu_seconds = -1.0, "busy_gpu_seconds -1");
+        assert_import_rejects(
+            |s| set_breakpoints(s, &[(0.0, 2.0), (400.0, 0.0)]),
+            "before the last gpus_in_use breakpoint 400",
+        );
+        assert_import_rejects(
+            |s| set_breakpoints(s, &[(f64::NAN, 2.0)]),
+            "breakpoint at NaN",
+        );
+        assert_import_rejects(
+            |s| set_breakpoints(s, &[(200.0, 2.0), (100.0, 0.0)]),
+            "goes back from 200",
+        );
+    }
+
+    #[test]
+    fn import_rejects_bad_job_times() {
+        assert_import_rejects(
+            |s| s.jobs[0].first_start = Some(f64::INFINITY),
+            "first_start inf",
+        );
+        assert_import_rejects(|s| s.jobs[0].first_start = Some(301.0), "first_start 301");
+        assert_import_rejects(|s| s.jobs[0].first_start = None, "no first_start");
+        // `u32::MAX` migrations overflowed at the job's next migration.
+        assert_import_rejects(|s| s.jobs[0].migrations = u32::MAX, "migrations 4294967295");
+        assert_import_rejects(|s| s.jobs[0].preemptions = 2, "preemptions 2");
+        let finish_at = |at: f64| {
+            move |s: &mut SimState| {
+                s.jobs[0].phase = JobPhase::Finished { at };
+                s.active_queue.clear();
+                s.active_demand = 0;
+                s.finished = 1;
+            }
+        };
+        assert_import_rejects(finish_at(f64::NAN), "finished at NaN");
+        assert_import_rejects(finish_at(301.0), "finished at 301");
+        // A finish within the engine's tolerance past the boundary is
+        // what an executed round records; only the cluster disagrees.
+        assert_import_rejects(finish_at(300.0 + 1e-10), "in use");
     }
 
     #[test]
@@ -977,25 +1139,20 @@ mod tests {
         assert_import_rejects(|s| s.active_queue.clear(), "active_queue");
         assert_import_rejects(
             |s| {
-                s.next_admit = 2;
-                s.active_queue.push(1);
+                admit_second_job(s);
+                s.active_demand -= 2;
             },
             "active_demand",
         );
         assert_import_rejects(
             |s| {
-                s.next_admit = 2;
-                s.active_queue.push(1);
-                s.jobs[1].spec.gpu_demand = usize::MAX;
+                admit_second_job(s);
+                s.active_queue.pop();
             },
-            "active_demand",
+            "lacks job 1",
         );
         assert_import_rejects(|s| s.finished = 1, "finished 1");
-        assert_import_rejects(|s| s.rejected[1] = true, "admission has not reached");
-        assert_import_rejects(
-            |s| s.jobs[1].phase = JobPhase::Finished { at: 50.0 },
-            "never admitted",
-        );
+        assert_import_rejects(|s| s.rejected.push(0), "never admitted");
     }
 
     #[test]

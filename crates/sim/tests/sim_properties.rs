@@ -3,6 +3,7 @@
 //! policies, and schedulers.
 
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
+use pal_config::{state_from_json, state_to_json};
 use pal_gpumodel::Workload;
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
 use pal_sim::sched::{Fifo, Las, SchedulingPolicy, Srsf, Srtf};
@@ -208,6 +209,23 @@ proptest! {
     }
 }
 
+/// A serving replica holds one GPU for the whole run, so cap training
+/// demands at the remaining capacity when `serving` is on.
+fn resumable_trace(topo: ClusterTopology, trace: Trace, serving: bool) -> Trace {
+    if !serving {
+        return trace;
+    }
+    let jobs = trace
+        .jobs
+        .into_iter()
+        .map(|mut j| {
+            j.gpu_demand = j.gpu_demand.min(topo.total_gpus() - 1);
+            j
+        })
+        .collect();
+    Trace::new("prop", jobs)
+}
+
 /// Build the scenario used by the pause/resume properties: random trace,
 /// seeded Random placement (so hidden RNG state is in play), optional
 /// serving deployment, fixed-round or event-driven stepping.
@@ -247,22 +265,7 @@ proptest! {
         event_driven in any::<bool>(),
         serving in any::<bool>(),
     ) {
-        // A serving replica holds one GPU for the whole run, so cap
-        // training demands at the remaining capacity.
-        let trace = if serving {
-            let jobs = trace
-                .jobs
-                .iter()
-                .cloned()
-                .map(|mut j| {
-                    j.gpu_demand = j.gpu_demand.min(topo.total_gpus() - 1);
-                    j
-                })
-                .collect();
-            Trace::new("prop", jobs)
-        } else {
-            trace
-        };
+        let trace = resumable_trace(topo, trace, serving);
         let build = || resumable_scenario(topo, &trace, &scores, seed, event_driven, serving);
 
         let reference = build().run().expect("property scenario misconfigured");
@@ -284,6 +287,38 @@ proptest! {
         prop_assert!(
             reference.same_outcome(&from_resume),
             "export at step {} / import lost state", steps
+        );
+        prop_assert_eq!(reference.executed_rounds, from_resume.executed_rounds);
+    }
+
+    #[test]
+    fn export_to_json_and_back_at_any_step_matches_uninterrupted(
+        (topo, trace, scores) in scenario(),
+        seed in 0u64..500,
+        steps in 0usize..40,
+        event_driven in any::<bool>(),
+        serving in any::<bool>(),
+    ) {
+        let trace = resumable_trace(topo, trace, serving);
+        let build = || resumable_scenario(topo, &trace, &scores, seed, event_driven, serving);
+
+        let reference = build().run().expect("property scenario misconfigured");
+        let mut first = build().start().unwrap();
+        for _ in 0..steps {
+            if first.step().unwrap() != StepOutcome::Running {
+                break;
+            }
+        }
+        let state = first.export_state();
+        let json = state_to_json(&state).expect("an exported state serializes");
+        let back = state_from_json("prop.state.json", &json).expect("the file reads back");
+        prop_assert_eq!(&back, &state);
+        let mut resumed = build().start().unwrap();
+        resumed.import_state(&back).unwrap();
+        let from_resume = resumed.run_to_completion().unwrap();
+        prop_assert!(
+            reference.same_outcome(&from_resume),
+            "export at step {} / JSON round trip / import lost state", steps
         );
         prop_assert_eq!(reference.executed_rounds, from_resume.executed_rounds);
     }
