@@ -11,18 +11,22 @@
 //! Errors reuse [`TomlError`] so both formats
 //! report positions identically (`file:line:col: message`).
 //!
-//! [`write_json`] is the inverse: a canonical single-line writer used by
-//! the campaign spill sink (JSONL result/manifest files). Canonical means
-//! deterministic bytes for a given value — fields in tree order, no
-//! whitespace, shortest-round-trip float formatting — so identical
-//! results serialize to identical lines and a resumed run's output can be
-//! compared byte-for-byte against an uninterrupted one.
+//! [`to_json`] is the inverse: a canonical single-line writer that
+//! streams any [`Serialize`] value's [`emit`](Serialize::emit) events
+//! straight to text, with no [`Value`] tree in between. The spill sink
+//! (JSONL result/manifest lines), the metrics sink (event lines) and
+//! state files write through it; [`write_json`] is the same writer fed
+//! from an already-built tree. Canonical means deterministic bytes for a
+//! given value — fields in emit order, no whitespace,
+//! shortest-round-trip float formatting — so identical results serialize
+//! to identical lines and a resumed run's output can be compared
+//! byte-for-byte against an uninterrupted one.
 
 use crate::toml::TomlError;
-use serde::Value;
+use serde::{Emitter, Serialize, Value};
 use std::fmt::Write;
 
-/// Serialize a [`Value`] tree as one line of canonical JSON.
+/// Serialize `value` as one line of canonical JSON.
 ///
 /// The round trip through [`parse_json`] is exact: floats use Rust's
 /// shortest-round-trip `Display` (integral floats like `2.0` print as
@@ -30,54 +34,90 @@ use std::fmt::Write;
 /// deserializer accepts losslessly; `-0.0` is special-cased to `-0.0`
 /// so the sign survives the int path). Non-finite floats have no JSON
 /// encoding and are an error.
-pub fn write_json(value: &Value) -> Result<String, String> {
-    let mut out = String::new();
-    write_value(value, &mut out)?;
-    Ok(out)
+pub fn to_json<T: Serialize + ?Sized>(value: &T) -> Result<String, String> {
+    let mut writer = JsonWriter::default();
+    value.emit(&mut writer);
+    writer.error.map_or(Ok(writer.out), Err)
 }
 
-fn write_value(value: &Value, out: &mut String) -> Result<(), String> {
-    match value {
-        Value::Unit => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
+/// Serialize a [`Value`] tree as one line of canonical JSON: [`to_json`]
+/// over the tree's events.
+pub fn write_json(value: &Value) -> Result<String, String> {
+    to_json(value)
+}
+
+/// The [`Emitter`] behind [`to_json`].
+#[derive(Default)]
+struct JsonWriter {
+    out: String,
+    /// The closing bracket of each open container, innermost last.
+    closers: Vec<char>,
+    /// Whether an item precedes the next one in its container (so a `,`
+    /// goes first).
+    comma: bool,
+    /// The first non-finite float met: [`to_json`]'s error.
+    error: Option<String>,
+}
+
+impl JsonWriter {
+    /// Start the next item of the current container; returns the output
+    /// to write it to.
+    fn item(&mut self) -> &mut String {
+        if self.comma {
+            self.out.push(',');
         }
-        Value::Float(x) => {
-            if !x.is_finite() {
-                return Err(format!("cannot serialize non-finite float {x} as JSON"));
-            }
-            if *x == 0.0 && x.is_sign_negative() {
-                out.push_str("-0.0");
-            } else {
-                let _ = write!(out, "{x}");
-            }
+        self.comma = true;
+        &mut self.out
+    }
+
+    fn open(&mut self, open: char, close: char) {
+        self.item().push(open);
+        self.closers.push(close);
+        self.comma = false;
+    }
+}
+
+impl Emitter for JsonWriter {
+    fn unit(&mut self) {
+        self.item().push_str("null");
+    }
+    fn bool(&mut self, v: bool) {
+        let _ = write!(self.item(), "{v}");
+    }
+    fn int(&mut self, v: i128) {
+        let _ = write!(self.item(), "{v}");
+    }
+    fn float(&mut self, x: f64) {
+        if !x.is_finite() {
+            self.error
+                .get_or_insert_with(|| format!("cannot serialize non-finite float {x} as JSON"));
         }
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out)?;
-            }
-            out.push('}');
+        if x == 0.0 && x.is_sign_negative() {
+            self.item().push_str("-0.0");
+        } else {
+            let _ = write!(self.item(), "{x}");
         }
     }
-    Ok(())
+    fn str(&mut self, v: &str) {
+        write_string(v, self.item());
+    }
+    fn seq(&mut self, _len: usize) {
+        self.open('[', ']');
+    }
+    fn map(&mut self, _len: usize) {
+        self.open('{', '}');
+    }
+    fn key(&mut self, key: &str) {
+        write_string(key, self.item());
+        self.out.push(':');
+        // The entry's value follows the colon directly.
+        self.comma = false;
+    }
+    fn end(&mut self) {
+        let close = self.closers.pop().expect("end emitted with nothing open");
+        self.out.push(close);
+        self.comma = true;
+    }
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -457,6 +497,8 @@ mod tests {
     fn write_json_rejects_non_finite() {
         assert!(write_json(&Value::Float(f64::NAN)).is_err());
         assert!(write_json(&Value::Float(f64::INFINITY)).is_err());
+        let err = to_json(&vec![0.5, f64::NEG_INFINITY, 1.0]).unwrap_err();
+        assert_eq!(err, "cannot serialize non-finite float -inf as JSON");
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //!
 //! [`CellMetricsSink`] implements [`pal_sim::MetricsSink`] over two
 //! files: every job-lifecycle and serving-batch event becomes one line
-//! of canonical JSON ([`write_json`]) in an `.events.jsonl` file, and
-//! every executed round becomes one row of a `.rounds.csv` table. Both
-//! streams contain only simulated quantities (clocks, ids, counts), so
-//! two runs of the same cell produce byte-identical files — the same
-//! determinism contract the campaign spill sink gives results.
+//! of canonical JSON in an `.events.jsonl` file — streamed from the
+//! event's [`Serialize::emit`] by [`to_json`], with no value tree in
+//! between — and every executed round becomes one row of a
+//! `.rounds.csv` table. Both streams contain only simulated quantities
+//! (clocks, ids, counts), so two runs of the same cell produce
+//! byte-identical files — the same determinism contract the campaign
+//! spill sink gives results.
 //! High-volume accumulation events (per-round GPU usage, busy
 //! GPU-seconds) are deliberately not logged; the `StepSeries` in the
 //! result already carries them compactly.
@@ -19,9 +21,9 @@
 //! shared slot the caller checks after the run with
 //! [`MetricsDir::first_error`].
 
-use crate::json::write_json;
+use crate::json::to_json;
 use pal_sim::{CellInfo, JobEvent, MetricsSink, RoundEvent, ServingBatchEvent};
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -72,15 +74,14 @@ impl CellMetricsSink {
         })
     }
 
-    fn write_event(&mut self, kind: &str, value: Value) {
-        let mut entries = vec![("type".to_string(), Value::Str(kind.to_string()))];
-        match value {
-            Value::Map(fields) => entries.extend(fields),
-            other => entries.push(("data".to_string(), other)),
-        }
-        // Engine events hold only finite floats; the writer cannot fail.
-        let line = write_json(&Value::Map(entries)).expect("event serializes");
-        if let Err(e) = writeln!(self.events, "{line}") {
+    /// Write `event` as one JSON line with a leading `"type": kind` entry.
+    fn write_event(&mut self, kind: &str, event: &impl Serialize) {
+        // Engine events are named-field structs holding only finite
+        // floats: the writer cannot fail, and the line is an object
+        // whose opening `{` the tag entry goes after.
+        let json = to_json(event).expect("event serializes");
+        debug_assert!(json.starts_with("{\""), "{json}");
+        if let Err(e) = writeln!(self.events, "{{\"type\":\"{kind}\",{}", &json[1..]) {
             record_error(&self.error, "writing events.jsonl", &e);
         }
     }
@@ -88,7 +89,7 @@ impl CellMetricsSink {
 
 impl MetricsSink for CellMetricsSink {
     fn on_job(&mut self, event: &JobEvent) {
-        self.write_event("job", event.to_value());
+        self.write_event("job", event);
     }
 
     fn on_round(&mut self, event: &RoundEvent) {
@@ -109,7 +110,7 @@ impl MetricsSink for CellMetricsSink {
     }
 
     fn on_serving_batch(&mut self, event: &ServingBatchEvent) {
-        self.write_event("serving_batch", event.to_value());
+        self.write_event("serving_batch", event);
     }
 }
 
@@ -219,6 +220,7 @@ mod tests {
     use pal_gpumodel::Workload;
     use pal_sim::{Campaign, PolicySpec, Scenario};
     use pal_trace::{JobId, JobSpec, Trace};
+    use serde::Value;
 
     fn campaign(metrics: &MetricsDir) -> Campaign {
         let factory = metrics.clone();
@@ -289,6 +291,41 @@ mod tests {
         assert_eq!(
             std::fs::read_to_string(dir.join(format!("{stem}.rounds.csv"))).unwrap(),
             rounds
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn event_line_bytes_are_pinned() {
+        // Captured from the tree-building writer this one replaced.
+        let dir = std::env::temp_dir().join("pal_config_metrics_golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let events = dir.join("cell.events.jsonl");
+        let mut sink =
+            CellMetricsSink::create(&events, &dir.join("cell.rounds.csv"), Arc::default()).unwrap();
+        sink.on_job(&JobEvent {
+            t: 1234.5,
+            job: JobId(7),
+            kind: pal_sim::JobEventKind::Finished,
+        });
+        sink.on_serving_batch(&ServingBatchEvent {
+            workload: "chat \"x\"".into(),
+            start: 0.1,
+            finish: 2.0,
+            batch_size: 3,
+            slo_met: 2,
+            queued: 0,
+        });
+        drop(sink);
+        assert_eq!(
+            std::fs::read_to_string(&events).unwrap(),
+            concat!(
+                r#"{"type":"job","t":1234.5,"job":7,"kind":"Finished"}"#,
+                "\n",
+                r#"{"type":"serving_batch","workload":"chat \"x\"","start":0.1,"finish":2,"#,
+                r#""batch_size":3,"slo_met":2,"queued":0}"#,
+                "\n"
+            )
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -23,7 +23,7 @@ use pal_gpumodel::Workload;
 use pal_sim::serving::BatcherConfig;
 use pal_sim::SimConfig;
 use pal_trace::ServingWorkload;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{emit_value, DeError, Deserialize, Emitter, Serialize, Value};
 
 /// A complete campaign file: cluster-wide defaults plus a scenario × policy
 /// grid. See `configs/` for commented examples.
@@ -190,15 +190,36 @@ fn params_map(params: &Value) -> &[(String, Value)] {
     }
 }
 
+/// Emit a reference: the bare `kind` when it has no other entries, else
+/// one map of `kind`, the set `reserved` entries, then the builder
+/// parameters.
+fn emit_ref(
+    kind: &str,
+    reserved: &[(&str, &dyn Serialize)],
+    params: &Value,
+    out: &mut dyn Emitter,
+) {
+    let params = params_map(params);
+    if reserved.is_empty() && params.is_empty() {
+        return out.str(kind);
+    }
+    out.map(1 + reserved.len() + params.len());
+    out.key("kind");
+    out.str(kind);
+    for (key, value) in reserved {
+        out.key(key);
+        value.emit(out);
+    }
+    for (key, value) in params {
+        out.key(key);
+        emit_value(value, out);
+    }
+    out.end();
+}
+
 impl Serialize for GeneratorRef {
-    fn to_value(&self) -> Value {
-        let entries = params_map(&self.params);
-        if entries.is_empty() {
-            return Value::Str(self.kind.clone());
-        }
-        let mut out = vec![("kind".to_string(), Value::Str(self.kind.clone()))];
-        out.extend(entries.iter().cloned());
-        Value::Map(out)
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_ref(&self.kind, &[], &self.params, out);
     }
 }
 
@@ -245,20 +266,14 @@ impl PolicyRef {
 }
 
 impl Serialize for PolicyRef {
-    fn to_value(&self) -> Value {
-        let entries = params_map(&self.params);
-        if self.name.is_none() && self.sticky.is_none() && entries.is_empty() {
-            return Value::Str(self.kind.clone());
-        }
-        let mut out = vec![("kind".to_string(), Value::Str(self.kind.clone()))];
-        if let Some(name) = &self.name {
-            out.push(("name".to_string(), Value::Str(name.clone())));
-        }
-        if let Some(sticky) = self.sticky {
-            out.push(("sticky".to_string(), Value::Bool(sticky)));
-        }
-        out.extend(entries.iter().cloned());
-        Value::Map(out)
+    fn emit(&self, out: &mut dyn Emitter) {
+        let name = self.name.as_ref().map(|n| ("name", n as &dyn Serialize));
+        let sticky = self
+            .sticky
+            .as_ref()
+            .map(|s| ("sticky", s as &dyn Serialize));
+        let reserved: Vec<_> = [name, sticky].into_iter().flatten().collect();
+        emit_ref(&self.kind, &reserved, &self.params, out);
     }
 }
 

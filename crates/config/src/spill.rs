@@ -4,7 +4,7 @@
 //! A *spill directory* is the durable form of one campaign run:
 //!
 //! - `results.jsonl` — one canonical-JSON [`CampaignResult`] per line
-//!   ([`crate::json::write_json`]), appended the moment a cell completes;
+//!   ([`crate::json::to_json`]), appended the moment a cell completes;
 //! - `manifest.jsonl` — one [`ManifestEntry`] per completed cell: the
 //!   cell's deterministic identity ([`CellInfo`]: index, scenario tag,
 //!   policy name, injective seed), the 0-based `results.jsonl` line the
@@ -37,7 +37,7 @@
 //! [`run_spilled`].
 
 use crate::error::ConfigError;
-use crate::json::{parse_json, write_json};
+use crate::json::{parse_json, to_json};
 use pal_sim::{Campaign, CampaignResult, CampaignRunStats, CellInfo, ResultSink, SimError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -193,7 +193,7 @@ impl ResultSink for SpillSink {
                 result.scenario, result.seed, info.scenario, info.seed
             )));
         }
-        let line = write_json(&result.to_value())
+        let line = to_json(&result)
             .map_err(|e| sink_err(format!("cell {cell} result not serializable: {e}")))?;
         let mut files = self.files.lock().expect("spill sink lock");
         let entry = ManifestEntry {
@@ -204,7 +204,7 @@ impl ResultSink for SpillSink {
             digest: fnv1a64(line.as_bytes()),
             line: files.next_line,
         };
-        let manifest_line = write_json(&entry.to_value())
+        let manifest_line = to_json(&entry)
             .map_err(|e| sink_err(format!("cell {cell} manifest entry not serializable: {e}")))?;
         let io = |e: std::io::Error| sink_err(format!("spill write failed for cell {cell}: {e}"));
         // Result first, then manifest: a cell only counts as completed
@@ -594,5 +594,25 @@ mod tests {
             assert!(a.result.same_outcome(&b.result));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_line_bytes_are_pinned() {
+        // Captured from the tree-building writer this one replaced.
+        let entry = ManifestEntry {
+            cell: 3,
+            scenario: "philly@x1.5".into(),
+            policy: "PAL (adaptive)".into(),
+            seed: u64::MAX,
+            digest: 0xDEAD_BEEF_0123_4567,
+            line: 2,
+        };
+        assert_eq!(
+            to_json(&entry).unwrap(),
+            concat!(
+                r#"{"cell":3,"scenario":"philly@x1.5","policy":"PAL (adaptive)","#,
+                r#""seed":18446744073709551615,"digest":16045690981116495207,"line":2}"#
+            )
+        );
     }
 }

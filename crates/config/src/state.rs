@@ -1,7 +1,7 @@
 //! On-disk persistence for [`SimState`] — canonical-JSON state files
 //! behind pause-resume and `palsim what-if`.
 //!
-//! A state file is one line of canonical JSON ([`write_json`]) plus a
+//! A state file is one line of canonical JSON ([`to_json`]) plus a
 //! trailing newline. Canonical means deterministic bytes for a given
 //! state — fields in declaration order, shortest-round-trip floats — so
 //! the same exported state always serializes to the same file and two
@@ -14,9 +14,9 @@
 //! missing-field error from whatever the schema happens to be today.
 
 use crate::error::ConfigError;
-use crate::json::{parse_json, write_json};
+use crate::json::{parse_json, to_json};
 use pal_sim::{SimState, STATE_FORMAT_VERSION};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use std::path::Path;
 
 /// Serialize `state` as one line of canonical JSON.
@@ -24,7 +24,7 @@ use std::path::Path;
 /// Infallible for real exported states (every float in engine state is
 /// finite); returns the writer's error otherwise.
 pub fn state_to_json(state: &SimState) -> Result<String, String> {
-    write_json(&state.to_value())
+    to_json(state)
 }
 
 /// Write `state` to `path` as canonical JSON (one line + trailing
@@ -133,6 +133,29 @@ mod tests {
         save_state(&path, &back).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn state_bytes_are_pinned() {
+        // Captured from the tree-building writer this one replaced; the
+        // wall-clock compute times are fixed so the bytes are too.
+        let mut state = exported_state();
+        state.placement_compute_times = vec![2.5e-6, 0.125];
+        assert_eq!(
+            state_to_json(&state).unwrap(),
+            concat!(
+                r#"{"version":2,"trace":"pair","trace_jobs":2,"trace_digest":10072191973144045054,"#,
+                r#""scheduler":"FIFO","placement":"Packed","sticky":false,"time":300,"rounds":1,"#,
+                r#""executed_rounds":1,"finished":1,"next_admit":1,"active_queue":[],"active_demand":0,"#,
+                r#""jobs":[{"phase":{"Finished":{"at":40}},"remaining_work":0,"attained_service":80,"#,
+                r#""first_start":0,"migrations":0,"preemptions":0}],"rejected":[],"#,
+                r#""cluster":{"topology":{"nodes":2,"gpus_per_node":2},"in_use":[false,false,false,false],"#,
+                r#""free_total":4,"free_per_node":[2,2],"view":{"words":[3,3],"words_per_node":1,"#,
+                r#""gpus_per_node":2,"nodes":2}},"gpus_in_use":{"initial":0,"points":[[0,2],[40,0]]},"#,
+                r#""busy_gpu_seconds":80,"placement_compute_times":[0.0000025,0.125],"#,
+                r#""placement_state":null,"serving":[]}"#
+            )
+        );
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl BoxplotStats {
             outliers,
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +91,7 @@ mod tests {
     #[test]
     fn constant_sample_has_no_outliers() {
         let b = BoxplotStats::of(&[2.0; 10]).unwrap();
-        assert_eq!(b.iqr(), 0.0);
+        assert_eq!(b.q3 - b.q1, 0.0);
         assert!(b.outliers.is_empty());
         assert_eq!(b.whisker_lo, 2.0);
         assert_eq!(b.whisker_hi, 2.0);

@@ -40,7 +40,7 @@ impl OnlineStats {
     }
 
     /// Sample variance (n-1); `None` before two samples.
-    pub fn variance(&self) -> Option<f64> {
+    fn variance(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 

@@ -88,17 +88,6 @@ impl Summary {
             p99: crate::percentile::percentile_of_sorted(&sorted, 99.0),
         })
     }
-
-    /// Coefficient of variation (`std_dev / mean`), a scale-free measure of
-    /// spread used to characterize variability profiles (e.g. "Class A has
-    /// 22% geomean variability").
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,6 +185,6 @@ mod tests {
     #[test]
     fn cov_of_constant_sample_is_zero() {
         let s = Summary::of(&[4.0, 4.0, 4.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), 0.0);
+        assert_eq!(s.std_dev / s.mean, 0.0);
     }
 }

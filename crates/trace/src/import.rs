@@ -212,10 +212,15 @@ pub fn import_csv_trace<R: BufRead>(
                 format!("negative or non-finite submit time {submit}"),
             ));
         }
+        if !gpus_raw.is_finite() || !duration.is_finite() {
+            return Err(TraceIoError::Parse(
+                lineno,
+                format!("non-finite GPU count {gpus_raw} or duration {duration}"),
+            ));
+        }
         let gpu_demand = (gpus_raw / format.gpu_divisor).ceil();
-        // Failed/cancelled/CPU-only rows (or NaN fields): skip, don't
-        // error.
-        if gpu_demand.is_nan() || gpu_demand < 1.0 || duration.is_nan() || duration <= 0.0 {
+        // Failed/cancelled/CPU-only rows: skip, don't error.
+        if gpu_demand < 1.0 || duration <= 0.0 {
             continue;
         }
         let iterations = (duration / opts.base_iter_time).ceil().max(1.0) as u64;
@@ -325,6 +330,25 @@ mod tests {
         let csv = "submit_time,num_gpus,duration\n100,2,600\nnope,1,60\n";
         let err = import(&ExternalCsvFormat::philly(), &ImportOptions::default(), csv).unwrap_err();
         assert!(matches!(err, TraceIoError::Parse(3, _)), "{err}");
+    }
+
+    #[test]
+    fn non_finite_duration_or_gpu_count_is_a_line_error() {
+        // An infinite duration would become u64::MAX iterations and an
+        // infinite GPU count usize::MAX GPUs; NaN is refused alongside.
+        for row in ["50,1,inf", "50,inf,600", "50,NaN,600", "50,1,-inf"] {
+            let csv = format!("submit_time,num_gpus,duration\n0,1,60\n{row}\n");
+            let err = import(
+                &ExternalCsvFormat::philly(),
+                &ImportOptions::default(),
+                &csv,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Parse(3, m) if m.contains("non-finite")),
+                "{row}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -159,6 +159,28 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_arrival() {
+        for arrival in ["inf", "NaN"] {
+            let input = format!("{TRACE_CSV_HEADER}\n0,resnet50,0,{arrival},1,100,0.1\n");
+            let err = read_trace_csv("bad", BufReader::new(input.as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Parse(2, m) if m.contains("non-finite arrival")),
+                "{arrival}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_iteration_time() {
+        let input = format!("{TRACE_CSV_HEADER}\n0,resnet50,0,0.0,1,100,inf\n");
+        let err = read_trace_csv("bad", BufReader::new(input.as_bytes())).unwrap_err();
+        assert!(
+            matches!(&err, TraceIoError::Parse(2, m) if m.contains("non-finite iteration time")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn blank_lines_ignored() {
         let trace = sample_trace();
         let mut buf = Vec::new();

@@ -64,11 +64,17 @@ impl JobSpec {
         if self.iterations == 0 {
             return Err(format!("{}: zero iterations", self.id));
         }
-        if self.base_iter_time <= 0.0 || self.base_iter_time.is_nan() {
-            return Err(format!("{}: non-positive iteration time", self.id));
+        if !(self.base_iter_time > 0.0 && self.base_iter_time.is_finite()) {
+            return Err(format!(
+                "{}: non-positive or non-finite iteration time {}",
+                self.id, self.base_iter_time
+            ));
         }
-        if self.arrival < 0.0 || self.arrival.is_nan() {
-            return Err(format!("{}: negative arrival", self.id));
+        if !(self.arrival >= 0.0 && self.arrival.is_finite()) {
+            return Err(format!(
+                "{}: negative or non-finite arrival {}",
+                self.id, self.arrival
+            ));
         }
         Ok(())
     }

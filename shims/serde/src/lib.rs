@@ -1,14 +1,14 @@
 //! Facade standing in for `serde` (see `shims/README.md`).
 //!
 //! Unlike the original no-op marker traits, this shim implements a real —
-//! if deliberately small — serialization layer: [`Serialize`] lowers a
-//! value into the self-describing [`Value`] tree and [`Deserialize`]
-//! rebuilds it, with `#[derive(Serialize, Deserialize)]` (from the
-//! `serde_derive` shim) generating real field-level implementations for
-//! structs, tuple/newtype structs, and enums. Text formats (the TOML
-//! subset and JSON used by `pal-config`) read and write [`Value`] trees,
-//! so every derived type in the workspace can round-trip through a config
-//! file.
+//! if deliberately small — serialization layer: [`Serialize`] streams a
+//! value as [`Emitter`] events and [`Deserialize`] rebuilds it from the
+//! self-describing [`Value`] tree, with `#[derive(Serialize, Deserialize)]`
+//! (from the `serde_derive` shim) generating real field-level
+//! implementations for structs, tuple/newtype structs, and enums. Text
+//! formats (the TOML subset and JSON used by `pal-config`) read [`Value`]
+//! trees and write from either an emitter or a tree, so every derived
+//! type in the workspace can round-trip through a config file.
 //!
 //! ## Data model
 //!
@@ -26,8 +26,9 @@
 //! | unit enum variant          | `Str(variant name)`                       |
 //! | data enum variant          | `Map { variant name: payload }`           |
 //!
-//! [`Serialize::emit`] streams the same tree as [`Emitter`] events
-//! without building it, for writers that only walk the tree once.
+//! [`Serialize::emit`] is the one serialization method: it streams the
+//! events of a depth-first walk of this tree without building it, and
+//! [`Serialize::to_value`] builds the tree from those same events.
 //!
 //! Struct deserialization is strict: unknown and duplicate keys are
 //! errors (catching config typos), while a missing key reads as
@@ -243,16 +244,85 @@ fn emit_map<'a, V: Serialize + 'a>(
     out.end();
 }
 
-/// Lower `self` into a [`Value`] tree, or stream it as [`Emitter`] events.
+/// Stream `self` as [`Emitter`] events, or lower it into a [`Value`] tree.
 pub trait Serialize {
-    /// Serialize into the shim's self-describing value tree.
-    fn to_value(&self) -> Value;
+    /// Stream the events of `self`'s [`Value`] tree into `out` without
+    /// building it. The only method an impl writes.
+    fn emit(&self, out: &mut dyn Emitter);
 
-    /// Stream the events of [`to_value`](Self::to_value)'s tree into
-    /// `out` without building it. The default builds the tree and walks
-    /// it; derived and container impls override it to emit directly.
-    fn emit(&self, out: &mut dyn Emitter) {
-        emit_value(&self.to_value(), out);
+    /// Serialize into the shim's self-describing value tree, built from
+    /// [`emit`](Self::emit)'s events.
+    fn to_value(&self) -> Value {
+        let mut tree = TreeBuilder {
+            open: Vec::new(),
+            key: None,
+            root: Value::Unit,
+        };
+        self.emit(&mut tree);
+        tree.root
+    }
+}
+
+/// The [`Emitter`] behind [`Serialize::to_value`]: assembles the tree
+/// the events describe, sizing each container from its `seq`/`map` length.
+struct TreeBuilder {
+    /// The open containers, innermost last, each with the key it will
+    /// sit under in its parent map.
+    open: Vec<(Option<String>, Value)>,
+    /// The key of the map entry whose value comes next.
+    key: Option<String>,
+    /// The finished top-level value.
+    root: Value,
+}
+
+impl TreeBuilder {
+    fn push(&mut self, value: Value) {
+        match self.open.last_mut() {
+            None => self.root = value,
+            Some((_, Value::Seq(items))) => items.push(value),
+            Some((_, Value::Map(entries))) => {
+                let key = self.key.take().expect("map value emitted without a key");
+                entries.push((key, value));
+            }
+            Some(_) => unreachable!("only sequences and maps are opened"),
+        }
+    }
+
+    fn open(&mut self, container: Value) {
+        let key = self.key.take();
+        self.open.push((key, container));
+    }
+}
+
+impl Emitter for TreeBuilder {
+    fn unit(&mut self) {
+        self.push(Value::Unit);
+    }
+    fn bool(&mut self, v: bool) {
+        self.push(Value::Bool(v));
+    }
+    fn int(&mut self, v: i128) {
+        self.push(Value::Int(v));
+    }
+    fn float(&mut self, v: f64) {
+        self.push(Value::Float(v));
+    }
+    fn str(&mut self, v: &str) {
+        self.push(Value::Str(v.to_string()));
+    }
+    fn seq(&mut self, len: usize) {
+        self.open(Value::Seq(Vec::with_capacity(len)));
+    }
+    fn map(&mut self, len: usize) {
+        self.open(Value::Map(Vec::with_capacity(len)));
+    }
+    fn key(&mut self, key: &str) {
+        self.key = Some(key.to_string());
+    }
+    fn end(&mut self) {
+        let (key, container) = self.open.pop().expect("end emitted with nothing open");
+        self.key = key;
+        self.push(container);
     }
 }
 
@@ -271,10 +341,6 @@ pub trait Deserialize<'de>: Sized {
 // ---------------------------------------------------------------------------
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.bool(*self);
     }
@@ -292,10 +358,6 @@ impl<'de> Deserialize<'de> for bool {
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
-            }
-
             fn emit(&self, out: &mut dyn Emitter) {
                 out.int(*self as i128);
             }
@@ -319,10 +381,6 @@ macro_rules! int_impls {
 int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for i128 {
-    fn to_value(&self) -> Value {
-        Value::Int(*self)
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.int(*self);
     }
@@ -338,10 +396,6 @@ impl<'de> Deserialize<'de> for i128 {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.float(*self);
     }
@@ -360,10 +414,6 @@ impl<'de> Deserialize<'de> for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.float(f64::from(*self));
     }
@@ -376,10 +426,6 @@ impl<'de> Deserialize<'de> for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.str(self);
     }
@@ -395,20 +441,12 @@ impl<'de> Deserialize<'de> for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         out.str(self.encode_utf8(&mut [0; 4]));
     }
@@ -428,10 +466,6 @@ impl<'de> Deserialize<'de> for char {
 // ---------------------------------------------------------------------------
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         emit_seq(self.iter(), out);
     }
@@ -454,20 +488,12 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         emit_seq(self.iter(), out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         emit_seq(self.iter(), out);
     }
@@ -496,13 +522,6 @@ impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Unit,
-        }
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         match self {
             Some(v) => v.emit(out),
@@ -521,10 +540,6 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         (**self).emit(out);
     }
@@ -537,10 +552,6 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         (**self).emit(out);
     }
@@ -553,10 +564,6 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Arc<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         (**self).emit(out);
     }
@@ -565,10 +572,6 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 macro_rules! tuple_impls {
     ($(($($name:ident $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
-            }
-
             fn emit(&self, out: &mut dyn Emitter) {
                 out.seq([$($idx),+].len());
                 $(self.$idx.emit(out);)+
@@ -602,19 +605,6 @@ tuple_impls! {
 }
 
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
-    fn to_value(&self) -> Value {
-        // Hash iteration order is nondeterministic; serialize sorted so
-        // identical maps produce identical trees (and identical files).
-        let mut entries: Vec<(&String, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         let mut entries: Vec<(&String, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -638,14 +628,6 @@ impl<'de, V: Deserialize<'de>, S: std::hash::BuildHasher + Default> Deserialize<
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-
     fn emit(&self, out: &mut dyn Emitter) {
         emit_map(self.iter(), out);
     }
@@ -667,8 +649,8 @@ impl<'de, V: Deserialize<'de>> Deserialize<'de> for BTreeMap<String, V> {
 // `Value` itself round-trips as identity, so free-form config sections
 // (registry parameter tables) can sit inside derived structs.
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn emit(&self, out: &mut dyn Emitter) {
+        emit_value(self, out);
     }
 }
 

@@ -1,8 +1,9 @@
-//! The streaming path must agree with the tree path: for every shape the
-//! shim serializes, `x.emit(..)` produces exactly the event sequence that
-//! `emit_value(&x.to_value(), ..)` replays from the built tree.
+//! Every shape the shim serializes streams a pinned event sequence:
+//! `emit` is the only serializer (`to_value` is built from it), so each
+//! case spells out the exact events expected, and `to_value` must
+//! rebuild the tree those events describe.
 
-use serde::{emit_value, Emitter, Serialize, Value};
+use serde::{Emitter, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -19,6 +20,24 @@ enum Event {
     Map(usize),
     Key(String),
     End,
+}
+
+use Event::{End, Map, Seq, Unit as U};
+
+fn int(i: i128) -> Event {
+    Event::Int(i)
+}
+
+fn float(x: f64) -> Event {
+    Event::Float(x.to_bits())
+}
+
+fn s(v: &str) -> Event {
+    Event::Str(v.to_string())
+}
+
+fn key(k: &str) -> Event {
+    Event::Key(k.to_string())
 }
 
 #[derive(Default)]
@@ -54,14 +73,18 @@ impl Emitter for Recorder {
     }
 }
 
-/// Assert stream == tree for `x`, and return the streamed events.
+/// The events `x` streams.
 fn events<T: Serialize + ?Sized>(x: &T) -> Vec<Event> {
-    let mut streamed = Recorder::default();
-    x.emit(&mut streamed);
-    let mut replayed = Recorder::default();
-    emit_value(&x.to_value(), &mut replayed);
-    assert_eq!(streamed.0, replayed.0, "emit diverged from the value tree");
-    streamed.0
+    let mut out = Recorder::default();
+    x.emit(&mut out);
+    out.0
+}
+
+/// Assert `x` streams exactly `expected`, and that `to_value` rebuilds
+/// the tree whose replay is that same stream.
+fn assert_emits<T: Serialize + ?Sized>(x: &T, expected: &[Event]) {
+    assert_eq!(events(x), expected, "emitted events");
+    assert_eq!(events(&x.to_value()), expected, "tree rebuilt by to_value");
 }
 
 #[derive(Serialize)]
@@ -96,11 +119,7 @@ struct Nested {
     shapes: Vec<Shape>,
     maybe: Option<Pair>,
     nothing: Option<Newtype>,
-    grid: [[u8; 2]; 3],
-    pairs: Vec<(String, f32, char)>,
-    by_name: HashMap<String, Vec<u16>>,
-    ordered: BTreeMap<String, Option<i8>>,
-    boxed: Box<Named>,
+    boxed: Box<Newtype>,
     shared: Arc<Shape>,
     free_form: Value,
     unit: Unit,
@@ -117,63 +136,129 @@ fn named() -> Named {
     }
 }
 
+fn named_events() -> Vec<Event> {
+    vec![
+        Map(6),
+        key("flag"),
+        Event::Bool(true),
+        key("count"),
+        int(42),
+        key("big"),
+        int(u64::MAX.into()),
+        key("neg"),
+        int(i64::MIN.into()),
+        key("rate"),
+        float(-0.0),
+        key("label"),
+        s("hello world"),
+        End,
+    ]
+}
+
 #[test]
 fn named_struct_emits_fields_in_declaration_order() {
-    let ev = events(&named());
-    assert_eq!(ev[0], Event::Map(6));
-    assert_eq!(ev[1], Event::Key("flag".into()));
-    assert_eq!(ev[3], Event::Key("count".into()));
-    assert_eq!(ev.last(), Some(&Event::End));
+    assert_emits(&named(), &named_events());
 }
 
 #[test]
 fn newtype_tuple_and_unit_structs() {
-    assert_eq!(events(&Newtype(7)), vec![Event::Int(7)]);
-    assert_eq!(
-        events(&Pair(1.5, "x".into())),
-        vec![
-            Event::Seq(2),
-            Event::Float(1.5f64.to_bits()),
-            Event::Str("x".into()),
-            Event::End
-        ]
-    );
-    assert_eq!(events(&Unit), vec![Event::Unit]);
+    assert_emits(&Newtype(7), &[int(7)]);
+    assert_emits(&Pair(1.5, "x".into()), &[Seq(2), float(1.5), s("x"), End]);
+    assert_emits(&Unit, &[U]);
 }
 
 #[test]
 fn all_four_enum_variant_shapes() {
-    assert_eq!(events(&Shape::Empty), vec![Event::Str("Empty".into())]);
-    assert_eq!(
-        events(&Shape::Newtype(3)),
-        vec![
-            Event::Map(1),
-            Event::Key("Newtype".into()),
-            Event::Int(3),
-            Event::End
-        ]
+    assert_emits(&Shape::Empty, &[s("Empty")]);
+    assert_emits(&Shape::Newtype(3), &[Map(1), key("Newtype"), int(3), End]);
+    assert_emits(
+        &Shape::Tuple(9, "t".into(), false),
+        &[
+            Map(1),
+            key("Tuple"),
+            Seq(3),
+            int(9),
+            s("t"),
+            Event::Bool(false),
+            End,
+            End,
+        ],
     );
-    events(&Shape::Tuple(9, "t".into(), false));
-    events(&Shape::Struct {
-        x: f64::NAN,
-        tags: vec!["a".into(), "b".into()],
-    });
+    assert_emits(
+        &Shape::Struct {
+            x: f64::NAN,
+            tags: vec!["a".into(), "b".into()],
+        },
+        &[
+            Map(1),
+            key("Struct"),
+            Map(2),
+            key("x"),
+            float(f64::NAN),
+            key("tags"),
+            Seq(2),
+            s("a"),
+            s("b"),
+            End,
+            End,
+            End,
+        ],
+    );
 }
 
 #[test]
 fn options_sequences_arrays_and_tuples() {
-    assert_eq!(events(&None::<u8>), vec![Event::Unit]);
-    assert_eq!(events(&Some(5u8)), vec![Event::Int(5)]);
-    events(&Some(Some(vec![1.0f32, 2.5])));
-    events(&Vec::<String>::new());
-    events(&vec![vec![1u64], vec![], vec![2, 3]]);
-    events(&[0i32; 4]);
-    events(&[1u8, 2, 3][..]);
-    events(&(1u8,));
-    events(&(1u8, "two".to_string(), 3.0f64, 'z'));
-    events("a str");
-    events(&i128::MIN);
-    events(&usize::MAX);
+    assert_emits(&None::<u8>, &[U]);
+    assert_emits(&Some(5u8), &[int(5)]);
+    assert_emits(
+        &Some(Some(vec![1.0f32, 2.5])),
+        &[Seq(2), float(1.0), float(2.5), End],
+    );
+    // f32 widens exactly: 0.1f32 is not 0.1f64.
+    assert_emits(&0.1f32, &[float(f64::from(0.1f32))]);
+    assert_emits(&Vec::<String>::new(), &[Seq(0), End]);
+    assert_emits(
+        &vec![vec![1u64], vec![], vec![2, 3]],
+        &[
+            Seq(3),
+            Seq(1),
+            int(1),
+            End,
+            Seq(0),
+            End,
+            Seq(2),
+            int(2),
+            int(3),
+            End,
+            End,
+        ],
+    );
+    assert_emits(&[0i32; 3], &[Seq(3), int(0), int(0), int(0), End]);
+    assert_emits(
+        &[[1u8, 2], [3, 4]],
+        &[
+            Seq(2),
+            Seq(2),
+            int(1),
+            int(2),
+            End,
+            Seq(2),
+            int(3),
+            int(4),
+            End,
+            End,
+        ],
+    );
+    assert_emits(&[1u8, 2][..], &[Seq(2), int(1), int(2), End]);
+    assert_emits(&(1u8,), &[Seq(1), int(1), End]);
+    assert_emits(
+        &(1u8, "two".to_string(), 3.0f64, 'z'),
+        &[Seq(4), int(1), s("two"), float(3.0), s("z"), End],
+    );
+    assert_emits(&'é', &[s("é")]);
+    assert_emits("a str", &[s("a str")]);
+    assert_emits(&i128::MIN, &[int(i128::MIN)]);
+    assert_emits(&usize::MAX, &[int(usize::MAX as i128)]);
 }
 
 #[test]
@@ -183,49 +268,51 @@ fn maps_hash_sorted_and_btree_ordered() {
         .enumerate()
         .map(|(i, k)| (k.to_string(), i as u8))
         .collect();
-    let keys: Vec<Event> = events(&hashed)
-        .into_iter()
-        .filter(|e| matches!(e, Event::Key(_)))
-        .collect();
-    let sorted: Vec<Event> = ["alpha", "beta", "mid", "zeta"]
-        .iter()
-        .map(|k| Event::Key(k.to_string()))
-        .collect();
-    assert_eq!(keys, sorted, "HashMap must emit in sorted key order");
-    let ordered: BTreeMap<String, Vec<bool>> =
-        [("b".to_string(), vec![true]), ("a".into(), vec![])]
+    assert_emits(
+        &hashed,
+        &[
+            Map(4),
+            key("alpha"),
+            int(1),
+            key("beta"),
+            int(3),
+            key("mid"),
+            int(2),
+            key("zeta"),
+            int(0),
+            End,
+        ],
+    );
+    let ordered: BTreeMap<String, Option<Vec<bool>>> =
+        [("b".to_string(), Some(vec![true])), ("a".into(), None)]
             .into_iter()
             .collect();
-    events(&ordered);
-    events(&HashMap::<String, f64>::new());
+    assert_emits(
+        &ordered,
+        &[
+            Map(2),
+            key("a"),
+            U,
+            key("b"),
+            Seq(1),
+            Event::Bool(true),
+            End,
+            End,
+        ],
+    );
+    assert_emits(&HashMap::<String, f64>::new(), &[Map(0), End]);
 }
 
 #[test]
 fn smart_pointers_references_and_nesting() {
-    events(&Box::new(named()));
-    events(&Arc::new(Shape::Empty));
-    events(&&named());
+    assert_emits(&Box::new(named()), &named_events());
+    assert_emits(&Arc::new(Shape::Empty), &[s("Empty")]);
+    assert_emits(&&named(), &named_events());
     let nested = Nested {
-        shapes: vec![
-            Shape::Empty,
-            Shape::Newtype(1),
-            Shape::Tuple(2, "two".into(), true),
-            Shape::Struct {
-                x: 3.0,
-                tags: vec!["c".into()],
-            },
-        ],
+        shapes: vec![Shape::Empty, Shape::Newtype(1)],
         maybe: Some(Pair(0.5, "p".into())),
         nothing: None,
-        grid: [[1, 2], [3, 4], [5, 6]],
-        pairs: vec![("k".into(), 0.25, 'q')],
-        by_name: [("y".to_string(), vec![1u16, 2]), ("x".into(), vec![])]
-            .into_iter()
-            .collect(),
-        ordered: [("n".to_string(), None), ("s".into(), Some(-3i8))]
-            .into_iter()
-            .collect(),
-        boxed: Box::new(named()),
+        boxed: Box::new(Newtype(2)),
         shared: Arc::new(Shape::Newtype(4)),
         free_form: Value::Map(vec![
             ("list".into(), Value::Seq(vec![Value::Int(1), Value::Unit])),
@@ -233,6 +320,76 @@ fn smart_pointers_references_and_nesting() {
         ]),
         unit: Unit,
     };
-    let ev = events(&nested);
-    assert_eq!(ev[0], Event::Map(11));
+    assert_emits(
+        &nested,
+        &[
+            Map(7),
+            key("shapes"),
+            Seq(2),
+            s("Empty"),
+            Map(1),
+            key("Newtype"),
+            int(1),
+            End,
+            End,
+            key("maybe"),
+            Seq(2),
+            float(0.5),
+            s("p"),
+            End,
+            key("nothing"),
+            U,
+            key("boxed"),
+            int(2),
+            key("shared"),
+            Map(1),
+            key("Newtype"),
+            int(4),
+            End,
+            key("free_form"),
+            Map(2),
+            key("list"),
+            Seq(2),
+            int(1),
+            U,
+            End,
+            key("on"),
+            Event::Bool(true),
+            End,
+            key("unit"),
+            U,
+            End,
+        ],
+    );
+}
+
+#[test]
+fn to_value_builds_the_tree_the_events_describe() {
+    assert_eq!(
+        Shape::Struct {
+            x: 2.0,
+            tags: vec!["t".into()],
+        }
+        .to_value(),
+        Value::Map(vec![(
+            "Struct".into(),
+            Value::Map(vec![
+                ("x".into(), Value::Float(2.0)),
+                ("tags".into(), Value::Seq(vec![Value::Str("t".into())])),
+            ]),
+        )])
+    );
+    assert_eq!(Unit.to_value(), Value::Unit);
+    assert_eq!(
+        (Newtype(1), vec![Unit, Unit]).to_value(),
+        Value::Seq(vec![
+            Value::Int(1),
+            Value::Seq(vec![Value::Unit, Value::Unit])
+        ])
+    );
+    // Containers are sized exactly from their seq/map lengths.
+    let Value::Seq(items) = vec![1u8; 5].to_value() else {
+        panic!("a Vec serializes as a sequence");
+    };
+    assert_eq!(items.capacity(), 5);
 }

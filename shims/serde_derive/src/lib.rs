@@ -4,9 +4,12 @@
 //! With no registry access there is no `syn`/`quote`, so this macro
 //! hand-parses the item's [`TokenStream`] — just far enough to recover the
 //! type name, field names, and variant shapes — and emits implementations
-//! of the `serde` shim's value-tree traits as formatted source strings.
+//! of the `serde` shim's traits as formatted source strings: `emit` for
+//! `Serialize` (the trait builds `to_value` from it) and `from_value` for
+//! `Deserialize`.
 //!
-//! Supported shapes (everything the workspace derives):
+//! Supported shapes (everything the workspace derives), as the
+//! `serde::Value` tree they stream and read:
 //!
 //! - named-field structs → `Value::Map` in declaration order;
 //! - newtype structs (`struct JobId(pub u32);`) → transparent inner value;
@@ -16,17 +19,12 @@
 //!   (`{name: inner}`), tuple variants (`{name: [..]}`), and struct
 //!   variants (`{name: {field: ..}}`) — serde's externally-tagged layout.
 //!
-//! `Serialize` also gets an `emit` that streams the same tree's events
-//! (fields in declaration order) into a `serde::Emitter` without building
-//! it.
-//!
 //! Generic types are rejected with a `compile_error!`; none exist in the
 //! workspace, and container impls live in the `serde` shim itself.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// `#[derive(Serialize)]`: implements `serde::Serialize::to_value` and
-/// its streaming twin `serde::Serialize::emit`.
+/// `#[derive(Serialize)]`: implements `serde::Serialize::emit`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Serialize)
@@ -267,16 +265,6 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // Codegen
 // ---------------------------------------------------------------------------
 
-/// `Value::Map(vec![("a", to_value(&(expr_prefix a))), ...])` for named
-/// fields; `expr_prefix` is `self.` for structs, empty for match bindings.
-fn ser_named(names: &[String], expr_prefix: &str) -> String {
-    let entries: Vec<String> = names
-        .iter()
-        .map(|n| format!("({n:?}.to_string(), ::serde::Serialize::to_value(&{expr_prefix}{n}))",))
-        .collect();
-    format!("::serde::Value::Map(vec![{}])", entries.join(", "))
-}
-
 /// Emit statements for named fields as one map; `expr_prefix` is `&self.`
 /// for structs, empty for match bindings (already references). The
 /// emitter is `__out`, so no field binding can shadow it.
@@ -308,60 +296,14 @@ fn gen_serialize(item: &Item) -> String {
                 }
                 Fields::Unit => "__out.unit();".to_string(),
             };
-            let body = match fields {
-                Fields::Named(names) => ser_named(names, "self."),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                }
-                Fields::Unit => "::serde::Value::Unit".to_string(),
-            };
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
                      fn emit(&self, __out: &mut dyn ::serde::Emitter) {{ {emit} }}\n\
                  }}"
             )
         }
         Item::Enum { name, variants } => {
             let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),"
-                        ),
-                        Fields::Named(names) => {
-                            let bindings = names.join(", ");
-                            let payload = ser_named(names, "");
-                            format!(
-                                "{name}::{vn} {{ {bindings} }} => ::serde::Value::Map(vec![({vn:?}.to_string(), {payload})]),"
-                            )
-                        }
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => ::serde::Value::Map(vec![({vn:?}.to_string(), ::serde::Serialize::to_value(f0))]),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let bindings: Vec<String> =
-                                (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = bindings
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Map(vec![({vn:?}.to_string(), ::serde::Value::Seq(vec![{}]))]),",
-                                bindings.join(", "),
-                                items.join(", ")
-                            )
-                        }
-                    }
-                })
-                .collect();
-            let emit_arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
@@ -390,15 +332,11 @@ fn gen_serialize(item: &Item) -> String {
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
                      fn emit(&self, __out: &mut dyn ::serde::Emitter) {{\n\
                          match self {{ {} }}\n\
                      }}\n\
                  }}",
-                arms.join("\n"),
-                emit_arms.join("\n")
+                arms.join("\n")
             )
         }
     }
