@@ -13,9 +13,9 @@
 //! }
 //! ```
 //!
-//! The build environment has no `serde_json`, so this module parses and
-//! emits exactly that two-level `string → string → number` shape itself —
-//! sections and keys sorted, one key per line — which also keeps the
+//! The file is read with `pal-config`'s JSON reader into that two-level
+//! `string → string → number` shape, and written in one canonical layout
+//! — sections and keys sorted, one key per line — which keeps the
 //! committed file diff-friendly.
 
 use std::collections::BTreeMap;
@@ -33,7 +33,7 @@ pub type BenchSections = BTreeMap<String, BTreeMap<String, f64>>;
 /// is exactly what the file exists to preserve.
 pub fn update(path: &Path, section: &str, entries: &[(String, f64)]) -> io::Result<()> {
     let mut sections = match std::fs::read_to_string(path) {
-        Ok(text) => parse(&text).ok_or_else(|| {
+        Ok(text) => parse_text(&text).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -75,10 +75,10 @@ pub fn load(path: &Path) -> io::Result<BenchSections> {
     })
 }
 
-/// Parse bench-file text in the canonical two-level shape (e.g. a
-/// committed baseline read out of `git show`); `None` when malformed.
+/// Parse bench-file text in the two-level shape (e.g. a committed
+/// baseline read out of `git show`); `None` when malformed.
 pub fn parse_text(text: &str) -> Option<BenchSections> {
-    parse(text)
+    pal_config::from_json(text).ok()
 }
 
 /// Render the canonical form: sorted sections, sorted keys, one per line.
@@ -97,102 +97,13 @@ fn render(sections: &BenchSections) -> String {
     out
 }
 
-/// Format a scalar so it round-trips through [`parse`] (always includes a
+/// Format a scalar so it round-trips through [`parse_text`] (always includes a
 /// decimal point or exponent; JSON-compatible).
 fn fmt_num(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.1}")
     } else {
         format!("{v}")
-    }
-}
-
-/// Parse the canonical two-level shape. Returns `None` on anything
-/// unexpected (callers fall back to an empty file).
-fn parse(text: &str) -> Option<BenchSections> {
-    let mut t = Tokens::new(text);
-    let mut sections = BenchSections::new();
-    t.expect('{')?;
-    if t.peek()? == '}' {
-        t.expect('}')?;
-        return Some(sections);
-    }
-    loop {
-        let section = t.string()?;
-        t.expect(':')?;
-        t.expect('{')?;
-        let mut entries = BTreeMap::new();
-        if t.peek()? == '}' {
-            t.expect('}')?;
-        } else {
-            loop {
-                let key = t.string()?;
-                t.expect(':')?;
-                let value = t.number()?;
-                entries.insert(key, value);
-                match t.peek()? {
-                    ',' => t.expect(',')?,
-                    _ => break,
-                };
-            }
-            t.expect('}')?;
-        }
-        sections.insert(section, entries);
-        match t.peek()? {
-            ',' => t.expect(',')?,
-            _ => break,
-        };
-    }
-    t.expect('}')?;
-    Some(sections)
-}
-
-/// Minimal whitespace-skipping cursor over the JSON text.
-struct Tokens<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(text: &'a str) -> Self {
-        Tokens { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest.chars().next()
-    }
-
-    fn expect(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        self.rest = self.rest.strip_prefix(c)?;
-        Some(())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let end = self.rest.find('"')?;
-        let (s, rest) = self.rest.split_at(end);
-        // Labels are bench/group names: no escapes to handle.
-        if s.contains('\\') {
-            return None;
-        }
-        self.rest = &rest[1..];
-        Some(s.to_string())
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(self.rest.len());
-        let (s, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        s.parse().ok()
     }
 }
 
@@ -213,7 +124,7 @@ mod tests {
         update(&path, "b", &[("x/1".into(), 11.0)]).unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
-        let sections = parse(&text).expect("canonical output parses");
+        let sections = parse_text(&text).expect("canonical output parses");
         assert_eq!(sections.len(), 2);
         assert_eq!(sections["a"]["y"], 1.0);
         assert_eq!(sections["b"].len(), 1);
@@ -232,14 +143,14 @@ mod tests {
         );
         sections.insert("empty".into(), BTreeMap::new());
         let text = render(&sections);
-        assert_eq!(parse(&text).as_ref(), Some(&sections));
+        assert_eq!(parse_text(&text).as_ref(), Some(&sections));
     }
 
     #[test]
     fn malformed_input_is_rejected() {
-        assert!(parse("not json").is_none());
-        assert!(parse("{\"a\": {").is_none());
-        assert_eq!(parse("{}").map(|s| s.len()), Some(0));
+        assert!(parse_text("not json").is_none());
+        assert!(parse_text("{\"a\": {").is_none());
+        assert_eq!(parse_text("{}").map(|s| s.len()), Some(0));
     }
 
     #[test]
@@ -255,6 +166,16 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The committed file is already in the canonical layout, so reading
+    /// and rendering it gives back the same bytes.
+    #[test]
+    fn committed_bench_file_renders_back_byte_for_byte() {
+        let text =
+            std::fs::read_to_string(workspace_path()).expect("BENCH_engine.json is committed");
+        let sections = parse_text(&text).expect("committed BENCH_engine.json parses");
+        assert_eq!(render(&sections), text);
+    }
+
     /// The committed repo-root BENCH_engine.json must stay parseable —
     /// this is what keeps the cross-PR perf trajectory readable (and what
     /// CI relies on: `cargo test` runs before the bench-smoke steps
@@ -263,7 +184,7 @@ mod tests {
     fn committed_bench_file_parses() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
         let text = std::fs::read_to_string(&path).expect("BENCH_engine.json is committed");
-        let sections = parse(&text).expect("committed BENCH_engine.json parses");
+        let sections = parse_text(&text).expect("committed BENCH_engine.json parses");
         for bench in [
             "engine_rounds",
             "placement_hot_path",

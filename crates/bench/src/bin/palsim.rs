@@ -3,7 +3,7 @@
 //! Four subcommands:
 //!
 //! ```text
-//! palsim run <campaign.toml|.json> [--csv] [--sequential] [--spill <dir>] [--metrics <dir>]
+//! palsim run <campaign.toml|.json> [--csv] [--spill <dir>] [--metrics <dir>]
 //! palsim what-if <campaign.toml|.json> --fork-at <seconds> [--csv] [--export <dir>]
 //! palsim resume <spill-dir> [--csv]
 //! palsim check <file-or-dir> [...]
@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: palsim run <campaign.toml|.json> [--csv] [--sequential] [--spill <dir>] [--metrics <dir>]
+usage: palsim run <campaign.toml|.json> [--csv] [--spill <dir>] [--metrics <dir>]
        palsim what-if <campaign.toml|.json> --fork-at <seconds> [--csv] [--export <dir>]
        palsim resume <spill-dir> [--csv]
        palsim check <campaign-file-or-dir> [...]";
@@ -100,20 +100,18 @@ fn cli_registry() -> Registry {
     registry
 }
 
-const RUN_USAGE: &str = "usage: palsim run <campaign.toml|.json> [--csv] [--sequential] \
-     [--spill <dir>] [--metrics <dir>]";
+const RUN_USAGE: &str =
+    "usage: palsim run <campaign.toml|.json> [--csv] [--spill <dir>] [--metrics <dir>]";
 
 fn cmd_run(argv: &[String]) -> ExitCode {
     let mut path: Option<&str> = None;
     let mut csv = false;
-    let mut sequential = false;
     let mut spill: Option<PathBuf> = None;
     let mut metrics_dir: Option<PathBuf> = None;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--csv" => csv = true,
-            "--sequential" => sequential = true,
             "--spill" => {
                 i += 1;
                 match argv.get(i) {
@@ -150,10 +148,6 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         eprintln!("{RUN_USAGE}");
         return ExitCode::from(2);
     };
-    if sequential && spill.is_some() {
-        eprintln!("palsim run: --sequential and --spill are mutually exclusive\n{RUN_USAGE}");
-        return ExitCode::from(2);
-    }
     let mut campaign = match campaign_from_path(path, &cli_registry()) {
         Ok(c) => c,
         Err(e) => {
@@ -180,15 +174,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let results = if sequential {
-        match campaign.run_sequential() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("palsim: campaign failed: {}", render_chain(&e));
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if let Some(dir) = spill {
+    let results = if let Some(dir) = spill {
         match run_spill(path, &campaign, &dir) {
             Ok(r) => r,
             Err(code) => return code,

@@ -23,7 +23,7 @@
 //! byte-for-byte against an uninterrupted one.
 
 use crate::toml::TomlError;
-use serde::{Emitter, Serialize, Value};
+use serde::{Deserialize, Emitter, Serialize, Value};
 use std::fmt::Write;
 
 /// Serialize `value` as one line of canonical JSON.
@@ -150,6 +150,13 @@ pub fn parse_json(src: &str) -> Result<Value, TomlError> {
         return Err(p.err(format!("unexpected `{c}` after JSON value")));
     }
     Ok(v)
+}
+
+/// Parse one JSON document into `T`: [`parse_json`], then
+/// [`Deserialize::from_value`]. Either failure is a one-line message.
+pub fn from_json<T: for<'de> Deserialize<'de>>(src: &str) -> Result<T, String> {
+    let value = parse_json(src).map_err(|e| e.to_string())?;
+    T::from_value(&value).map_err(|e| e.to_string())
 }
 
 /// A cursor over the input's bytes. Every token boundary the grammar

@@ -59,7 +59,7 @@ pub mod toml;
 pub use build::{build_campaign, campaign_from_path, load_campaign_file, parse_campaign_str};
 pub use error::{render_chain, ConfigError};
 pub use import::read_jsonl_trace;
-pub use json::{parse_json, to_json, write_json};
+pub use json::{from_json, parse_json, to_json, write_json};
 pub use metrics::{CellMetricsSink, MetricsDir, ROUNDS_CSV_HEADER};
 pub use registry::{Args, PolicyCtx, PolicyEntry, ProfileCtx, Registry, TraceCtx};
 pub use schema::{

@@ -51,7 +51,7 @@ pub mod what_if;
 
 pub use runner::{CampaignRunStats, FALLBACK_WORKERS};
 pub use sink::{MemorySink, ResultSink};
-pub use what_if::{fork_digest, WhatIfReport, WhatIfScenario};
+pub use what_if::{WhatIfReport, WhatIfScenario};
 
 use crate::error::SimError;
 use crate::metrics::SimResult;

@@ -21,12 +21,13 @@
 //! and a failing branch reports the first failing cell's error in cell
 //! order.
 //!
-//! Every branch's identity-independent state is digest-checked against
-//! the prefix immediately after import ([`fork_digest`], which streams
-//! the state into the hash without copying it or building a value
-//! tree): all branches of one scenario provably continue from
-//! bit-identical state, so any difference in their results is
-//! attributable to the branch policy alone.
+//! Every branch's state is digest-checked against the prefix
+//! immediately after import ([`fork_digest`]). A branch differs from its
+//! prefix only in its policies, so the check first gives the branch's
+//! export the fork's policy identity (`scheduler`, `placement`, `sticky`)
+//! and clears its `placement_state`: all branches of one scenario
+//! provably continue from bit-identical state, so any difference in
+//! their results is attributable to the branch policy alone.
 //!
 //! [`Simulation::export_state`]: crate::Simulation::export_state
 //! [`Simulation::import_state`]: crate::Simulation::import_state
@@ -34,8 +35,8 @@
 use super::{Campaign, CampaignResult, MemorySink};
 use crate::engine::StepOutcome;
 use crate::error::SimError;
-use crate::state::{FnvEmitter, SimState};
-use serde::{Deserialize, Emitter, Serialize};
+use crate::state::{fork_digest, SimState};
+use serde::{Deserialize, Serialize};
 
 /// The outcome of one [`Campaign::what_if`] call: one
 /// [`WhatIfScenario`] per registered scenario, in registration order.
@@ -58,8 +59,9 @@ pub struct WhatIfScenario {
     pub forked_at: f64,
     /// Scheduling rounds the shared prefix covered.
     pub prefix_rounds: usize,
-    /// [`fork_digest`] of the shared state every branch was verified to
-    /// start from.
+    /// [`fork_digest`] of [`fork_state`](Self::fork_state), the shared
+    /// state every branch was verified to start from. Reloading a saved `fork_state` gives
+    /// the same digest.
     pub prefix_digest: u64,
     /// The exported state every branch resumed from (placement state
     /// and placement compute times already cleared) — persist it with
@@ -71,124 +73,6 @@ pub struct WhatIfScenario {
     /// policy registration order. Each carries the same cell seed the
     /// policy would get in a full [`Campaign::run`].
     pub branches: Vec<CampaignResult>,
-}
-
-/// FNV-1a digest of a state's *dynamic* content — everything except the
-/// policy identity fields (`scheduler`, `placement`, `sticky`,
-/// `placement_state`), which what-if branches legitimately change, and
-/// the wall-clock placement-compute measurements, which never reproduce
-/// across runs (the same exclusion [`SimResult::same_outcome`] makes).
-///
-/// Two states with equal digests hold bit-identical job tables, cluster
-/// occupancy, clocks, telemetry, and serving state; the what-if runner
-/// uses this to prove every branch resumed from the same prefix, and
-/// because every retained field is deterministic, re-running the same
-/// what-if reproduces the digest exactly.
-///
-/// The state is streamed ([`Serialize::emit`]) straight into the hash:
-/// no copy of the state and no [`Value`](serde::Value) tree is built.
-/// The excluded fields are hashed as their neutral values (empty names,
-/// `false`, `None`, no times), so the digest equals that of the state's
-/// value tree with those fields reset.
-///
-/// [`SimResult::same_outcome`]: crate::SimResult::same_outcome
-pub fn fork_digest(state: &SimState) -> u64 {
-    let mut hasher = ForkHasher {
-        fnv: FnvEmitter::new(),
-        depth: 0,
-        skipping: None,
-    };
-    state.emit(&mut hasher);
-    hasher.fnv.h
-}
-
-/// [`FnvEmitter`]'s encoding of the emitted state, with the values of
-/// the state's policy identity fields replaced by their neutral values.
-struct ForkHasher {
-    fnv: FnvEmitter,
-    /// Containers open around the next event (1 inside the state's map).
-    depth: usize,
-    /// While an identity field's value is being skipped: the containers
-    /// of that value still open (0 until its first event).
-    skipping: Option<usize>,
-}
-
-impl ForkHasher {
-    /// Hash a scalar event with `emit`, unless it is (part of) a skipped
-    /// value.
-    fn scalar(&mut self, emit: impl FnOnce(&mut FnvEmitter)) {
-        match self.skipping {
-            Some(0) => self.skipping = None,
-            Some(_) => {}
-            None => emit(&mut self.fnv),
-        }
-    }
-
-    /// Open a sequence or map (hashed by `emit`).
-    fn open(&mut self, emit: impl FnOnce(&mut FnvEmitter)) {
-        match &mut self.skipping {
-            Some(open) => *open += 1,
-            None => {
-                emit(&mut self.fnv);
-                self.depth += 1;
-            }
-        }
-    }
-}
-
-impl Emitter for ForkHasher {
-    fn unit(&mut self) {
-        self.scalar(|f| f.unit());
-    }
-    fn bool(&mut self, v: bool) {
-        self.scalar(|f| f.bool(v));
-    }
-    fn int(&mut self, v: i128) {
-        self.scalar(|f| f.int(v));
-    }
-    fn float(&mut self, v: f64) {
-        self.scalar(|f| f.float(v));
-    }
-    fn str(&mut self, v: &str) {
-        self.scalar(|f| f.str(v));
-    }
-    fn seq(&mut self, len: usize) {
-        self.open(|f| f.seq(len));
-    }
-    fn map(&mut self, len: usize) {
-        self.open(|f| f.map(len));
-    }
-    fn key(&mut self, key: &str) {
-        if self.skipping.is_some() {
-            return;
-        }
-        self.fnv.key(key);
-        if self.depth != 1 {
-            return;
-        }
-        match key {
-            "scheduler" | "placement" => self.str(""),
-            "sticky" => self.bool(false),
-            "placement_state" => self.unit(),
-            "placement_compute_times" => {
-                self.seq(0);
-                self.end();
-            }
-            _ => return,
-        }
-        self.skipping = Some(0);
-    }
-    fn end(&mut self) {
-        match &mut self.skipping {
-            Some(open) => {
-                *open -= 1;
-                if *open == 0 {
-                    self.skipping = None;
-                }
-            }
-            None => self.depth -= 1,
-        }
-    }
 }
 
 impl Campaign {
@@ -240,7 +124,12 @@ impl Campaign {
         self.run_cells(&|_| false, &sink, &|sim, info| {
             let (fork, prefix_digest) = &forks[info.index / columns];
             sim.import_state(fork)?;
-            let resumed = fork_digest(&sim.export_state());
+            let mut resumed = sim.export_state();
+            resumed.scheduler.clone_from(&fork.scheduler);
+            resumed.placement.clone_from(&fork.placement);
+            resumed.sticky = fork.sticky;
+            resumed.placement_state = None;
+            let resumed = fork_digest(&resumed);
             if resumed != *prefix_digest {
                 return Err(SimError::StateImport {
                     reason: format!(
@@ -296,18 +185,12 @@ mod tests {
     use proptest::prelude::*;
     use serde::Value;
 
-    /// The tree path [`fork_digest`] streams: copy the state, reset the
-    /// identity fields, build its [`Value`] tree and hash that. Kept as
-    /// the reference the streamed digest must equal.
+    /// The tree path [`fork_digest`] streams: build the state's
+    /// [`Value`] tree and hash that. Kept as the reference the streamed
+    /// digest must equal.
     fn tree_fork_digest(state: &SimState) -> u64 {
-        let mut neutral = state.clone();
-        neutral.scheduler = String::new();
-        neutral.placement = String::new();
-        neutral.sticky = false;
-        neutral.placement_state = None;
-        neutral.placement_compute_times = Vec::new();
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        absorb_value(&neutral.to_value(), &mut h);
+        absorb_value(&state.to_value(), &mut h);
         h
     }
 
@@ -548,17 +431,17 @@ mod tests {
             prop_assert_eq!(state.serving.len(), usize::from(serving));
             prop_assert_eq!(fork_digest(&state), tree_fork_digest(&state));
 
-            // Identity fields with other values: neutralized in-stream.
+            // Other policy labels, times and no placement state: the
+            // stream still encodes exactly the tree.
             let (name, sticky, times) = labels;
             state.scheduler = "LAS".repeat(name);
             state.placement = "P".repeat(name + 1);
             state.sticky = sticky;
             state.placement_compute_times.extend(times);
             state.placement_compute_times.push(1e-3);
-            let streamed = fork_digest(&state);
-            prop_assert_eq!(streamed, tree_fork_digest(&state));
+            prop_assert_eq!(fork_digest(&state), tree_fork_digest(&state));
             state.placement_state = None;
-            prop_assert_eq!(fork_digest(&state), streamed);
+            prop_assert_eq!(fork_digest(&state), tree_fork_digest(&state));
         }
     }
 
@@ -639,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_digest_ignores_policy_identity_only() {
+    fn relabelled_or_touched_states_digest_differently() {
         let mut sim = Scenario::new(trace(4), ClusterTopology::new(2, 4))
             .scheduler(Fifo)
             .start()
@@ -647,18 +530,20 @@ mod tests {
         sim.step().unwrap();
         let state = sim.export_state();
         let d = fork_digest(&state);
-        let mut relabeled = state.clone();
-        relabeled.placement = "SomethingElse".into();
-        relabeled.scheduler = "Other".into();
-        relabeled.sticky = !relabeled.sticky;
-        relabeled.placement_state = None;
-        assert_eq!(
-            fork_digest(&relabeled),
-            d,
-            "identity fields must not matter"
-        );
+        assert_eq!(fork_digest(&state.clone()), d);
+        let relabels: [fn(&mut SimState); 4] = [
+            |s| s.placement = "SomethingElse".into(),
+            |s| s.scheduler = "Other".into(),
+            |s| s.sticky = !s.sticky,
+            |s| s.placement_state = Some(Value::Bool(true)),
+        ];
+        for relabel in relabels {
+            let mut relabelled = state.clone();
+            relabel(&mut relabelled);
+            assert_ne!(fork_digest(&relabelled), d, "policy fields count");
+        }
         let mut touched = state.clone();
         touched.time += 300.0;
-        assert_ne!(fork_digest(&touched), d, "dynamic fields must matter");
+        assert_ne!(fork_digest(&touched), d, "dynamic fields count");
     }
 }

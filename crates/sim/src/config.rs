@@ -19,10 +19,13 @@ pub struct SimConfig {
     /// or resume after preemption). The paper calls these overheads
     /// "typically negligible relative to the overall job run-time"; a small
     /// non-zero value models the restore cost that makes sticky placement
-    /// competitive.
+    /// competitive. Must be finite and non-negative.
     pub migration_overhead: f64,
     /// Safety cap on simulated rounds; exceeding it is a simulator bug or a
-    /// pathological configuration and panics rather than spinning forever.
+    /// pathological configuration and fails the run with
+    /// [`SimError::Livelock`](crate::SimError::Livelock) rather than
+    /// spinning forever. `round_duration × max_rounds` must be finite, so
+    /// the clock cannot overflow before the cap stops the run.
     pub max_rounds: usize,
     /// Event-driven round skipping, the engine's one fast path: after a
     /// sticky round in which every prefix job keeps running, the engine
@@ -50,11 +53,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Non-sticky config with the paper's 300 s rounds.
-    pub fn non_sticky() -> Self {
-        SimConfig::default()
-    }
-
     /// Sticky config with the paper's 300 s rounds.
     pub fn sticky() -> Self {
         SimConfig {
@@ -78,7 +76,7 @@ mod tests {
     #[test]
     fn sticky_helpers() {
         assert!(SimConfig::sticky().sticky);
-        assert!(!SimConfig::non_sticky().sticky);
+        assert!(!SimConfig::default().sticky);
     }
 
     #[test]

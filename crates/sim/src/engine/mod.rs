@@ -41,7 +41,7 @@ mod stepper;
 mod telemetry;
 
 pub use round::StepOutcome;
-pub use stepper::{SimSnapshot, Simulation};
+pub use stepper::Simulation;
 
 pub(crate) use stepper::SimulationParts;
 pub(crate) use telemetry::Observer;
@@ -93,6 +93,18 @@ pub(crate) fn validate_inputs(
     let dt = config.round_duration;
     if !(dt > 0.0 && dt.is_finite()) {
         return Err(SimError::InvalidRoundDuration { round_duration: dt });
+    }
+    if !(dt * config.max_rounds as f64).is_finite() {
+        return Err(SimError::ClockOverflow {
+            round_duration: dt,
+            max_rounds: config.max_rounds,
+        });
+    }
+    let overhead = config.migration_overhead;
+    if !(overhead >= 0.0 && overhead.is_finite()) {
+        return Err(SimError::InvalidMigrationOverhead {
+            migration_overhead: overhead,
+        });
     }
     let num_classes = match (profile, truth) {
         (Some(p), Some(t)) => p.num_classes().min(t.num_classes()),
@@ -151,7 +163,7 @@ mod tests {
             .config(if sticky {
                 SimConfig::sticky()
             } else {
-                SimConfig::non_sticky()
+                SimConfig::default()
             })
             .run()
     }

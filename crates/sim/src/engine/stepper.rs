@@ -3,11 +3,12 @@
 //! [`Scenario::start`](crate::Scenario::start) validates a scenario and
 //! returns a `Simulation` that owns everything the run needs. Callers can
 //! [`step`](Simulation::step) one scheduling round at a time, read the
-//! clocks, take a [`snapshot`](Simulation::snapshot) of every job's state
-//! mid-run, and either keep stepping or finish with
+//! clocks, [`export_state`](Simulation::export_state) the whole paused run
+//! (clocks, per-job progress, rejections, serving counters and queues),
+//! and either keep stepping or finish with
 //! [`run_to_completion`](Simulation::run_to_completion). Stepping is
 //! side-effect-free between rounds: a run driven round-by-round (with any
-//! number of snapshots taken along the way) is bit-identical to
+//! number of exports taken along the way) is bit-identical to
 //! [`Scenario::run`](crate::Scenario::run).
 
 use super::round::{step_round, RoundCtx, StepOutcome};
@@ -21,11 +22,10 @@ use crate::metrics::SimResult;
 use crate::observe::MetricsSink;
 use crate::placement::PlacementPolicy;
 use crate::sched::SchedulingPolicy;
-use crate::serving::{ServingEngine, ServingJob, ServingSnapshot};
+use crate::serving::{ServingEngine, ServingJob};
 use crate::state::{trace_digest, JobProgress, SimState, STATE_FORMAT_VERSION};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
-use pal_trace::{JobId, Trace};
-use serde::{Deserialize, Serialize};
+use pal_trace::Trace;
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ pub(crate) struct SimulationParts {
 ///
 /// Obtained from [`Scenario::start`](crate::Scenario::start). Stepping is
 /// side-effect-free between rounds: a run driven round-by-round (with any
-/// number of [`snapshot`](Simulation::snapshot)s taken along the way) is
+/// number of [`export_state`](Simulation::export_state)s taken along the way) is
 /// bit-identical to [`Scenario::run`](crate::Scenario::run).
 pub struct Simulation {
     trace_name: String,
@@ -79,53 +79,6 @@ pub struct Simulation {
     /// to the built-in accumulators. `None` costs one dead branch per
     /// event site.
     sink: Option<Box<dyn MetricsSink + Send>>,
-}
-
-/// A point-in-time view of a stepped simulation: the clocks plus every
-/// job's runtime state. Cloned out of the engine, so holding (or
-/// inspecting) a snapshot cannot perturb the run.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimSnapshot {
-    /// Simulated seconds at the start of the next round.
-    pub time: f64,
-    /// Simulated scheduling rounds elapsed so far (event-driven skipping
-    /// counts every round it hops over, so this matches fixed-round
-    /// stepping exactly).
-    pub rounds: usize,
-    /// Rounds the engine actually executed: full decision rounds plus
-    /// idle fast-forwards. `rounds - executed_rounds` is the event-driven
-    /// skip win; the two are equal with `event_driven` off.
-    pub executed_rounds: usize,
-    /// Jobs out of the system (completed or rejected).
-    pub finished: usize,
-    /// Runtime state of every job, in trace order.
-    pub jobs: Vec<ActiveJob>,
-    /// Jobs turned away by admission control so far.
-    pub rejected: Vec<JobId>,
-    /// Progress of each serving deployment — empty for training-only runs.
-    pub serving: Vec<ServingSnapshot>,
-}
-
-// `Debug` is driven by the serde field enumeration (see
-// [`crate::metrics::debug_via_serializer`]): the `serving` field appears
-// only when the run has serving deployments, so the debug rendering of
-// training-only snapshots is byte-identical to the pre-serving format —
-// and the field list cannot drift from what the snapshot serializes.
-impl std::fmt::Debug for SimSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        crate::metrics::debug_via_serializer("SimSnapshot", self.to_value(), f, &|key| {
-            Some(match key {
-                "time" => &self.time as &dyn std::fmt::Debug,
-                "rounds" => &self.rounds,
-                "executed_rounds" => &self.executed_rounds,
-                "finished" => &self.finished,
-                "jobs" => &self.jobs,
-                "rejected" => &self.rejected,
-                "serving" => &self.serving,
-                _ => return None,
-            })
-        })
-    }
 }
 
 impl Simulation {
@@ -190,12 +143,6 @@ impl Simulation {
     /// and a custom-sink example.
     pub fn attach_sink(&mut self, sink: Box<dyn MetricsSink + Send>) {
         self.sink = Some(sink);
-    }
-
-    /// Detach and return the attached sink, if any — the way to get an
-    /// owned sink (and whatever it collected) back out of a stepped run.
-    pub fn take_sink(&mut self) -> Option<Box<dyn MetricsSink + Send>> {
-        self.sink.take()
     }
 
     /// Advance the simulation by one scheduling round (or one idle
@@ -419,49 +366,10 @@ impl Simulation {
         self.state.executed_rounds
     }
 
-    /// Total jobs in the trace.
-    pub fn total_jobs(&self) -> usize {
-        self.state.jobs.len()
-    }
-
-    /// Jobs out of the system so far (completed or rejected).
-    pub fn finished_jobs(&self) -> usize {
-        self.state.finished
-    }
-
-    /// Jobs currently in the system (admitted, not yet finished).
-    pub fn active_jobs(&self) -> usize {
-        self.state.active_queue.len()
-    }
-
     /// Whether the run is over: every training job completed or rejected,
     /// and every serving deployment drained.
     pub fn is_complete(&self) -> bool {
         self.state.is_complete() && self.serving.as_ref().is_none_or(ServingEngine::is_done)
-    }
-
-    /// A cloned point-in-time view of the run (clocks + per-job state).
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            time: self.state.t,
-            rounds: self.state.rounds,
-            executed_rounds: self.state.executed_rounds,
-            finished: self.state.finished,
-            jobs: self.state.jobs.clone(),
-            rejected: self
-                .state
-                .jobs
-                .iter()
-                .zip(&self.state.rejected)
-                .filter(|&(_, &r)| r)
-                .map(|(j, _)| j.spec.id)
-                .collect(),
-            serving: self
-                .serving
-                .as_ref()
-                .map(ServingEngine::snapshots)
-                .unwrap_or_default(),
-        }
     }
 
     /// The run's result, if it has completed; `None` while jobs remain.
@@ -514,8 +422,8 @@ mod tests {
     use crate::scenario::Scenario;
     use pal_cluster::{ClusterState, GpuId, JobClass};
     use pal_gpumodel::Workload;
-    use pal_trace::JobSpec;
-    use serde::Value;
+    use pal_trace::{JobId, JobSpec};
+    use serde::{Deserialize, Serialize, Value};
 
     fn spec(id: u32, arrival: f64, demand: usize, ideal_secs: f64) -> JobSpec {
         JobSpec {
@@ -550,7 +458,7 @@ mod tests {
             last = sim.time();
         }
         assert!(sim.is_complete());
-        assert_eq!(sim.finished_jobs(), 2);
+        assert_eq!(sim.export_state().finished, 2);
     }
 
     #[test]
@@ -587,44 +495,15 @@ mod tests {
     fn snapshot_reflects_mid_run_state() {
         let mut sim = two_job_scenario().start().unwrap();
         sim.step().unwrap();
-        let snap = sim.snapshot();
-        assert_eq!(snap.rounds, 1);
-        assert_eq!(snap.time, 300.0);
-        assert_eq!(snap.jobs.len(), 2);
-        // Job 0 ran the first round; job 1 arrived at 100 s and is queued
-        // or running depending on capacity (4 GPUs fit both).
-        assert!(snap.jobs[0].is_running() || !snap.jobs[0].is_active());
-        assert!(snap.rejected.is_empty());
-    }
-
-    #[test]
-    fn snapshot_debug_tracks_serializer_fields() {
-        let mut sim = two_job_scenario().start().unwrap();
-        sim.step().unwrap();
-        let snap = sim.snapshot();
-
-        // Training-only: byte-identical to the pre-serving format.
-        let d = format!("{snap:?}");
-        assert!(!d.contains("serving"), "{d}");
-
-        // With serving present, every field the serializer enumerates is
-        // rendered — Debug cannot drift from the snapshot's serde form.
-        let mut with = snap.clone();
-        with.serving.push(ServingSnapshot {
-            workload: "chat".into(),
-            arrived: 10,
-            completed: 7,
-            slo_met: 6,
-            queued: 3,
-        });
-        let d = format!("{with:?}");
-        let serde::Value::Map(fields) = with.to_value() else {
-            panic!("SimSnapshot serializes as a map");
-        };
-        for (key, _) in &fields {
-            assert!(d.contains(&format!("{key}:")), "missing {key} in {d}");
-        }
-        assert!(d.contains("chat"), "{d}");
+        let state = sim.export_state();
+        assert_eq!(state.rounds, 1);
+        assert_eq!(state.time, 300.0);
+        assert_eq!(state.trace_jobs, 2);
+        // Job 0 ran the first round; job 1 arrives at 100 s, after the
+        // first round's admission, so it has no progress entry yet.
+        assert_eq!(state.jobs.len(), 1);
+        assert!(matches!(state.jobs[0].phase, JobPhase::Running { .. }));
+        assert!(state.rejected.is_empty());
     }
 
     #[test]
@@ -775,7 +654,6 @@ mod tests {
 
     #[test]
     fn export_state_round_trips_through_serde() {
-        use serde::{Deserialize, Serialize};
         let mut sim = two_job_scenario().start().unwrap();
         sim.step().unwrap();
         let state = sim.export_state();

@@ -64,6 +64,20 @@ pub enum SimError {
         /// The rejected value.
         round_duration: f64,
     },
+    /// `SimConfig::migration_overhead` is negative or not finite: a
+    /// migrated job would finish before its restore was paid.
+    InvalidMigrationOverhead {
+        /// The rejected value.
+        migration_overhead: f64,
+    },
+    /// `SimConfig::round_duration × SimConfig::max_rounds` is not finite,
+    /// so the simulated clock can overflow before the round cap stops it.
+    ClockOverflow {
+        /// The configured round duration, seconds.
+        round_duration: f64,
+        /// The configured round cap.
+        max_rounds: usize,
+    },
     /// The simulation exceeded `SimConfig::max_rounds` without finishing.
     Livelock {
         /// Rounds executed before giving up.
@@ -138,6 +152,18 @@ impl fmt::Display for SimError {
                     "round duration must be positive and finite, got {round_duration}"
                 )
             }
+            SimError::InvalidMigrationOverhead { migration_overhead } => write!(
+                f,
+                "migration overhead must be finite and non-negative, got {migration_overhead:?}"
+            ),
+            SimError::ClockOverflow {
+                round_duration,
+                max_rounds,
+            } => write!(
+                f,
+                "round duration {round_duration:?} s over max_rounds {max_rounds} overflows the \
+                 simulated clock"
+            ),
             SimError::Livelock { rounds } => {
                 write!(f, "simulation exceeded {rounds} rounds — livelock?")
             }

@@ -33,8 +33,8 @@
 //!   dimensions — executed with `run() -> Result<SimResult, SimError>`,
 //!   or started paused with `start() -> Result<Simulation, SimError>`.
 //! - [`Simulation`]: the round stepper behind both — `step()` one round
-//!   at a time, inspect mid-run state with `snapshot()`, finish with
-//!   `run_to_completion()`.
+//!   at a time, inspect or save mid-run state with `export_state()`
+//!   (a [`SimState`]), finish with `run_to_completion()`.
 //! - [`Campaign`]: a sweep of M scenarios × N [`PolicySpec`]s run in
 //!   parallel with deterministic per-cell seeds and tagged results.
 //!
@@ -62,11 +62,11 @@ pub mod state;
 
 pub use admission::{AdmissionCtx, AdmissionPolicy, AdmitAll};
 pub use campaign::{
-    fork_digest, Campaign, CampaignResult, CampaignRunStats, CellInfo, MemorySink, PolicySpec,
-    ResultSink, WhatIfReport, WhatIfScenario, FALLBACK_WORKERS,
+    Campaign, CampaignResult, CampaignRunStats, CellInfo, MemorySink, PolicySpec, ResultSink,
+    WhatIfReport, WhatIfScenario, FALLBACK_WORKERS,
 };
 pub use config::SimConfig;
-pub use engine::{SimSnapshot, Simulation, StepOutcome};
+pub use engine::{Simulation, StepOutcome};
 pub use error::{ProfileRole, SimError};
 pub use metrics::{JobRecord, SimResult};
 pub use observe::{JobEvent, JobEventKind, MetricsSink, NullSink, RoundEvent, ServingBatchEvent};
@@ -75,5 +75,5 @@ pub use placement::{
 };
 pub use scenario::Scenario;
 pub use sched::SchedulingPolicy;
-pub use serving::{BatcherConfig, ServingJob, ServingMetrics, ServingSnapshot};
-pub use state::{ReplicaState, ServingState, SimState, STATE_FORMAT_VERSION};
+pub use serving::{BatcherConfig, ServingJob, ServingMetrics};
+pub use state::{fork_digest, ReplicaState, ServingState, SimState, STATE_FORMAT_VERSION};

@@ -5,69 +5,8 @@ use crate::serving::ServingMetrics;
 use pal_cluster::JobClass;
 use pal_stats::{EmpiricalCdf, StepSeries};
 use pal_trace::JobId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Render a struct's `Debug` from its serde field enumeration.
-///
-/// The field list — and the rule that an empty `serving` section is
-/// omitted, keeping training-only output byte-identical to the
-/// pre-serving format — comes from [`Serialize::to_value`], i.e. the same
-/// serializer the state export and result spill use. Each field's bytes
-/// come from the field's own native `Debug`, looked up by name; a field
-/// the lookup does not know falls back to rendering its serialized
-/// [`Value`], so a field added to the struct (and therefore to the
-/// serializer) can never silently go missing from `Debug`. Allocates a
-/// serialized copy per call — `Debug` is a diagnostic path.
-pub(crate) fn debug_via_serializer<'a>(
-    name: &str,
-    value: Value,
-    f: &mut fmt::Formatter<'_>,
-    native: &dyn Fn(&str) -> Option<&'a (dyn fmt::Debug + 'a)>,
-) -> fmt::Result {
-    let Value::Map(fields) = value else {
-        // Derived struct serializers always produce maps.
-        return f.debug_struct(name).finish();
-    };
-    let mut d = f.debug_struct(name);
-    for (key, serialized) in &fields {
-        if key == "serving" && matches!(serialized, Value::Seq(s) if s.is_empty()) {
-            continue;
-        }
-        match native(key) {
-            Some(dbg) => d.field(key, dbg),
-            None => d.field(key, &ValueDebug(serialized)),
-        };
-    }
-    d.finish()
-}
-
-/// Fallback `Debug` rendering of a serialized [`Value`] for fields
-/// [`debug_via_serializer`]'s native lookup does not know.
-struct ValueDebug<'a>(&'a Value);
-
-impl fmt::Debug for ValueDebug<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Value::Unit => f.write_str("()"),
-            Value::Bool(b) => write!(f, "{b:?}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x:?}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Seq(items) => f
-                .debug_list()
-                .entries(items.iter().map(ValueDebug))
-                .finish(),
-            Value::Map(entries) => {
-                let mut m = f.debug_map();
-                for (k, v) in entries {
-                    m.entry(k, &ValueDebug(v));
-                }
-                m.finish()
-            }
-        }
-    }
-}
 
 /// Outcome of one job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -145,31 +84,29 @@ pub struct SimResult {
     pub serving: Vec<ServingMetrics>,
 }
 
-// `Debug` is driven by the serde field enumeration (see
-// [`debug_via_serializer`]): the `serving` field appears only when a run
-// actually had serving deployments, so the debug rendering of
-// training-only results is byte-identical to the pre-serving format — and
-// the field list cannot drift from what the result spill serializes.
+// `Debug` lists the fields in declaration order but omits an empty
+// `serving`, keeping training-only output free of serving noise.
+// `debug_mentions_serving_only_when_present` checks that every
+// serialized field appears, so a new field cannot go missing here.
 impl fmt::Debug for SimResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        debug_via_serializer("SimResult", self.to_value(), f, &|key| {
-            Some(match key {
-                "trace" => &self.trace as &dyn fmt::Debug,
-                "scheduler" => &self.scheduler,
-                "placement" => &self.placement,
-                "records" => &self.records,
-                "rejected" => &self.rejected,
-                "gpus_in_use" => &self.gpus_in_use,
-                "busy_gpu_seconds" => &self.busy_gpu_seconds,
-                "ideal_gpu_seconds" => &self.ideal_gpu_seconds,
-                "total_gpus" => &self.total_gpus,
-                "rounds" => &self.rounds,
-                "executed_rounds" => &self.executed_rounds,
-                "placement_compute_times" => &self.placement_compute_times,
-                "serving" => &self.serving,
-                _ => return None,
-            })
-        })
+        let mut d = f.debug_struct("SimResult");
+        d.field("trace", &self.trace)
+            .field("scheduler", &self.scheduler)
+            .field("placement", &self.placement)
+            .field("records", &self.records)
+            .field("rejected", &self.rejected)
+            .field("gpus_in_use", &self.gpus_in_use)
+            .field("busy_gpu_seconds", &self.busy_gpu_seconds)
+            .field("ideal_gpu_seconds", &self.ideal_gpu_seconds)
+            .field("total_gpus", &self.total_gpus)
+            .field("rounds", &self.rounds)
+            .field("executed_rounds", &self.executed_rounds)
+            .field("placement_compute_times", &self.placement_compute_times);
+        if !self.serving.is_empty() {
+            d.field("serving", &self.serving);
+        }
+        d.finish()
     }
 }
 
@@ -282,6 +219,7 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn record(id: u32, arrival: f64, start: f64, finish: f64, demand: usize) -> JobRecord {
         JobRecord {

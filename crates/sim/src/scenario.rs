@@ -223,7 +223,8 @@ impl Scenario {
 
     /// Validate the scenario without running it. Catches the static
     /// configuration errors ([`SimError::ProfileTopologyMismatch`],
-    /// [`SimError::InvalidRoundDuration`], [`SimError::ClassOutOfRange`]);
+    /// [`SimError::InvalidRoundDuration`], [`SimError::ClockOverflow`],
+    /// [`SimError::InvalidMigrationOverhead`], [`SimError::ClassOutOfRange`]);
     /// admission-dependent conditions such as [`SimError::OversizedJob`]
     /// are only detectable by running.
     pub fn validate(&self) -> Result<(), SimError> {
@@ -248,8 +249,8 @@ impl Scenario {
     /// Validate the scenario and return a paused [`Simulation`] stepper
     /// at `t = 0`, ready to be advanced round by round.
     ///
-    /// The stepper lets callers pause, inspect
-    /// ([`Simulation::snapshot`]), and instrument a run mid-flight;
+    /// The stepper lets callers pause, inspect or save
+    /// ([`Simulation::export_state`]), and instrument a run mid-flight;
     /// driving it to completion is bit-identical to
     /// [`run`](Scenario::run), which is a thin wrapper over this method.
     pub fn start(self) -> Result<Simulation, SimError> {
@@ -417,6 +418,50 @@ mod tests {
                 round_duration: 0.0
             }
         );
+    }
+
+    #[test]
+    fn negative_or_non_finite_migration_overhead_is_typed_error() {
+        // A negative overhead let migrated jobs finish before their
+        // restore was paid; -1e300 gave a mean JCT of -2e299.
+        for overhead in [-100_000.0, -1e300, f64::NAN, f64::INFINITY] {
+            let err = Scenario::new(
+                Trace::new("t", vec![spec(0, 1, JobClass::A)]),
+                ClusterTopology::new(1, 4),
+            )
+            .config(SimConfig {
+                migration_overhead: overhead,
+                ..SimConfig::default()
+            })
+            .validate()
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidMigrationOverhead { migration_overhead }
+                    if migration_overhead.to_bits() == overhead.to_bits()),
+                "{overhead}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_round_clock_is_typed_error() {
+        // 1e308 s rounds overflowed the clock on the second round and
+        // reported an infinite mean JCT.
+        let err = Scenario::new(
+            Trace::new("t", vec![spec(0, 1, JobClass::A)]),
+            ClusterTopology::new(1, 4),
+        )
+        .round_duration(1e308)
+        .run()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ClockOverflow {
+                round_duration: 1e308,
+                max_rounds: SimConfig::default().max_rounds,
+            }
+        );
+        assert!(err.to_string().contains("1e308"), "{err}");
     }
 
     #[test]

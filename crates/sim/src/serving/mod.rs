@@ -382,16 +382,6 @@ impl Deployment {
         Ok(())
     }
 
-    fn snapshot(&self) -> ServingSnapshot {
-        ServingSnapshot {
-            workload: self.name.clone(),
-            arrived: self.arrived,
-            completed: self.completed,
-            slo_met: self.slo_met,
-            queued: self.queue.len(),
-        }
-    }
-
     fn metrics(&self) -> ServingMetrics {
         let mut sorted = self.latencies.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
@@ -574,11 +564,6 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// Point-in-time progress of every deployment.
-    pub(crate) fn snapshots(&self) -> Vec<ServingSnapshot> {
-        self.deployments.iter().map(Deployment::snapshot).collect()
-    }
-
     /// Final (or current) per-deployment metrics.
     pub(crate) fn metrics(&self) -> Vec<ServingMetrics> {
         self.deployments.iter().map(Deployment::metrics).collect()
@@ -641,30 +626,6 @@ impl ServingMetrics {
         }
         self.slo_attained as f64 / span
     }
-
-    /// Mean requests per batch.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.requests as f64 / self.batches as f64
-    }
-}
-
-/// Point-in-time progress of one serving deployment, reported in
-/// [`SimSnapshot::serving`](crate::SimSnapshot::serving).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingSnapshot {
-    /// Workload name of the deployment.
-    pub workload: String,
-    /// Requests that have arrived (entered the queue) so far.
-    pub arrived: u64,
-    /// Requests served so far.
-    pub completed: u64,
-    /// Requests that met their deadline so far.
-    pub slo_met: u64,
-    /// Requests waiting in the queue.
-    pub queued: usize,
 }
 
 #[cfg(test)]
@@ -773,14 +734,15 @@ mod tests {
     #[test]
     fn snapshot_tracks_progress() {
         let mut e = engine(1, workload(10.0, 100));
-        let s0 = &e.snapshots()[0];
+        let s0 = &e.export_state()[0];
         assert_eq!(s0.completed, 0);
         advance(&mut e, 4.0);
-        let s1 = &e.snapshots()[0];
+        let s1 = &e.export_state()[0];
         assert!(s1.completed > 0 && s1.completed < 100);
         assert!(s1.arrived >= s1.completed);
+        assert_eq!(s1.queue.len() as u64, s1.arrived - s1.completed);
         advance(&mut e, 1e12);
-        assert_eq!(e.snapshots()[0].completed, 100);
+        assert_eq!(e.export_state()[0].completed, 100);
     }
 
     #[test]

@@ -174,17 +174,35 @@ pub(crate) fn trace_digest<'a>(specs: impl ExactSizeIterator<Item = &'a JobSpec>
     fnv.h
 }
 
+/// FNV-1a digest of a whole state, streamed through [`Serialize::emit`]
+/// with the same encoding as the trace digest (no copy of the state and
+/// no value tree is built). Every field counts, the policy names included, so two
+/// states digest equally only when they would save to the same file.
+///
+/// [`Campaign::what_if`](crate::Campaign::what_if) uses it to prove that
+/// every branch resumed from its scenario's prefix: it gives each
+/// branch's export the fork's policy identity before comparing, since
+/// the policies are all a branch may change. The fork drops the
+/// wall-clock `placement_compute_times`, so re-running the same what-if
+/// reproduces the digest, and a saved fork state digests the same after
+/// it is reloaded.
+pub fn fork_digest(state: &SimState) -> u64 {
+    let mut fnv = FnvEmitter::new();
+    state.emit(&mut fnv);
+    fnv.h
+}
+
 /// FNV-1a over an injective encoding of an emitted value tree: every
 /// node is tagged with its kind, and strings, keys, sequences and maps
 /// are length-prefixed so adjacent values cannot alias across
 /// boundaries.
-pub(crate) struct FnvEmitter {
+struct FnvEmitter {
     /// The digest so far.
-    pub(crate) h: u64,
+    h: u64,
 }
 
 impl FnvEmitter {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         FnvEmitter {
             h: 0xCBF2_9CE4_8422_2325,
         }

@@ -301,8 +301,8 @@ fn underloaded_deployment_attains_full_slo() {
 }
 
 /// Training and serving coexist: training jobs complete on the reduced
-/// capacity, serving drains its stream, and mid-run snapshots report
-/// serving progress.
+/// capacity, serving drains its stream, and a mid-run state export
+/// reports serving progress.
 #[test]
 fn mixed_training_and_serving_run_completes_and_snapshots() {
     let jobs: Vec<JobSpec> = (0..6)
@@ -329,10 +329,12 @@ fn mixed_training_and_serving_run_completes_and_snapshots() {
         .start()
         .unwrap();
     sim.step().unwrap();
-    let snap = sim.snapshot();
-    assert_eq!(snap.serving.len(), 1);
-    assert!(snap.serving[0].completed > 0, "{:?}", snap.serving[0]);
-    assert!(format!("{snap:?}").contains("serving"));
+    let state = sim.export_state();
+    assert_eq!(state.serving.len(), 1);
+    let side = &state.serving[0];
+    assert_eq!(side.workload, "side");
+    assert!(side.completed > 0, "{side:?}");
+    assert_eq!(side.arrived, side.completed + side.queue.len() as u64);
     let r = sim.run_to_completion().unwrap();
     assert_eq!(r.records.len(), 6);
     assert_eq!(r.serving[0].requests, 500);

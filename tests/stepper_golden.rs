@@ -305,21 +305,21 @@ fn admission_and_truth_cells_match_seed_engine() {
 #[test]
 fn mid_run_snapshots_do_not_perturb_the_run() {
     // Drive one cell to completion twice: once straight through, once
-    // pausing to snapshot after every single round. Outcomes must be
-    // bit-identical, and the snapshots internally consistent.
+    // pausing to export the state after every single round. Outcomes
+    // must be bit-identical, and the exports internally consistent.
     let straight = golden_scenario(2, 4, false).run().unwrap();
 
     let mut sim = golden_scenario(2, 4, false).start().unwrap();
     let mut last_rounds = 0;
     let mut last_finished = 0;
     loop {
-        let snap = sim.snapshot();
-        assert_eq!(snap.rounds, sim.rounds());
-        assert_eq!(snap.finished, sim.finished_jobs());
-        assert!(snap.rounds >= last_rounds, "rounds went backwards");
-        assert!(snap.finished >= last_finished, "finished went backwards");
-        last_rounds = snap.rounds;
-        last_finished = snap.finished;
+        let state = sim.export_state();
+        assert_eq!(state.rounds, sim.rounds());
+        assert_eq!(state.time, sim.time());
+        assert!(state.rounds >= last_rounds, "rounds went backwards");
+        assert!(state.finished >= last_finished, "finished went backwards");
+        last_rounds = state.rounds;
+        last_finished = state.finished;
         if sim.step().unwrap() == StepOutcome::Complete {
             break;
         }
@@ -327,7 +327,7 @@ fn mid_run_snapshots_do_not_perturb_the_run() {
     let stepped = sim.result().expect("complete");
     assert!(
         straight.same_outcome(&stepped),
-        "snapshot-per-round run diverged from straight run"
+        "export-per-round run diverged from straight run"
     );
     assert_eq!(digest(&straight), digest(&stepped));
 }
@@ -339,14 +339,14 @@ fn resume_after_pause_is_deterministic() {
     let mut paused = golden_scenario(1, 3, true).start().unwrap();
     let straight = golden_scenario(1, 3, true).start().unwrap();
 
-    // Advance the paused twin 100 rounds, hold a snapshot across the
+    // Advance the paused twin 100 rounds, hold an export across the
     // pause, then continue.
     for _ in 0..100 {
         if paused.step().unwrap() == StepOutcome::Complete {
             break;
         }
     }
-    let mid = paused.snapshot();
+    let mid = paused.export_state();
     assert_eq!(mid.rounds, paused.rounds());
 
     let a = paused.run_to_completion().unwrap();
