@@ -26,7 +26,9 @@
 
 use crate::error::ConfigError;
 use crate::json::parse_json;
-use crate::registry::{Args, PolicyCtx, ProfileCtx, Registry, TraceCtx};
+use crate::registry::{
+    build_admission, build_scheduler, Args, PolicyCtx, ProfileCtx, Registry, TraceCtx,
+};
 use crate::schema::{CampaignFile, GeneratorRef, ScenarioSpec};
 use crate::toml::parse_toml;
 use pal::PmTableCache;
@@ -103,7 +105,21 @@ pub fn build_campaign(
             ),
         });
     }
-    let gpus = file.cluster.nodes * file.cluster.gpus_per_node;
+    // GPU ids are `u32`s; checked, because the product can also wrap.
+    let gpus = file
+        .cluster
+        .nodes
+        .checked_mul(file.cluster.gpus_per_node)
+        .filter(|&gpus| u32::try_from(gpus).is_ok())
+        .ok_or_else(|| ConfigError::BadParam {
+            context: "cluster".to_string(),
+            message: format!(
+                "{} nodes × {} GPUs per node exceeds the limit of {} GPUs",
+                file.cluster.nodes,
+                file.cluster.gpus_per_node,
+                u32::MAX
+            ),
+        })?;
     if let Some(l) = &file.locality {
         check_locality(l, "locality")?;
     }
@@ -233,13 +249,41 @@ fn check_locality(l: &LocalityModel, context: &str) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Reusable validated scheduler/admission reference: the looked-up
-/// factory plus the parameter map, re-invoked per cell (policies are
+/// A scheduler or admission builder: [`build_scheduler`] or
+/// [`build_admission`].
+type Build<T> = fn(&str, &Args) -> Result<T, ConfigError>;
+
+/// A scheduler or admission reference with the error context it resolves
+/// under. It resolves once at build time, so an unknown kind or a bad
+/// parameter fails at load, and again for every cell (policies are
 /// stateful, so each cell needs a fresh instance).
-struct CheckedRef<F> {
-    factory: F,
-    params: serde::Value,
+struct CheckedRef {
+    r: GeneratorRef,
     context: String,
+}
+
+impl CheckedRef {
+    fn check<T>(
+        r: Option<&GeneratorRef>,
+        which: &str,
+        tag: &str,
+        build: Build<T>,
+    ) -> Result<Option<Self>, ConfigError> {
+        let Some(r) = r else { return Ok(None) };
+        let checked = CheckedRef {
+            r: r.clone(),
+            context: format!("{which} `{}` (scenario `{tag}`)", r.kind),
+        };
+        checked.resolve(build)?;
+        Ok(Some(checked))
+    }
+
+    fn resolve<T>(&self, build: Build<T>) -> Result<T, ConfigError> {
+        let args = Args::new(self.context.clone(), &self.r.params)?;
+        let built = build(&self.r.kind, &args)?;
+        args.finish()?;
+        Ok(built)
+    }
 }
 
 /// Build one campaign cell: resolve every reference for `(spec, load)`,
@@ -293,36 +337,18 @@ fn build_cell(
         .cloned()
         .map(Arc::new);
 
-    let scheduler = match spec.scheduler.as_ref().or(file.scheduler.as_ref()) {
-        Some(r) => {
-            let factory = registry.scheduler(&r.kind)?.clone();
-            let context = format!("scheduler `{}` (scenario `{tag}`)", r.kind);
-            let args = Args::new(context.clone(), &r.params)?;
-            factory(&args)?;
-            args.finish()?;
-            Some(CheckedRef {
-                factory,
-                params: r.params.clone(),
-                context,
-            })
-        }
-        None => None,
-    };
-    let admission = match spec.admission.as_ref().or(file.admission.as_ref()) {
-        Some(r) => {
-            let factory = registry.admission(&r.kind)?.clone();
-            let context = format!("admission `{}` (scenario `{tag}`)", r.kind);
-            let args = Args::new(context.clone(), &r.params)?;
-            factory(&args)?;
-            args.finish()?;
-            Some(CheckedRef {
-                factory,
-                params: r.params.clone(),
-                context,
-            })
-        }
-        None => None,
-    };
+    let scheduler = CheckedRef::check(
+        spec.scheduler.as_ref().or(file.scheduler.as_ref()),
+        "scheduler",
+        tag,
+        build_scheduler,
+    )?;
+    let admission = CheckedRef::check(
+        spec.admission.as_ref().or(file.admission.as_ref()),
+        "admission",
+        tag,
+        build_admission,
+    )?;
 
     let mut config = SimConfig::default();
     if let Some(s) = &file.sim {
@@ -330,9 +356,6 @@ fn build_cell(
     }
     if let Some(s) = &spec.sim {
         config = s.apply(config);
-    }
-    if let Some(sticky) = spec.sticky {
-        config.sticky = sticky;
     }
 
     let mut serving_jobs: Vec<ServingJob> = Vec::new();
@@ -373,18 +396,10 @@ fn build_cell(
             sc = sc.locality(Arc::clone(l));
         }
         if let Some(r) = &scheduler {
-            let args =
-                Args::new(r.context.clone(), &r.params).expect("params validated at config load");
-            sc = sc.scheduler_boxed(
-                (r.factory)(&args).expect("scheduler params validated at config load"),
-            );
+            sc = sc.scheduler_boxed(r.resolve(build_scheduler).expect("checked at config load"));
         }
         if let Some(r) = &admission {
-            let args =
-                Args::new(r.context.clone(), &r.params).expect("params validated at config load");
-            sc = sc.admission_boxed(
-                (r.factory)(&args).expect("admission params validated at config load"),
-            );
+            sc = sc.admission_boxed(r.resolve(build_admission).expect("checked at config load"));
         }
         for job in &serving_jobs {
             sc = sc.serving(job.clone());
@@ -691,6 +706,27 @@ loads = [0.5, 1.0, 2.0]
             "locality = { l_within = 0.5, l_across = 0.5 }",
         )
         .expect("l_across == l_within is a valid locality model");
+    }
+
+    #[test]
+    fn oversized_cluster_is_a_typed_error() {
+        // 2^62 + 1 nodes × 4 GPUs wraps to 4 GPUs in a release build;
+        // 2^61 × 4 does not wrap, but no GPU vector can hold 2^63 GPUs.
+        for nodes in ["4611686018427387905", "2305843009213693952", "1073741824"] {
+            let src = format!(
+                "policy = [\"random\"]\n[cluster]\nnodes = {nodes}\ngpus_per_node = 4\n\
+                 [[scenario]]\ntag = \"t\"\ntrace = {{ kind = \"synergy\", num_jobs = 2 }}\n"
+            );
+            let file = parse_campaign_str(&src, "<inline>").unwrap();
+            match build_campaign(&file, &Registry::with_builtins(), Path::new(".")) {
+                Err(ConfigError::BadParam { context, message }) => {
+                    assert_eq!(context, "cluster");
+                    assert!(message.contains("limit of 4294967295 GPUs"), "{message}");
+                }
+                Err(other) => panic!("{nodes} nodes: expected BadParam, got {other}"),
+                Ok(_) => panic!("{nodes} nodes: built"),
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum ConfigError {
         category: &'static str,
         /// The unmatched kind string.
         kind: String,
-        /// Every registered kind, sorted, for the suggestion line.
+        /// Every kind the category accepts, sorted, for the suggestion line.
         known: Vec<String>,
     },
     /// A registered builder rejected its `params` table.

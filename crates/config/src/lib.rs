@@ -18,9 +18,10 @@
 //!
 //! - [`schema`]: the typed file format ([`CampaignFile`]), round-trippable
 //!   through [`serde::Value`] via the workspace's derive shim.
-//! - [`registry`]: string-keyed builders for every pluggable dimension
-//!   ([`Registry::with_builtins`]); downstream crates extend it with
-//!   `register_*` without touching this crate.
+//! - [`registry`]: string-keyed builders for the trace, profile and
+//!   placement-policy families ([`Registry::with_builtins`]); downstream
+//!   crates extend them with `register_*` without touching this crate.
+//!   Schedulers and admission rules are a fixed set, resolved by kind.
 //! - [`build`]: [`load_campaign_file`] (parse + schema-check) and
 //!   [`build_campaign`] (resolve against a registry into a runnable
 //!   [`pal_sim::Campaign`], with eager validation so errors carry file
@@ -60,13 +61,11 @@ pub use build::{build_campaign, campaign_from_path, load_campaign_file, parse_ca
 pub use error::{render_chain, ConfigError};
 pub use import::read_jsonl_trace;
 pub use json::{from_json, parse_json, to_json, write_json};
-pub use metrics::{CellMetricsSink, MetricsDir, ROUNDS_CSV_HEADER};
+pub use metrics::MetricsDir;
 pub use registry::{Args, PolicyCtx, PolicyEntry, ProfileCtx, Registry, TraceCtx};
 pub use schema::{
     CampaignFile, CampaignSection, GeneratorRef, PolicyRef, ScenarioSpec, ServingSpec, SimSection,
 };
-pub use spill::{
-    resume_spilled, run_spilled, spilled_config, spilled_results, ManifestEntry, SpillSink,
-};
+pub use spill::{resume_spilled, run_spilled, spilled_config, spilled_results, SpillSink};
 pub use state::{load_state, save_state, state_from_json, state_to_json};
 pub use toml::{parse_toml, write_toml, TomlError};

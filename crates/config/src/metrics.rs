@@ -1,7 +1,7 @@
 //! Streaming file sinks for engine events: JSONL lifecycle logs and CSV
 //! round tables, written live as a run executes.
 //!
-//! [`CellMetricsSink`] implements [`pal_sim::MetricsSink`] over two
+//! Each cell's sink implements [`pal_sim::MetricsSink`] over two
 //! files: every job-lifecycle and serving-batch event becomes one line
 //! of canonical JSON in an `.events.jsonl` file — streamed from the
 //! event's [`Serialize::emit`] by [`to_json`], with no value tree in
@@ -41,7 +41,7 @@ fn record_error(slot: &ErrorSlot, context: &str, err: &std::io::Error) {
 }
 
 /// Header of the `.rounds.csv` table [`CellMetricsSink`] writes.
-pub const ROUNDS_CSV_HEADER: &str = "round,executed_rounds,t,running,waiting,finished";
+const ROUNDS_CSV_HEADER: &str = "round,executed_rounds,t,running,waiting,finished";
 
 /// A [`MetricsSink`] streaming one run's events to a JSONL file (job
 /// lifecycle + serving batches, each line a `{"type": …}`-tagged
@@ -49,7 +49,7 @@ pub const ROUNDS_CSV_HEADER: &str = "round,executed_rounds,t,running,waiting,fin
 ///
 /// Buffered; everything is flushed when the sink drops at the end of
 /// the run. See the [module docs](self) for the error contract.
-pub struct CellMetricsSink {
+struct CellMetricsSink {
     events: BufWriter<File>,
     rounds: BufWriter<File>,
     error: ErrorSlot,
@@ -59,11 +59,7 @@ impl CellMetricsSink {
     /// Open `events_path` (JSONL) and `rounds_path` (CSV, header written
     /// immediately), truncating either if it exists. I/O errors after
     /// creation go to `error` — first one wins.
-    pub fn create(
-        events_path: &Path,
-        rounds_path: &Path,
-        error: ErrorSlot,
-    ) -> std::io::Result<Self> {
+    fn create(events_path: &Path, rounds_path: &Path, error: ErrorSlot) -> std::io::Result<Self> {
         let events = BufWriter::new(File::create(events_path)?);
         let mut rounds = BufWriter::new(File::create(rounds_path)?);
         writeln!(rounds, "{ROUNDS_CSV_HEADER}")?;
@@ -165,7 +161,7 @@ impl MetricsDir {
     }
 
     /// The file-name stem used for `cell` (without extension).
-    pub fn stem(cell: &CellInfo) -> String {
+    fn stem(cell: &CellInfo) -> String {
         let sanitize = |s: &str| -> String {
             s.chars()
                 .map(|c| {
@@ -199,11 +195,6 @@ impl MetricsDir {
                 None
             }
         }
-    }
-
-    /// The directory files are laid out under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The first I/O error any sink from this directory hit, if any.

@@ -1,10 +1,11 @@
 //! The pluggable generator/policy registry.
 //!
 //! A campaign file names its pieces by string kind (`trace = { kind =
-//! "synergy" }`, `policy = ["pal"]`); a [`Registry`] maps those kinds to
-//! builder functions. [`Registry::with_builtins`] registers every family
-//! shipped in the workspace; downstream code adds its own with the
-//! `register_*` methods — **no edits inside this crate required**:
+//! "synergy" }`, `policy = ["pal"]`); a [`Registry`] maps the trace,
+//! profile and placement-policy kinds to builder functions.
+//! [`Registry::with_builtins`] registers every family shipped in the
+//! workspace; downstream code adds its own with the `register_*` methods
+//! — **no edits inside this crate required**:
 //!
 //! ```
 //! use pal_config::{Args, ConfigError, Registry, TraceCtx};
@@ -12,11 +13,15 @@
 //!
 //! let mut registry = Registry::with_builtins();
 //! registry.register_trace("always-empty", |args: &Args, _ctx: &TraceCtx| {
-//!     let name = args.str_or("name", "empty")?;
+//!     let name = args.get_or("name", "empty".to_string())?;
 //!     Ok::<_, ConfigError>(Trace::new(name, vec![]))
 //! });
-//! assert!(registry.trace_kinds().iter().any(|k| k == "always-empty"));
+//! assert!(registry.trace("always-empty").is_ok());
 //! ```
+//!
+//! The scheduler and admission kinds are fixed (the paper's FIFO, LAS,
+//! SRTF and SRSF orders and four admission rules) and resolve through a
+//! `match`, not the registry.
 //!
 //! Builders receive an [`Args`] view of the reference's parameter map —
 //! typed getters with defaults — plus a context struct with what the
@@ -37,7 +42,7 @@ use pal_sim::placement::{PackedPlacement, PlacementPolicy, RandomPlacement};
 use pal_sim::sched::{Fifo, Las, SchedulingPolicy, Srsf, Srtf};
 use pal_trace::{
     import_csv_trace, read_trace_csv, ExternalCsvFormat, HeavyTailConfig, ImportOptions,
-    ModelCatalog, SiaPhillyConfig, SynergyConfig, Trace,
+    ModelCatalog, SiaPhillyConfig, SynergyConfig, Trace, TraceIoError,
 };
 use serde::{Deserialize, Value};
 use std::cell::RefCell;
@@ -128,7 +133,7 @@ impl<'a> Args<'a> {
     }
 
     /// String parameter with a default (convenience over [`Args::get_or`]).
-    pub fn str_or(&self, key: &str, default: &str) -> Result<String, ConfigError> {
+    fn str_or(&self, key: &str, default: &str) -> Result<String, ConfigError> {
         self.get_or(key, default.to_string())
     }
 
@@ -189,11 +194,6 @@ pub struct PolicyCtx<'a> {
 type TraceFactory = Arc<dyn Fn(&Args, &TraceCtx) -> Result<Trace, ConfigError> + Send + Sync>;
 type ProfileFactory =
     Arc<dyn Fn(&Args, &ProfileCtx) -> Result<VariabilityProfile, ConfigError> + Send + Sync>;
-type SchedulerFactory = Arc<
-    dyn Fn(&Args) -> Result<Box<dyn SchedulingPolicy + Send + Sync>, ConfigError> + Send + Sync,
->;
-type AdmissionFactory =
-    Arc<dyn Fn(&Args) -> Result<Box<dyn AdmissionPolicy + Send + Sync>, ConfigError> + Send + Sync>;
 type PolicyFactory = Arc<
     dyn Fn(&Args, &PolicyCtx) -> Result<Box<dyn PlacementPolicy + Send>, ConfigError> + Send + Sync,
 >;
@@ -210,39 +210,27 @@ pub struct PolicyEntry {
     pub(crate) factory: PolicyFactory,
 }
 
-/// Maps kind strings to builders for every pluggable campaign dimension.
-/// See the [module docs](self).
+/// Maps kind strings to builders for the trace, profile and
+/// placement-policy families. See the [module docs](self).
 #[derive(Clone)]
 pub struct Registry {
     traces: BTreeMap<String, TraceFactory>,
     profiles: BTreeMap<String, ProfileFactory>,
-    schedulers: BTreeMap<String, SchedulerFactory>,
-    admissions: BTreeMap<String, AdmissionFactory>,
     policies: BTreeMap<String, PolicyEntry>,
 }
 
 impl Registry {
-    /// An empty registry (rarely what you want — see
-    /// [`with_builtins`](Registry::with_builtins)).
-    pub fn new() -> Self {
-        Registry {
-            traces: BTreeMap::new(),
-            profiles: BTreeMap::new(),
-            schedulers: BTreeMap::new(),
-            admissions: BTreeMap::new(),
-            policies: BTreeMap::new(),
-        }
-    }
-
     /// A registry with every family shipped in the workspace. See the
     /// README's file-format reference for the full list and their
     /// parameters.
     pub fn with_builtins() -> Self {
-        let mut r = Registry::new();
+        let mut r = Registry {
+            traces: BTreeMap::new(),
+            profiles: BTreeMap::new(),
+            policies: BTreeMap::new(),
+        };
         register_builtin_traces(&mut r);
         register_builtin_profiles(&mut r);
-        register_builtin_schedulers(&mut r);
-        register_builtin_admissions(&mut r);
         register_builtin_policies(&mut r);
         r
     }
@@ -268,30 +256,6 @@ impl Registry {
         self.profiles.insert(kind.into(), Arc::new(factory));
     }
 
-    /// Register (or replace) a scheduling-policy family.
-    pub fn register_scheduler(
-        &mut self,
-        kind: impl Into<String>,
-        factory: impl Fn(&Args) -> Result<Box<dyn SchedulingPolicy + Send + Sync>, ConfigError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.schedulers.insert(kind.into(), Arc::new(factory));
-    }
-
-    /// Register (or replace) an admission-policy family.
-    pub fn register_admission(
-        &mut self,
-        kind: impl Into<String>,
-        factory: impl Fn(&Args) -> Result<Box<dyn AdmissionPolicy + Send + Sync>, ConfigError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.admissions.insert(kind.into(), Arc::new(factory));
-    }
-
     /// Register (or replace) a placement-policy family. `display_name`
     /// becomes the default campaign column name and `default_sticky` its
     /// stickiness; the factory runs once per campaign cell.
@@ -315,72 +279,19 @@ impl Registry {
         );
     }
 
-    /// Registered trace kinds, sorted.
-    pub fn trace_kinds(&self) -> Vec<String> {
-        self.traces.keys().cloned().collect()
-    }
-
-    /// Registered profile kinds, sorted.
-    pub fn profile_kinds(&self) -> Vec<String> {
-        self.profiles.keys().cloned().collect()
-    }
-
-    /// Registered scheduler kinds, sorted.
-    pub fn scheduler_kinds(&self) -> Vec<String> {
-        self.schedulers.keys().cloned().collect()
-    }
-
-    /// Registered admission kinds, sorted.
-    pub fn admission_kinds(&self) -> Vec<String> {
-        self.admissions.keys().cloned().collect()
-    }
-
-    /// Registered policy kinds, sorted.
-    pub fn policy_kinds(&self) -> Vec<String> {
-        self.policies.keys().cloned().collect()
-    }
-
-    fn unknown(&self, category: &'static str, kind: &str, known: Vec<String>) -> ConfigError {
-        ConfigError::UnknownKind {
-            category,
-            kind: kind.to_string(),
-            known,
-        }
-    }
-
     /// Look up a trace factory.
     pub fn trace(&self, kind: &str) -> Result<&TraceFactory, ConfigError> {
-        self.traces
-            .get(kind)
-            .ok_or_else(|| self.unknown("trace", kind, self.trace_kinds()))
+        lookup(&self.traces, "trace", kind)
     }
 
     /// Look up a profile factory.
     pub fn profile(&self, kind: &str) -> Result<&ProfileFactory, ConfigError> {
-        self.profiles
-            .get(kind)
-            .ok_or_else(|| self.unknown("profile", kind, self.profile_kinds()))
-    }
-
-    /// Look up a scheduler factory.
-    pub fn scheduler(&self, kind: &str) -> Result<&SchedulerFactory, ConfigError> {
-        self.schedulers
-            .get(kind)
-            .ok_or_else(|| self.unknown("scheduler", kind, self.scheduler_kinds()))
-    }
-
-    /// Look up an admission factory.
-    pub fn admission(&self, kind: &str) -> Result<&AdmissionFactory, ConfigError> {
-        self.admissions
-            .get(kind)
-            .ok_or_else(|| self.unknown("admission", kind, self.admission_kinds()))
+        lookup(&self.profiles, "profile", kind)
     }
 
     /// Look up a policy entry.
     pub fn policy(&self, kind: &str) -> Result<&PolicyEntry, ConfigError> {
-        self.policies
-            .get(kind)
-            .ok_or_else(|| self.unknown("policy", kind, self.policy_kinds()))
+        lookup(&self.policies, "policy", kind)
     }
 }
 
@@ -393,13 +304,82 @@ impl Default for Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("traces", &self.trace_kinds())
-            .field("profiles", &self.profile_kinds())
-            .field("schedulers", &self.scheduler_kinds())
-            .field("admissions", &self.admission_kinds())
-            .field("policies", &self.policy_kinds())
+            .field("traces", &self.traces.keys())
+            .field("profiles", &self.profiles.keys())
+            .field("policies", &self.policies.keys())
             .finish()
     }
+}
+
+/// The `kind` entry of a registry map, or the error listing its keys.
+fn lookup<'m, V>(
+    map: &'m BTreeMap<String, V>,
+    category: &'static str,
+    kind: &str,
+) -> Result<&'m V, ConfigError> {
+    map.get(kind)
+        .ok_or_else(|| unknown(category, kind, map.keys()))
+}
+
+/// The error for a `kind` outside `known` (listed in the order given).
+fn unknown(
+    category: &'static str,
+    kind: &str,
+    known: impl IntoIterator<Item = impl Into<String>>,
+) -> ConfigError {
+    ConfigError::UnknownKind {
+        category,
+        kind: kind.to_string(),
+        known: known.into_iter().map(Into::into).collect(),
+    }
+}
+
+/// The fixed scheduler kinds, sorted as error messages list them.
+const SCHEDULER_KINDS: [&str; 4] = ["fifo", "las", "srsf", "srtf"];
+
+/// The fixed admission kinds, sorted as error messages list them.
+const ADMISSION_KINDS: [&str; 4] = [
+    "admit-all",
+    "demand-backpressure",
+    "max-active-jobs",
+    "reject-oversized",
+];
+
+/// The scheduler a `scheduler = ...` reference names.
+pub(crate) fn build_scheduler(
+    kind: &str,
+    args: &Args,
+) -> Result<Box<dyn SchedulingPolicy + Send + Sync>, ConfigError> {
+    Ok(match kind {
+        "fifo" => Box::new(Fifo),
+        "las" => Box::new(Las {
+            threshold_gpu_seconds: args.get_or(
+                "threshold_gpu_seconds",
+                Las::default().threshold_gpu_seconds,
+            )?,
+        }),
+        "srsf" => Box::new(Srsf),
+        "srtf" => Box::new(Srtf),
+        _ => return Err(unknown("scheduler", kind, SCHEDULER_KINDS)),
+    })
+}
+
+/// The admission rule an `admission = ...` reference names.
+pub(crate) fn build_admission(
+    kind: &str,
+    args: &Args,
+) -> Result<Box<dyn AdmissionPolicy + Send + Sync>, ConfigError> {
+    Ok(match kind {
+        "admit-all" => Box::new(AdmitAll),
+        "demand-backpressure" => Box::new(DemandBackpressure {
+            capacity_multiple: args.require("capacity_multiple")?,
+        }),
+        "max-active-jobs" => Box::new(MaxActiveJobs {
+            limit: args.require("limit")?,
+        }),
+        "reject-oversized" => Box::new(RejectOversized),
+        _ => return Err(unknown("admission", kind, ADMISSION_KINDS)),
+    })
 }
 
 fn catalog() -> ModelCatalog {
@@ -420,13 +400,33 @@ fn scale_replay_load(mut trace: Trace, load: Option<f64>) -> Trace {
     trace
 }
 
-fn open_trace_file(path: &Path) -> Result<BufReader<File>, ConfigError> {
-    File::open(path)
+/// Replay a trace file: resolve the `path` parameter, name the trace
+/// after the file stem unless `name` is set (`fallback` if the path has
+/// no stem), parse it with `read`, and compress its arrivals by the swept
+/// load.
+fn replay(
+    args: &Args,
+    ctx: &TraceCtx,
+    fallback: &str,
+    read: impl FnOnce(&str, BufReader<File>) -> Result<Trace, TraceIoError>,
+) -> Result<Trace, ConfigError> {
+    let resolved = ctx.resolve(&args.require::<String>("path")?);
+    let default_name = resolved.file_stem().map_or_else(
+        || fallback.to_string(),
+        |s| s.to_string_lossy().into_owned(),
+    );
+    let name = args.str_or("name", &default_name)?;
+    let reader = File::open(&resolved)
         .map(BufReader::new)
         .map_err(|source| ConfigError::Io {
-            path: path.to_path_buf(),
+            path: resolved.clone(),
             source,
-        })
+        })?;
+    let trace = read(&name, reader).map_err(|source| ConfigError::Trace {
+        context: format!("{} from {}", args.context(), resolved.display()),
+        source,
+    })?;
+    Ok(scale_replay_load(trace, ctx.load))
 }
 
 /// The checks below run in the builders so that a parameter outside a
@@ -493,10 +493,7 @@ fn register_builtin_traces(r: &mut Registry) {
         let d = SiaPhillyConfig::default();
         let workload_id: u32 = args.get_or("workload_id", 1)?;
         if !(1..=8).contains(&workload_id) {
-            return Err(ConfigError::BadParam {
-                context: args.context().to_string(),
-                message: format!("workload_id must be in 1..=8, got {workload_id}"),
-            });
+            return Err(args.bad(format!("workload_id must be in 1..=8, got {workload_id}")));
         }
         let cfg = SiaPhillyConfig {
             num_jobs: args.get_or("num_jobs", d.num_jobs)?,
@@ -548,35 +545,9 @@ fn register_builtin_traces(r: &mut Registry) {
     r.register_trace("empty", |args, _ctx| {
         Ok(Trace::new(args.str_or("name", "empty")?, vec![]))
     });
-    r.register_trace("csv", |args, ctx| {
-        let path: String = args.require("path")?;
-        let resolved = ctx.resolve(&path);
-        let default_name = resolved
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "csv".to_string());
-        let name = args.str_or("name", &default_name)?;
-        let reader = open_trace_file(&resolved)?;
-        let trace = read_trace_csv(&name, reader).map_err(|source| ConfigError::Trace {
-            context: format!("{} from {}", args.context(), resolved.display()),
-            source,
-        })?;
-        Ok(scale_replay_load(trace, ctx.load))
-    });
+    r.register_trace("csv", |args, ctx| replay(args, ctx, "csv", read_trace_csv));
     r.register_trace("jsonl", |args, ctx| {
-        let path: String = args.require("path")?;
-        let resolved = ctx.resolve(&path);
-        let default_name = resolved
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "jsonl".to_string());
-        let name = args.str_or("name", &default_name)?;
-        let reader = open_trace_file(&resolved)?;
-        let trace = read_jsonl_trace(&name, reader).map_err(|source| ConfigError::Trace {
-            context: format!("{} from {}", args.context(), resolved.display()),
-            source,
-        })?;
-        Ok(scale_replay_load(trace, ctx.load))
+        replay(args, ctx, "jsonl", read_jsonl_trace)
     });
     for (kind, format) in [
         ("philly-csv", ExternalCsvFormat::philly as fn() -> _),
@@ -584,16 +555,11 @@ fn register_builtin_traces(r: &mut Registry) {
         ("google-csv", ExternalCsvFormat::google),
     ] {
         r.register_trace(kind, move |args, ctx| {
-            let path: String = args.require("path")?;
-            let resolved = ctx.resolve(&path);
             let defaults = ImportOptions::default();
-            let model_name: Option<String> = args.get("model")?;
-            let model = match model_name {
+            let model = match args.get::<String>("model")? {
                 None => defaults.model,
-                Some(name) => Workload::from_name(&name).ok_or_else(|| ConfigError::BadParam {
-                    context: args.context().to_string(),
-                    message: format!("unknown model `{name}`"),
-                })?,
+                Some(name) => Workload::from_name(&name)
+                    .ok_or_else(|| args.bad(format!("unknown model `{name}`")))?,
             };
             let opts = ImportOptions {
                 model,
@@ -601,19 +567,9 @@ fn register_builtin_traces(r: &mut Registry) {
                 base_iter_time: args.get_or("base_iter_time", defaults.base_iter_time)?,
                 max_jobs: args.get("max_jobs")?,
             };
-            let default_name = resolved
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| kind.to_string());
-            let name = args.str_or("name", &default_name)?;
-            let reader = open_trace_file(&resolved)?;
-            let trace = import_csv_trace(&name, &format(), &opts, reader).map_err(|source| {
-                ConfigError::Trace {
-                    context: format!("{} from {}", args.context(), resolved.display()),
-                    source,
-                }
-            })?;
-            Ok(scale_replay_load(trace, ctx.load))
+            replay(args, ctx, kind, |name, reader| {
+                import_csv_trace(name, &format(), &opts, reader)
+            })
         });
     }
 }
@@ -623,48 +579,15 @@ fn register_builtin_profiles(r: &mut Registry) {
         let classes: usize = args.get_or("classes", 3)?;
         let value: f64 = args.get_or("value", 1.0)?;
         if classes == 0 {
-            return Err(ConfigError::BadParam {
-                context: args.context().to_string(),
-                message: "classes must be positive".to_string(),
-            });
+            return Err(args.bad("classes must be positive"));
         }
         if !(value > 0.0 && value.is_finite()) {
-            return Err(ConfigError::BadParam {
-                context: args.context().to_string(),
-                message: format!("value must be positive and finite, got {value}"),
-            });
+            return Err(args.bad(format!("value must be positive and finite, got {value}")));
         }
         Ok(VariabilityProfile::from_raw(vec![
             vec![value; ctx.gpus];
             classes
         ]))
-    });
-}
-
-fn register_builtin_schedulers(r: &mut Registry) {
-    r.register_scheduler("fifo", |_args| Ok(Box::new(Fifo)));
-    r.register_scheduler("las", |args| {
-        let d = Las::default();
-        Ok(Box::new(Las {
-            threshold_gpu_seconds: args.get_or("threshold_gpu_seconds", d.threshold_gpu_seconds)?,
-        }))
-    });
-    r.register_scheduler("srtf", |_args| Ok(Box::new(Srtf)));
-    r.register_scheduler("srsf", |_args| Ok(Box::new(Srsf)));
-}
-
-fn register_builtin_admissions(r: &mut Registry) {
-    r.register_admission("admit-all", |_args| Ok(Box::new(AdmitAll)));
-    r.register_admission("reject-oversized", |_args| Ok(Box::new(RejectOversized)));
-    r.register_admission("max-active-jobs", |args| {
-        Ok(Box::new(MaxActiveJobs {
-            limit: args.require("limit")?,
-        }))
-    });
-    r.register_admission("demand-backpressure", |args| {
-        Ok(Box::new(DemandBackpressure {
-            capacity_multiple: args.require("capacity_multiple")?,
-        }))
     });
 }
 
@@ -780,16 +703,29 @@ mod tests {
             assert!(r.trace(kind).is_ok(), "missing trace {kind}");
         }
         assert!(r.profile("flat").is_ok());
+        let no_params = Value::Map(vec![]);
+        let args = Args::new("scheduler", &no_params).unwrap();
         for kind in ["fifo", "las", "srtf", "srsf"] {
-            assert!(r.scheduler(kind).is_ok(), "missing scheduler {kind}");
+            assert!(
+                build_scheduler(kind, &args).is_ok(),
+                "missing scheduler {kind}"
+            );
         }
+        let params = args_map(vec![
+            ("limit", Value::Int(4)),
+            ("capacity_multiple", Value::Float(2.0)),
+        ]);
+        let args = Args::new("admission", &params).unwrap();
         for kind in [
             "admit-all",
             "reject-oversized",
             "max-active-jobs",
             "demand-backpressure",
         ] {
-            assert!(r.admission(kind).is_ok(), "missing admission {kind}");
+            assert!(
+                build_admission(kind, &args).is_ok(),
+                "missing admission {kind}"
+            );
         }
         for (kind, name, sticky) in [
             ("random-sticky", "Random-Sticky", true),
@@ -815,6 +751,24 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("`philly2`"), "{msg}");
         assert!(msg.contains("sia-philly"), "{msg}");
+
+        let params = Value::Map(vec![]);
+        let args = Args::new("scheduler", &params).unwrap();
+        let Err(err) = build_scheduler("tiresias", &args) else {
+            panic!("unknown scheduler should error");
+        };
+        assert_eq!(
+            err.to_string(),
+            "unknown scheduler kind `tiresias` (registered: fifo, las, srsf, srtf)"
+        );
+        let Err(err) = build_admission("admit-none", &args) else {
+            panic!("unknown admission rule should error");
+        };
+        assert_eq!(
+            err.to_string(),
+            "unknown admission kind `admit-none` (registered: admit-all, demand-backpressure, \
+             max-active-jobs, reject-oversized)"
+        );
     }
 
     #[test]
@@ -910,8 +864,7 @@ mod tests {
         let profile = Arc::new(VariabilityProfile::from_raw(vec![vec![1.0; 8]; 3]));
         let cache = Arc::new(PmTableCache::new());
         let params = Value::Map(vec![]);
-        for kind in r.policy_kinds() {
-            let entry = r.policy(&kind).unwrap();
+        for (kind, entry) in &r.policies {
             let args = Args::new(format!("policy `{kind}`"), &params).unwrap();
             let built = (entry.factory)(
                 &args,

@@ -11,8 +11,9 @@
 //!
 //! Pluggable pieces — trace generators, profiles, schedulers, admission
 //! and placement policies — appear as [`GeneratorRef`]/[`PolicyRef`]:
-//! a registry key plus free-form parameters, resolved against a
-//! [`Registry`](crate::Registry) at build time. Their serialized form
+//! a kind plus free-form parameters, resolved at build time (traces,
+//! profiles and policies against a [`Registry`](crate::Registry), the
+//! fixed scheduler and admission kinds by name). Their serialized form
 //! supports a shorthand: `scheduler = "las"` is the same as
 //! `scheduler = { kind = "las" }`, and any keys besides the reserved
 //! ones ride along as parameters (`{ kind = "las",
@@ -81,10 +82,6 @@ pub struct ScenarioSpec {
     pub loads: Vec<f64>,
     /// Serving deployments running alongside the training trace.
     pub serving: Vec<ServingSpec>,
-    /// Base sticky-placement mode for this row. Policy columns carry
-    /// their own stickiness which takes precedence, so this mainly
-    /// matters for policy-less campaigns (pure scenario sweeps).
-    pub sticky: Option<bool>,
     /// Scheduler override for this row.
     pub scheduler: Option<GeneratorRef>,
     /// Admission override for this row.
@@ -150,16 +147,16 @@ impl SimSection {
     }
 }
 
-/// A reference to a registered generator (trace, profile, scheduler, or
-/// admission family): a kind string plus free-form parameters the
-/// family's builder interprets.
+/// A reference to a generator (trace, profile, scheduler, or admission
+/// family): a kind string plus free-form parameters the family's
+/// builder interprets.
 ///
 /// Serialized forms: `"las"` (shorthand, no parameters) or
 /// `{ kind = "las", threshold_gpu_seconds = 7200.0 }` (every key except
 /// `kind` is a parameter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorRef {
-    /// Registry key of the family.
+    /// Kind of the family.
     pub kind: String,
     /// Builder parameters, always a [`Value::Map`].
     pub params: Value,
@@ -417,7 +414,6 @@ mod tests {
                 trace: Some(GeneratorRef::new("synergy")),
                 loads: vec![0.5, 1.0],
                 serving: vec![],
-                sticky: None,
                 scheduler: None,
                 admission: None,
                 profile: None,
@@ -473,5 +469,20 @@ mod tests {
         let file = format!("[cluster]\nnodes = 1\ngpus_per_node = 4\n[sim]\n{key} = true\n");
         let err = crate::parse_campaign_str(&file, "old.toml").unwrap_err();
         assert!(err.to_string().contains(key), "{err}");
+    }
+
+    #[test]
+    fn removed_scenario_sticky_key_is_rejected() {
+        // `[[scenario]] sticky` duplicated `[scenario.sim] sticky`, which
+        // sets the same `SimConfig::sticky`; old files fail loudly.
+        let file = "[cluster]\nnodes = 1\ngpus_per_node = 4\n\
+                    [[scenario]]\ntag = \"t\"\nsticky = true\n";
+        let err = crate::parse_campaign_str(file, "old.toml").unwrap_err();
+        assert!(err.to_string().contains("sticky"), "{err}");
+        // The stickiness of a row lives under its `[scenario.sim]`.
+        let file = "[cluster]\nnodes = 1\ngpus_per_node = 4\n\
+                    [[scenario]]\ntag = \"t\"\n[scenario.sim]\nsticky = true\n";
+        let parsed = crate::parse_campaign_str(file, "new.toml").unwrap();
+        assert_eq!(parsed.scenario[0].sim.as_ref().unwrap().sticky, Some(true));
     }
 }

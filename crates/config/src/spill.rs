@@ -5,7 +5,7 @@
 //!
 //! - `results.jsonl` — one canonical-JSON [`CampaignResult`] per line
 //!   ([`crate::json::to_json`]), appended the moment a cell completes;
-//! - `manifest.jsonl` — one [`ManifestEntry`] per completed cell: the
+//! - `manifest.jsonl` — one JSON entry per completed cell: the
 //!   cell's deterministic identity ([`CellInfo`]: index, scenario tag,
 //!   policy name, injective seed), the 0-based `results.jsonl` line the
 //!   result landed on, and an FNV-1a 64 digest of that line's bytes;
@@ -47,37 +47,32 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// File name of the streamed results inside a spill directory.
-pub const RESULTS_FILE: &str = "results.jsonl";
+const RESULTS_FILE: &str = "results.jsonl";
 /// File name of the completion manifest inside a spill directory.
 pub const MANIFEST_FILE: &str = "manifest.jsonl";
 
 /// One completed cell as recorded in `manifest.jsonl`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ManifestEntry {
+struct ManifestEntry {
     /// Cell index in [`Campaign::cells`] order.
-    pub cell: usize,
+    cell: usize,
     /// Scenario tag of the cell.
-    pub scenario: String,
+    scenario: String,
     /// Policy name of the cell (empty for scenario-only campaigns).
-    pub policy: String,
+    policy: String,
     /// The cell's deterministic seed — resume verifies it against the
     /// campaign being resumed, so a spill directory cannot silently be
     /// continued with a different campaign.
-    pub seed: u64,
+    seed: u64,
     /// FNV-1a 64 digest of the result line's bytes (excluding `\n`).
-    pub digest: u64,
+    digest: u64,
     /// 0-based line number of the result in `results.jsonl`.
-    pub line: usize,
+    line: usize,
 }
 
 /// FNV-1a 64 over `bytes` — the digest recorded per result line.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    pal_sim::fnv1a(pal_sim::FNV1A_BASIS, bytes.iter().copied())
 }
 
 #[derive(Debug)]
@@ -137,7 +132,7 @@ impl SpillSink {
     /// remaining cells of a resumed run. Terminates any torn final line
     /// in either file with `\n` first (the torn line becomes a dead line;
     /// recorded line numbers stay valid).
-    pub fn append(dir: &Path, campaign: &Campaign) -> Result<Self, ConfigError> {
+    fn append(dir: &Path, campaign: &Campaign) -> Result<Self, ConfigError> {
         let open = |name: &str| {
             let path = dir.join(name);
             let mut file = OpenOptions::new()
@@ -230,7 +225,7 @@ impl ResultSink for SpillSink {
 /// it into a dead mid-file line — in both cases the affected cell has no
 /// entry and simply re-runs, which is always safe. A line that *is*
 /// valid JSON but not a manifest entry is real corruption and errors.
-pub fn read_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, ConfigError> {
+fn read_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, ConfigError> {
     let path = dir.join(MANIFEST_FILE);
     let text = std::fs::read_to_string(&path).map_err(|source| ConfigError::Io {
         path: path.to_path_buf(),
@@ -259,7 +254,7 @@ pub fn read_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, ConfigError> {
 /// entries that *identify* a different campaign (wrong tag, policy, or
 /// seed for their index) are an error — resuming the wrong directory
 /// should fail loudly, not re-run everything.
-pub fn load_completed(
+fn load_completed(
     dir: &Path,
     campaign: &Campaign,
 ) -> Result<BTreeMap<usize, CampaignResult>, ConfigError> {

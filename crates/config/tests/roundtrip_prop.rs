@@ -161,7 +161,7 @@ fn scenario_spec() -> impl Strategy<Value = ScenarioSpec> {
     (
         (ident("row"), opt(generator_ref()), vec(float(), 0..3)),
         vec(serving_spec(), 0..2),
-        (opt(0u8..2), opt(generator_ref()), opt(generator_ref())),
+        (opt(generator_ref()), opt(generator_ref())),
         (opt(generator_ref()), opt(generator_ref())),
         opt(locality()),
         opt(sim_section()),
@@ -170,7 +170,7 @@ fn scenario_spec() -> impl Strategy<Value = ScenarioSpec> {
             |(
                 (tag, trace, loads),
                 serving,
-                (sticky, scheduler, admission),
+                (scheduler, admission),
                 (profile, truth),
                 locality,
                 sim,
@@ -180,7 +180,6 @@ fn scenario_spec() -> impl Strategy<Value = ScenarioSpec> {
                     trace,
                     loads,
                     serving,
-                    sticky: sticky.map(|b| b == 1),
                     scheduler,
                     admission,
                     profile,

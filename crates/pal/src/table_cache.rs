@@ -32,6 +32,7 @@
 use crate::pm_scores::PmScoreTable;
 use pal_cluster::{JobClass, VariabilityProfile};
 use pal_kmeans::ScoreBinning;
+use pal_sim::{fnv1a, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -77,27 +78,21 @@ struct CacheEntry {
     table: Arc<PmScoreTable>,
 }
 
-/// FNV-1a over a byte stream, seeded with the standard offset basis.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn profile_fingerprint(profile: &VariabilityProfile) -> u64 {
-    fnv1a((0..profile.num_classes()).flat_map(|c| {
-        profile
-            .class_scores(JobClass(c))
-            .iter()
-            .flat_map(|s| s.to_bits().to_le_bytes())
-    }))
+    fnv1a(
+        FNV1A_BASIS,
+        (0..profile.num_classes()).flat_map(|c| {
+            profile
+                .class_scores(JobClass(c))
+                .iter()
+                .flat_map(|s| s.to_bits().to_le_bytes())
+        }),
+    )
 }
 
 fn binning_fingerprint(binning: &ScoreBinning) -> u64 {
     fnv1a(
+        FNV1A_BASIS,
         (binning.k_min as u64)
             .to_le_bytes()
             .into_iter()

@@ -58,6 +58,7 @@ use crate::metrics::SimResult;
 use crate::observe::MetricsSink;
 use crate::placement::PlacementPolicy;
 use crate::scenario::Scenario;
+use crate::state::{fnv1a, FNV1A_BASIS};
 use crate::Simulation;
 use pal_cluster::VariabilityProfile;
 use serde::{Deserialize, Serialize};
@@ -294,19 +295,12 @@ impl Campaign {
         // injective: the earlier NUL-separated form mapped e.g.
         // ("a\0b", "") and ("a", "b\0") to the same bytes, colliding their
         // cell seeds.
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ self.base_seed;
-        let mut absorb = |bytes: &[u8]| {
-            for b in (bytes.len() as u64)
-                .to_le_bytes()
-                .into_iter()
-                .chain(bytes.iter().copied())
-            {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+        let absorb = |h, bytes: &[u8]| {
+            let len = (bytes.len() as u64).to_le_bytes();
+            fnv1a(h, len.into_iter().chain(bytes.iter().copied()))
         };
-        absorb(tag.as_bytes());
-        absorb(policy.as_bytes());
+        let h = absorb(FNV1A_BASIS ^ self.base_seed, tag.as_bytes());
+        let h = absorb(h, policy.as_bytes());
         let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -516,7 +516,7 @@ mod tests {
             .scenario("cap-1", capped(1));
         let err = c.what_if(0.0).unwrap_err();
         assert!(
-            matches!(err, SimError::Livelock { rounds: 4 }),
+            matches!(err, SimError::Livelock { rounds: 3 }),
             "expected the cap-3 branch's error, got {err}"
         );
     }

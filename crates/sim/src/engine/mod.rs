@@ -94,6 +94,9 @@ pub(crate) fn validate_inputs(
     if !(dt > 0.0 && dt.is_finite()) {
         return Err(SimError::InvalidRoundDuration { round_duration: dt });
     }
+    if config.max_rounds == 0 {
+        return Err(SimError::ZeroMaxRounds);
+    }
     if !(dt * config.max_rounds as f64).is_finite() {
         return Err(SimError::ClockOverflow {
             round_duration: dt,

@@ -90,7 +90,7 @@ pub(crate) fn step_round(
     // and retrying re-derives exactly the same error forever.
     if st.rounds >= ctx.config.max_rounds {
         return Err(SimError::Livelock {
-            rounds: st.rounds + 1,
+            rounds: ctx.config.max_rounds,
         });
     }
     st.rounds += 1;

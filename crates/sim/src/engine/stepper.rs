@@ -542,7 +542,7 @@ mod tests {
         let e1 = sim.step().unwrap_err();
         let e2 = sim.step().unwrap_err();
         let e3 = sim.step().unwrap_err();
-        assert_eq!(e1, SimError::Livelock { rounds: 2 });
+        assert_eq!(e1, SimError::Livelock { rounds: 1 });
         assert_eq!(e1, e2);
         assert_eq!(e2, e3);
         assert_eq!(sim.rounds(), 1, "failed steps must not count rounds");

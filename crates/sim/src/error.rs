@@ -78,9 +78,11 @@ pub enum SimError {
         /// The configured round cap.
         max_rounds: usize,
     },
-    /// The simulation exceeded `SimConfig::max_rounds` without finishing.
+    /// `SimConfig::max_rounds` is zero, so no round may ever run.
+    ZeroMaxRounds,
+    /// The simulation reached `SimConfig::max_rounds` without finishing.
     Livelock {
-        /// Rounds executed before giving up.
+        /// The round cap it reached.
         rounds: usize,
     },
     /// A serving job's parameters are inconsistent (zero replicas, an
@@ -164,6 +166,9 @@ impl fmt::Display for SimError {
                 "round duration {round_duration:?} s over max_rounds {max_rounds} overflows the \
                  simulated clock"
             ),
+            SimError::ZeroMaxRounds => {
+                write!(f, "max_rounds must be positive: no round could ever run")
+            }
             SimError::Livelock { rounds } => {
                 write!(f, "simulation exceeded {rounds} rounds — livelock?")
             }

@@ -76,4 +76,6 @@ pub use placement::{
 pub use scenario::Scenario;
 pub use sched::SchedulingPolicy;
 pub use serving::{BatcherConfig, ServingJob, ServingMetrics};
-pub use state::{fork_digest, ReplicaState, ServingState, SimState, STATE_FORMAT_VERSION};
+pub use state::{
+    fnv1a, fork_digest, ReplicaState, ServingState, SimState, FNV1A_BASIS, STATE_FORMAT_VERSION,
+};

@@ -223,7 +223,8 @@ impl Scenario {
 
     /// Validate the scenario without running it. Catches the static
     /// configuration errors ([`SimError::ProfileTopologyMismatch`],
-    /// [`SimError::InvalidRoundDuration`], [`SimError::ClockOverflow`],
+    /// [`SimError::InvalidRoundDuration`], [`SimError::ZeroMaxRounds`],
+    /// [`SimError::ClockOverflow`],
     /// [`SimError::InvalidMigrationOverhead`], [`SimError::ClassOutOfRange`]);
     /// admission-dependent conditions such as [`SimError::OversizedJob`]
     /// are only detectable by running.
@@ -465,6 +466,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_rounds_is_typed_error() {
+        // A zero cap could never run a round: refused up front, not
+        // reported as a livelock after the run starts.
+        let scenario = Scenario::new(
+            Trace::new("t", vec![spec(0, 1, JobClass::A)]),
+            ClusterTopology::new(1, 4),
+        )
+        .config(SimConfig {
+            max_rounds: 0,
+            ..Default::default()
+        });
+        assert_eq!(scenario.validate().unwrap_err(), SimError::ZeroMaxRounds);
+        let err = scenario.run().unwrap_err();
+        assert_eq!(err, SimError::ZeroMaxRounds);
+        assert!(err.to_string().contains("max_rounds"), "{err}");
+    }
+
+    #[test]
     fn class_out_of_range_is_typed_error() {
         let err = Scenario::new(
             Trace::new("t", vec![spec(0, 1, JobClass(7))]),
@@ -532,7 +551,11 @@ mod tests {
             .config(config)
             .run()
             .unwrap_err();
-        assert!(matches!(err, SimError::Livelock { .. }));
+        assert_eq!(
+            err,
+            SimError::Livelock { rounds: 1 },
+            "reports the cap it hit"
+        );
     }
 
     #[test]

@@ -164,6 +164,19 @@ impl JobProgress {
     }
 }
 
+/// The FNV-1a 64 offset basis: the starting state of a standard digest.
+pub const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continue an FNV-1a 64 hash from state `h` over `bytes`. Start from
+/// [`FNV1A_BASIS`] for the standard digest; the workspace's digests (cell
+/// seeds, fork and trace digests, spill lines, PM-table fingerprints) all
+/// run through this one loop.
+pub fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// FNV-1a digest of a trace's job specs, streamed through
 /// [`Serialize::emit`] with [`FnvEmitter`]'s encoding.
 pub(crate) fn trace_digest<'a>(specs: impl ExactSizeIterator<Item = &'a JobSpec>) -> u64 {
@@ -203,16 +216,11 @@ struct FnvEmitter {
 
 impl FnvEmitter {
     fn new() -> Self {
-        FnvEmitter {
-            h: 0xCBF2_9CE4_8422_2325,
-        }
+        FnvEmitter { h: FNV1A_BASIS }
     }
 
     fn absorb(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= u64::from(b);
-            self.h = self.h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.h = fnv1a(self.h, bytes.iter().copied());
     }
 }
 
