@@ -35,9 +35,25 @@ use std::fmt::Write;
 /// so the sign survives the int path). Non-finite floats have no JSON
 /// encoding and are an error.
 pub fn to_json<T: Serialize + ?Sized>(value: &T) -> Result<String, String> {
-    let mut writer = JsonWriter::default();
+    let mut out = String::new();
+    to_json_into(value, &mut out)?;
+    Ok(out)
+}
+
+/// [`to_json`] appending to `out`, so a caller writing many lines can
+/// reuse one buffer. On error `out` holds a partial line.
+pub(crate) fn to_json_into<T: Serialize + ?Sized>(
+    value: &T,
+    out: &mut String,
+) -> Result<(), String> {
+    let mut writer = JsonWriter {
+        out,
+        closers: Vec::new(),
+        comma: false,
+        error: None,
+    };
     value.emit(&mut writer);
-    writer.error.map_or(Ok(writer.out), Err)
+    writer.error.map_or(Ok(()), Err)
 }
 
 /// Serialize a [`Value`] tree as one line of canonical JSON: [`to_json`]
@@ -47,9 +63,8 @@ pub fn write_json(value: &Value) -> Result<String, String> {
 }
 
 /// The [`Emitter`] behind [`to_json`].
-#[derive(Default)]
-struct JsonWriter {
-    out: String,
+struct JsonWriter<'a> {
+    out: &'a mut String,
     /// The closing bracket of each open container, innermost last.
     closers: Vec<char>,
     /// Whether an item precedes the next one in its container (so a `,`
@@ -59,7 +74,7 @@ struct JsonWriter {
     error: Option<String>,
 }
 
-impl JsonWriter {
+impl JsonWriter<'_> {
     /// Start the next item of the current container; returns the output
     /// to write it to.
     fn item(&mut self) -> &mut String {
@@ -67,7 +82,7 @@ impl JsonWriter {
             self.out.push(',');
         }
         self.comma = true;
-        &mut self.out
+        self.out
     }
 
     fn open(&mut self, open: char, close: char) {
@@ -77,7 +92,7 @@ impl JsonWriter {
     }
 }
 
-impl Emitter for JsonWriter {
+impl Emitter for JsonWriter<'_> {
     fn unit(&mut self) {
         self.item().push_str("null");
     }

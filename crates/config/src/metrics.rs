@@ -4,12 +4,12 @@
 //! Each cell's sink implements [`pal_sim::MetricsSink`] over two
 //! files: every job-lifecycle and serving-batch event becomes one line
 //! of canonical JSON in an `.events.jsonl` file — streamed from the
-//! event's [`Serialize::emit`] by [`to_json`], with no value tree in
-//! between — and every executed round becomes one row of a
-//! `.rounds.csv` table. Both streams contain only simulated quantities
-//! (clocks, ids, counts), so two runs of the same cell produce
-//! byte-identical files — the same determinism contract the campaign
-//! spill sink gives results.
+//! event's [`Serialize::emit`] by the [`to_json`](crate::to_json)
+//! writer into one reused line buffer, with no value tree in between —
+//! and every executed round becomes one row of a `.rounds.csv` table.
+//! Both streams contain only simulated quantities (clocks, ids,
+//! counts), so two runs of the same cell produce byte-identical files —
+//! the same determinism contract the campaign spill sink gives results.
 //! High-volume accumulation events (per-round GPU usage, busy
 //! GPU-seconds) are deliberately not logged; the `StepSeries` in the
 //! result already carries them compactly.
@@ -21,7 +21,7 @@
 //! shared slot the caller checks after the run with
 //! [`MetricsDir::first_error`].
 
-use crate::json::to_json;
+use crate::json::to_json_into;
 use pal_sim::{CellInfo, JobEvent, MetricsSink, RoundEvent, ServingBatchEvent};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -52,6 +52,8 @@ const ROUNDS_CSV_HEADER: &str = "round,executed_rounds,t,running,waiting,finishe
 struct CellMetricsSink {
     events: BufWriter<File>,
     rounds: BufWriter<File>,
+    /// The line being built, reused across events and rounds.
+    line: String,
     error: ErrorSlot,
 }
 
@@ -66,6 +68,7 @@ impl CellMetricsSink {
         Ok(CellMetricsSink {
             events,
             rounds,
+            line: String::new(),
             error,
         })
     }
@@ -73,11 +76,19 @@ impl CellMetricsSink {
     /// Write `event` as one JSON line with a leading `"type": kind` entry.
     fn write_event(&mut self, kind: &str, event: &impl Serialize) {
         // Engine events are named-field structs holding only finite
-        // floats: the writer cannot fail, and the line is an object
-        // whose opening `{` the tag entry goes after.
-        let json = to_json(event).expect("event serializes");
-        debug_assert!(json.starts_with("{\""), "{json}");
-        if let Err(e) = writeln!(self.events, "{{\"type\":\"{kind}\",{}", &json[1..]) {
+        // floats: the writer cannot fail, and the event is an object
+        // whose opening `{` becomes the comma after the tag entry.
+        let line = &mut self.line;
+        line.clear();
+        line.push_str("{\"type\":\"");
+        line.push_str(kind);
+        line.push('"');
+        let start = line.len();
+        to_json_into(event, line).expect("event serializes");
+        debug_assert!(line[start..].starts_with("{\""), "{line}");
+        line.replace_range(start..=start, ",");
+        line.push('\n');
+        if let Err(e) = self.events.write_all(line.as_bytes()) {
             record_error(&self.error, "writing events.jsonl", &e);
         }
     }
@@ -89,8 +100,9 @@ impl MetricsSink for CellMetricsSink {
     }
 
     fn on_round(&mut self, event: &RoundEvent) {
-        let mut row = String::with_capacity(64);
-        let _ = write!(
+        let row = &mut self.line;
+        row.clear();
+        let _ = writeln!(
             row,
             "{},{},{},{},{},{}",
             event.round,
@@ -100,7 +112,7 @@ impl MetricsSink for CellMetricsSink {
             event.waiting,
             event.finished
         );
-        if let Err(e) = writeln!(self.rounds, "{row}") {
+        if let Err(e) = self.rounds.write_all(row.as_bytes()) {
             record_error(&self.error, "writing rounds.csv", &e);
         }
     }

@@ -94,8 +94,8 @@ mod tests {
     use super::*;
     use pal_cluster::{ClusterTopology, JobClass};
     use pal_gpumodel::Workload;
-    use pal_sim::Scenario;
-    use pal_trace::{JobId, JobSpec, Trace};
+    use pal_sim::{Scenario, ServingJob, SimError};
+    use pal_trace::{JobId, JobSpec, ServingWorkload, Trace};
 
     fn spec(id: u32, arrival: f64, demand: usize, ideal_secs: f64) -> JobSpec {
         JobSpec {
@@ -156,6 +156,34 @@ mod tests {
                 r#""placement_state":null,"serving":[]}"#
             )
         );
+    }
+
+    #[test]
+    fn negative_zero_latency_file_is_refused_on_import() {
+        // `-0.0` survives the file round trip; the import must refuse it,
+        // since the bit-pattern latency sort would report it as the max.
+        let scenario = || {
+            let w = ServingWorkload {
+                work_median_s: 0.01,
+                slo_s: 0.5,
+                ..ServingWorkload::poisson("chat", 0.5, 50)
+            };
+            Scenario::new(
+                Trace::new("pair", vec![spec(0, 0.0, 1, 900.0)]),
+                ClusterTopology::new(2, 2),
+            )
+            .serving(ServingJob::new(w, 1, 1))
+        };
+        let mut sim = scenario().start().unwrap();
+        sim.step().unwrap();
+        let mut state = sim.export_state();
+        assert!(!state.serving[0].latencies.is_empty());
+        state.serving[0].latencies[0] = -0.0;
+        let back = state_from_json("mem.json", &state_to_json(&state).unwrap()).unwrap();
+        assert_eq!(back.serving[0].latencies[0].to_bits(), (-0.0f64).to_bits());
+        let err = scenario().start().unwrap().import_state(&back).unwrap_err();
+        assert!(matches!(err, SimError::StateImport { .. }), "{err}");
+        assert!(err.to_string().contains("latency -0.0"), "{err}");
     }
 
     #[test]

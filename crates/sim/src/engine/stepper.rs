@@ -22,7 +22,7 @@ use crate::metrics::SimResult;
 use crate::observe::MetricsSink;
 use crate::placement::PlacementPolicy;
 use crate::sched::SchedulingPolicy;
-use crate::serving::{ServingEngine, ServingJob};
+use crate::serving::{ServingEngine, ServingJob, ServingMetrics};
 use crate::state::{trace_digest, JobProgress, SimState, STATE_FORMAT_VERSION};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
 use pal_trace::Trace;
@@ -373,11 +373,29 @@ impl Simulation {
     }
 
     /// The run's result, if it has completed; `None` while jobs remain.
+    /// Leaves the simulation as it was: each serving summary sorts a copy
+    /// of its deployment's latency log.
     pub fn result(&self) -> Option<SimResult> {
         if !self.is_complete() {
             return None;
         }
-        Some(build_result(
+        let serving = self.serving.as_ref().map(ServingEngine::metrics);
+        Some(self.result_with(serving.unwrap_or_default()))
+    }
+
+    /// Step until every job has left the system, then return the result.
+    /// Equal to [`result`](Simulation::result) on the finished run, but
+    /// each serving summary sorts its deployment's own latency log.
+    pub fn run_to_completion(mut self) -> Result<SimResult, SimError> {
+        while self.step()? == StepOutcome::Running {}
+        assert!(self.is_complete(), "stepper reported completion");
+        let serving = self.serving.take().map(ServingEngine::into_metrics);
+        Ok(self.result_with(serving.unwrap_or_default()))
+    }
+
+    /// The [`SimResult`] of a completed run with these serving metrics.
+    fn result_with(&self, serving: Vec<ServingMetrics>) -> SimResult {
+        build_result(
             &self.state,
             &self.telemetry,
             RunLabels {
@@ -387,17 +405,8 @@ impl Simulation {
                 sticky: self.config.sticky,
             },
             self.ideal_gpu_seconds,
-            self.serving
-                .as_ref()
-                .map(ServingEngine::metrics)
-                .unwrap_or_default(),
-        ))
-    }
-
-    /// Step until every job has left the system, then return the result.
-    pub fn run_to_completion(mut self) -> Result<SimResult, SimError> {
-        while self.step()? == StepOutcome::Running {}
-        Ok(self.result().expect("stepper reported completion"))
+            serving,
+        )
     }
 }
 
@@ -653,6 +662,29 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_and_consuming_results_agree_on_serving() {
+        let mut stepped = serving_scenario(20.0).start().unwrap();
+        while stepped.step().unwrap() == StepOutcome::Running {}
+        let log = stepped.export_state().serving[0].latencies.clone();
+        assert!(log.windows(2).any(|w| w[0] > w[1]), "log is not pre-sorted");
+        let first = stepped.result().unwrap();
+        let second = stepped.result().unwrap();
+        assert_eq!(first.serving, second.serving);
+        assert_eq!(
+            stepped.export_state().serving[0].latencies,
+            log,
+            "result() sorts a copy, not the simulation's latency log"
+        );
+        let consumed = serving_scenario(20.0)
+            .start()
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        assert_eq!(first.serving, consumed.serving);
+        assert_eq!(first.serving[0].requests, 400);
+    }
+
+    #[test]
     fn export_state_round_trips_through_serde() {
         let mut sim = two_job_scenario().start().unwrap();
         sim.step().unwrap();
@@ -782,9 +814,11 @@ mod tests {
 
     #[test]
     fn import_rejects_non_finite_or_negative_serving_latency() {
-        // A NaN latency panicked at the end-of-run latency sort.
+        // The summary sorts by bit pattern, where each of these would
+        // come after every valid latency and be reported as the worst.
         assert_serving_import_rejects(|s| s.serving[0].latencies[0] = f64::NAN, "latency NaN");
         assert_serving_import_rejects(|s| s.serving[0].latencies[0] = -1.0, "latency -1");
+        assert_serving_import_rejects(|s| s.serving[0].latencies[0] = -0.0, "latency -0.0");
     }
 
     #[test]

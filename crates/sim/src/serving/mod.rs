@@ -25,7 +25,10 @@
 //!
 //! Completed-request latencies feed [`ServingMetrics`] — SLO attainment,
 //! goodput, and p50/p95/p99 latency — reported per deployment in
-//! [`SimResult::serving`](crate::SimResult::serving).
+//! [`SimResult::serving`](crate::SimResult::serving). The summary sorts
+//! the latency log in place by IEEE bit pattern, which for these finite,
+//! sign-bit-clear values is numeric order; a finished run's summary
+//! sorts the log it owns, with no copy.
 
 pub mod batcher;
 
@@ -317,10 +320,16 @@ impl Deployment {
 
     /// Refuse a state that disagrees with this deployment or with itself.
     /// Without the counter and value checks, a stream position past the
-    /// workload's end replays (or overflows) an unbounded pull count, a
-    /// lookahead missing mid-stream reaches `advance_to`'s
-    /// `unreachable!`, and a NaN latency panics in
-    /// [`Deployment::metrics`].
+    /// workload's end replays (or overflows) an unbounded pull count, and
+    /// a lookahead missing mid-stream reaches `advance_to`'s
+    /// `unreachable!`.
+    ///
+    /// Every latency must be finite with a clear sign bit, as live ones
+    /// are: `finish − arrival` with `finish ≥ arrival` is never negative
+    /// and never `-0.0`. [`Deployment::summary`] sorts by bit pattern and
+    /// does not check: a NaN, a `-0.0` or a negative latency would sort
+    /// after every other value and come out as `latency_max`, so this
+    /// check is the only guard.
     fn check_state(&self, s: &ServingState) -> Result<(), String> {
         let fail = |what: String| Err(format!("serving state for `{}`: {what}", s.workload));
         if s.workload != self.name {
@@ -365,8 +374,12 @@ impl Deployment {
                 s.completed
             ));
         }
-        if let Some(l) = s.latencies.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
-            return fail(format!("latency {l} is not finite and non-negative"));
+        if let Some(l) = s
+            .latencies
+            .iter()
+            .find(|l| !(l.is_finite() && l.is_sign_positive()))
+        {
+            return fail(format!("latency {l:?} is not finite with a clear sign bit"));
         }
         if let Some(r) = s
             .replicas
@@ -382,14 +395,29 @@ impl Deployment {
         Ok(())
     }
 
-    fn metrics(&self) -> ServingMetrics {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
+    /// This deployment's metrics, with the latency summary taken over
+    /// `latencies` — its own latency log or a copy of it — which is
+    /// sorted in place.
+    ///
+    /// Every latency is finite with a clear sign bit, and for such values
+    /// the order of the IEEE bit patterns is the numeric order: the sort
+    /// on `to_bits()` gives the comparison sort's vector bit for bit,
+    /// without its scratch buffer. The mean is summed in that sorted
+    /// order.
+    fn summary(&self, latencies: &mut [f64]) -> ServingMetrics {
+        debug_assert!(
+            latencies
+                .iter()
+                .all(|l| l.is_finite() && l.is_sign_positive()),
+            "latency log holds a non-finite or sign-bit-set value"
+        );
+        latencies.sort_unstable_by_key(|l| l.to_bits());
+        let sorted = &*latencies;
         let pct = |p: f64| {
             if sorted.is_empty() {
                 0.0
             } else {
-                pal_stats::percentile_of_sorted(&sorted, p)
+                pal_stats::percentile_of_sorted(sorted, p)
             }
         };
         ServingMetrics {
@@ -399,7 +427,7 @@ impl Deployment {
             requests: self.completed,
             batches: self.batches,
             slo_attained: self.slo_met,
-            latency_mean: pal_stats::mean(&sorted).unwrap_or(0.0),
+            latency_mean: pal_stats::mean(sorted).unwrap_or(0.0),
             latency_p50: pct(50.0),
             latency_p95: pct(95.0),
             latency_p99: pct(99.0),
@@ -564,9 +592,26 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// Final (or current) per-deployment metrics.
+    /// Current per-deployment metrics of a run that may go on: each
+    /// summary sorts a copy of the deployment's latency log.
     pub(crate) fn metrics(&self) -> Vec<ServingMetrics> {
-        self.deployments.iter().map(Deployment::metrics).collect()
+        self.deployments
+            .iter()
+            .map(|d| d.summary(&mut d.latencies.clone()))
+            .collect()
+    }
+
+    /// Final per-deployment metrics, equal to [`metrics`](Self::metrics):
+    /// each summary sorts the deployment's own latency log, so nothing is
+    /// copied.
+    pub(crate) fn into_metrics(self) -> Vec<ServingMetrics> {
+        self.deployments
+            .into_iter()
+            .map(|mut d| {
+                let mut latencies = std::mem::take(&mut d.latencies);
+                d.summary(&mut latencies)
+            })
+            .collect()
     }
 }
 
@@ -633,6 +678,7 @@ mod tests {
     use super::*;
     use crate::placement::PackedPlacement;
     use pal_cluster::ClusterTopology;
+    use proptest::prelude::*;
 
     /// Drive an engine with no extra sink attached, as the round loop
     /// does for an unobserved run.
@@ -684,6 +730,111 @@ mod tests {
         assert!(m.latency_p99 <= m.latency_max);
         assert!(m.latency_mean > 0.0);
         assert!(m.last_finish > m.first_arrival);
+    }
+
+    #[test]
+    fn latency_summary_bits_are_pinned() {
+        // A near-capacity stream, so latencies spread over queueing
+        // delays and the mean's last bit depends on the summation order
+        // (summed in arrival order it ends in …469b). The bits were
+        // taken from the comparison-sort summary this one replaced.
+        let mut e = engine(2, workload(150.0, 3000));
+        advance(&mut e, 1e12);
+        let m = e.metrics().remove(0);
+        assert_eq!(m.latency_mean.to_bits(), 0x3fc2_a155_2ded_469a);
+        assert_eq!(m.latency_p99.to_bits(), 0x3fd2_9e0f_48b5_a175);
+        assert_eq!(m.latency_max.to_bits(), 0x3fd5_e8c1_56c1_0810);
+        assert_eq!(e.into_metrics(), vec![m]);
+    }
+
+    /// The summary as it was computed before the bit-pattern sort: a
+    /// copy, comparison-sorted, then the same mean and percentiles.
+    fn comparison_sort_summary(d: &Deployment, latencies: &[f64]) -> ServingMetrics {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
+        let pct = |p: f64| {
+            if sorted.is_empty() {
+                0.0
+            } else {
+                pal_stats::percentile_of_sorted(&sorted, p)
+            }
+        };
+        ServingMetrics {
+            workload: d.name.clone(),
+            replicas: d.replicas.len(),
+            gpus: d.gpus,
+            requests: d.completed,
+            batches: d.batches,
+            slo_attained: d.slo_met,
+            latency_mean: pal_stats::mean(&sorted).unwrap_or(0.0),
+            latency_p50: pct(50.0),
+            latency_p95: pct(95.0),
+            latency_p99: pct(99.0),
+            latency_max: sorted.last().copied().unwrap_or(0.0),
+            first_arrival: d.first_arrival,
+            last_finish: d.last_finish,
+        }
+    }
+
+    fn summary_bits(m: &ServingMetrics) -> [u64; 7] {
+        [
+            m.latency_mean,
+            m.latency_p50,
+            m.latency_p95,
+            m.latency_p99,
+            m.latency_max,
+            m.first_arrival,
+            m.last_finish,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Finite values with a clear sign bit of everyday size, with `+0.0`,
+    /// subnormals and a small pool that makes duplicates common. Their
+    /// sums round differently in different orders.
+    fn latency() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (1u64..0x0010_0000_0000_0000).prop_map(f64::from_bits),
+            (0usize..4).prop_map(|i| [0.25, 0.1, 3.0, 1e-3][i]),
+            0.0f64..2.0,
+        ]
+    }
+
+    /// [`latency`] plus values near `f64::MAX` and anywhere in the
+    /// finite non-negative bit range.
+    fn extreme_latency() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            latency(),
+            (0x7fe0_0000_0000_0000u64..0x7ff0_0000_0000_0000).prop_map(f64::from_bits),
+            (0u64..0x7ff0_0000_0000_0000).prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bit_pattern_summary_matches_comparison_sort(
+            latencies in prop_oneof![
+                proptest::collection::vec(extreme_latency(), 0..3),
+                proptest::collection::vec(extreme_latency(), 0..200),
+                proptest::collection::vec(latency(), 0..200),
+            ],
+        ) {
+            let mut e = engine(1, workload(10.0, 10));
+            advance(&mut e, 1e12);
+            let d = &e.deployments[0];
+            let oracle = comparison_sort_summary(d, &latencies);
+            let mut sorted = latencies.clone();
+            let m = d.summary(&mut sorted);
+            prop_assert_eq!(summary_bits(&m), summary_bits(&oracle));
+            prop_assert_eq!(&m, &oracle);
+            let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            let mut expected = latencies;
+            expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            prop_assert_eq!(bits(&sorted), bits(&expected));
+        }
     }
 
     #[test]
