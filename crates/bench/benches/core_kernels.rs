@@ -3,15 +3,13 @@
 //! construction, and a full end-to-end Sia simulation round-trip.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pal::{AppClassifier, LvMatrix};
-use pal_bench::{
-    longhorn_profile, modeled_longhorn_profile, run_policy, PolicyKind, LONGHORN_MEASURED_GPUS,
-    PROFILE_SEED,
-};
-use pal_cluster::{ClusterTopology, JobClass, LocalityModel};
+use pal::{AppClassifier, LvMatrix, PalPlacement, PmFirstPlacement};
+use pal_bench::{longhorn_profile, modeled_longhorn_profile, LONGHORN_MEASURED_GPUS, PROFILE_SEED};
+use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::{GpuSpec, Workload};
 use pal_kmeans::{KMeans, ScoreBinning};
-use pal_sim::sched::Fifo;
+use pal_sim::placement::PackedPlacement;
+use pal_sim::{PlacementPolicy, Scenario};
 use pal_trace::{ModelCatalog, SiaPhillyConfig};
 use std::hint::black_box;
 
@@ -72,9 +70,27 @@ fn bench_full_simulation(c: &mut Criterion) {
     let trace = SiaPhillyConfig::default().generate(1, &catalog);
     let mut group = c.benchmark_group("sia_trace_end_to_end");
     group.sample_size(20);
-    for kind in [PolicyKind::Tiresias, PolicyKind::PmFirst, PolicyKind::Pal] {
-        group.bench_function(kind.name(), |b| {
-            b.iter(|| black_box(run_policy(&trace, topo, &profile, &locality, Fifo, kind)))
+    type Build = fn(&VariabilityProfile) -> Box<dyn PlacementPolicy + Send>;
+    let policies: [(&str, bool, Build); 3] = [
+        ("Tiresias", true, |_| {
+            Box::new(PackedPlacement::randomized(7))
+        }),
+        ("PM-First", false, |p| Box::new(PmFirstPlacement::new(p))),
+        ("PAL", false, |p| Box::new(PalPlacement::new(p))),
+    ];
+    for (name, sticky, build) in policies {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                // The policy (and its PM-score table) is built inside the
+                // timed region, as a one-cell campaign would build it.
+                let run = Scenario::new(trace.clone(), topo)
+                    .profile(profile.clone())
+                    .locality(locality.clone())
+                    .placement_boxed(build(&profile))
+                    .sticky(sticky)
+                    .run();
+                black_box(run.expect("benchmark scenario misconfigured"))
+            })
         });
     }
     group.finish();

@@ -4,28 +4,18 @@
 //! Workload 5's early large jobs blow up wait times for everything behind
 //! them; workload 3's large jobs arrive late, so waits stay low — which is
 //! why the policies' benefits differ between the two.
+//!
+//! The cells are `configs/paper/fig12.toml`; this prints their per-job
+//! wait series, which the campaign CSV does not carry.
 
-use pal_bench::*;
-use pal_cluster::{ClusterTopology, LocalityModel};
-use pal_gpumodel::GpuSpec;
-use pal_sim::sched::Fifo;
-use pal_trace::{ModelCatalog, SiaPhillyConfig};
+use pal_bench::{hours, run_paper_config};
 
 fn main() {
-    let topo = ClusterTopology::sia_64();
-    let profile = longhorn_profile(64, PROFILE_SEED);
-    let locality = LocalityModel::frontera_per_model();
-    let catalog = ModelCatalog::table2(&GpuSpec::v100());
-
     println!("# Figure 12: wait time (hours) vs job ID");
-    println!("workload,policy,job_id,wait_time_h");
-    for w in [3u32, 5] {
-        let trace = SiaPhillyConfig::default().generate(w, &catalog);
-        for kind in [PolicyKind::Tiresias, PolicyKind::PmFirst, PolicyKind::Pal] {
-            let r = run_policy(&trace, topo, &profile, &locality, Fifo, kind);
-            for (id, wait) in r.wait_times() {
-                println!("{w},{},{id},{:.3}", kind.name(), hours(wait));
-            }
+    println!("trace,policy,job_id,wait_time_h");
+    for cell in run_paper_config("fig12") {
+        for (id, wait) in cell.result.wait_times() {
+            println!("{},{},{id},{:.3}", cell.scenario, cell.policy, hours(wait));
         }
     }
 }

@@ -4,39 +4,31 @@
 //!
 //! Also prints the multi-GPU-subset JCTs the paper quotes ("PAL improves
 //! the average JCT of multi-GPU jobs by 5% to 31% over Tiresias").
+//!
+//! The cells are `configs/paper/fig14.toml`; this adds the steady-state
+//! window and multi-GPU columns the campaign CSV does not carry.
 
-use pal_bench::*;
-use pal_cluster::{ClusterTopology, LocalityModel};
-use pal_gpumodel::GpuSpec;
-use pal_sim::sched::Fifo;
-use pal_trace::{ModelCatalog, SynergyConfig};
+use pal_bench::{hours, run_paper_config};
 
 /// Steady-state measurement window over job ids (the paper measures job
 /// ids 2000–3000 of its longer traces; ours are 600 jobs).
 const WINDOW: (usize, usize) = (150, 450);
 
 fn main() {
-    let topo = ClusterTopology::synergy_256();
-    let profile = longhorn_profile(256, PROFILE_SEED);
-    let locality = LocalityModel::uniform(1.7);
-    let catalog = ModelCatalog::table2(&GpuSpec::v100());
-
     println!("# Figure 14: Synergy avg JCT (hours) vs job load, FIFO");
-    println!("jobs_per_hour,policy,avg_jct_h,steady_state_jct_h,multi_gpu_jct_h");
-    for load in [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0] {
-        let trace = SynergyConfig::default().at_load(load).generate(&catalog);
-        let results = run_all_policies(&trace, topo, &profile, &locality, Fifo);
-        for (kind, r) in &results {
-            println!(
-                "{load},{},{:.2},{:.2},{:.2}",
-                kind.name(),
-                hours(r.avg_jct()),
-                hours(
-                    r.avg_jct_window(WINDOW.0, WINDOW.1)
-                        .expect("window non-empty")
-                ),
-                hours(r.avg_jct_multi_gpu().expect("trace has multi-GPU jobs"))
-            );
-        }
+    println!("trace,policy,avg_jct_h,steady_state_jct_h,multi_gpu_jct_h");
+    for cell in run_paper_config("fig14") {
+        let r = &cell.result;
+        println!(
+            "{},{},{:.2},{:.2},{:.2}",
+            cell.scenario,
+            cell.policy,
+            hours(r.avg_jct()),
+            hours(
+                r.avg_jct_window(WINDOW.0, WINDOW.1)
+                    .expect("window non-empty")
+            ),
+            hours(r.avg_jct_multi_gpu().expect("trace has multi-GPU jobs"))
+        );
     }
 }

@@ -3,29 +3,19 @@
 //!
 //! PAL's utilization curve "runs ahead" of Tiresias — it finishes the same
 //! work earlier, freeing resources sooner.
+//!
+//! The cells are `configs/paper/fig15.toml`; this prints their
+//! GPUs-in-use series, which the campaign CSV does not carry.
 
-use pal_bench::*;
-use pal_cluster::{ClusterTopology, LocalityModel};
-use pal_gpumodel::GpuSpec;
-use pal_sim::sched::Fifo;
-use pal_trace::{ModelCatalog, SynergyConfig};
+use pal_bench::run_paper_config;
 
 fn main() {
-    let topo = ClusterTopology::synergy_256();
-    let profile = longhorn_profile(256, PROFILE_SEED);
-    let locality = LocalityModel::uniform(1.7);
-    let catalog = ModelCatalog::table2(&GpuSpec::v100());
-
     println!("# Figure 15: GPUs in use over time");
-    println!("jobs_per_hour,policy,time_s,gpus_in_use");
-    for load in [8.0, 10.0] {
-        let trace = SynergyConfig::default().at_load(load).generate(&catalog);
-        for kind in [PolicyKind::Tiresias, PolicyKind::Pal] {
-            let r = run_policy(&trace, topo, &profile, &locality, Fifo, kind);
-            let span = r.makespan();
-            for (t, v) in r.gpus_in_use.resample(0.0, span, 200) {
-                println!("{load},{},{t:.0},{v:.0}", kind.name());
-            }
+    println!("trace,policy,time_s,gpus_in_use");
+    for cell in run_paper_config("fig15") {
+        let r = &cell.result;
+        for (t, v) in r.gpus_in_use.resample(0.0, r.makespan(), 200) {
+            println!("{},{},{t:.0},{v:.0}", cell.scenario, cell.policy);
         }
     }
 }

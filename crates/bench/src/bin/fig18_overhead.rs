@@ -12,10 +12,11 @@
 //! the measured window — so these numbers are the policy's own compute
 //! cost, directly comparable to the paper's.
 
-use pal_bench::*;
+use pal::PalPlacement;
+use pal_bench::{longhorn_profile, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, LocalityModel};
 use pal_gpumodel::GpuSpec;
-use pal_sim::sched::Fifo;
+use pal_sim::Scenario;
 use pal_stats::BoxplotStats;
 use pal_trace::{ModelCatalog, SynergyConfig};
 
@@ -31,7 +32,12 @@ fn main() {
         let profile = longhorn_profile(n, PROFILE_SEED);
         // Scale offered load with cluster size so contention is comparable.
         let trace = SynergyConfig::default().at_load(load).generate(&catalog);
-        let r = run_policy(&trace, topo, &profile, &locality, Fifo, PolicyKind::Pal);
+        let r = Scenario::new(trace, topo)
+            .placement(PalPlacement::new(&profile))
+            .profile(profile)
+            .locality(locality.clone())
+            .run()
+            .expect("overhead scenario misconfigured");
         let us: Vec<f64> = r.placement_compute_times.iter().map(|&s| s * 1e6).collect();
         let b = BoxplotStats::of(&us).expect("at least one epoch");
         let max = us.iter().cloned().fold(0.0, f64::max);

@@ -4,50 +4,16 @@
 //! LAS gives fresh jobs priority, so waits decay over the trace; FIFO's
 //! waits grow monotonically; SRTF sits between.
 //!
-//! A 3-scheduler × 2-policy [`Campaign`]: each scheduler is one scenario
-//! row, each placement configuration one policy column.
+//! The cells are `configs/paper/fig19.toml` (one row per scheduler); this
+//! prints their per-job wait series, which the campaign CSV does not
+//! carry.
 
-use pal_bench::*;
-use pal_cluster::{ClusterTopology, LocalityModel};
-use pal_gpumodel::GpuSpec;
-use pal_sim::sched::{Fifo, Las, Srtf};
-use pal_sim::{Campaign, Scenario};
-use pal_trace::{ModelCatalog, SynergyConfig};
+use pal_bench::{hours, run_paper_config};
 
 fn main() {
-    let topo = ClusterTopology::synergy_256();
-    let profile = longhorn_profile(256, PROFILE_SEED);
-    let locality = LocalityModel::uniform(1.7);
-    let catalog = ModelCatalog::table2(&GpuSpec::v100());
-    let trace = SynergyConfig::default().at_load(8.0).generate(&catalog);
-
-    let base = move |trace: &pal_trace::Trace, profile: &pal_cluster::VariabilityProfile| {
-        Scenario::new(trace.clone(), topo)
-            .profile(profile.clone())
-            .locality(locality.clone())
-    };
-    let results = Campaign::new()
-        .seed(CAMPAIGN_SEED)
-        .scenario("LAS", {
-            let (t, p, b) = (trace.clone(), profile.clone(), base.clone());
-            move || b(&t, &p).scheduler(Las::default())
-        })
-        .scenario("SRTF", {
-            let (t, p, b) = (trace.clone(), profile.clone(), base.clone());
-            move || b(&t, &p).scheduler(Srtf)
-        })
-        .scenario("FIFO", {
-            let (t, p, b) = (trace.clone(), profile.clone(), base.clone());
-            move || b(&t, &p).scheduler(Fifo)
-        })
-        .policy(PolicyKind::Tiresias.spec())
-        .policy(PolicyKind::Pal.spec())
-        .run()
-        .expect("figure 19 campaign misconfigured");
-
     println!("# Figure 19: wait time (hours) vs job ID per scheduler");
     println!("scheduler,policy,job_id,wait_time_h");
-    for cell in &results {
+    for cell in run_paper_config("fig19") {
         for (id, wait) in cell.result.wait_times() {
             println!("{},{},{id},{:.3}", cell.scenario, cell.policy, hours(wait));
         }

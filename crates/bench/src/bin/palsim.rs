@@ -25,13 +25,14 @@
 //! versioned canonical-JSON state file. `resume` picks an interrupted
 //! spill back up, re-running only the never-completed cells — the final
 //! output is byte-identical to an uninterrupted run. `check` parses and
-//! validates files — or every `.toml`/`.json` in a directory — without
-//! running any cell. Bad arguments and invalid configs exit 2 with a
-//! one-line diagnostic (`file:line:col: message` for syntax errors, with
-//! a `caused by:` chain for wrapped errors); runtime simulation failures
-//! exit 1. A bare `palsim` or an unknown subcommand prints the usage and
-//! exits 2. Results go to stdout; progress (cell and worker counts) goes
-//! to stderr, so piped CSV stays clean.
+//! validates files — or every `.toml`/`.json` in a directory and its
+//! subdirectories — without running any cell. Bad arguments and invalid
+//! configs exit 2 with a one-line diagnostic (`file:line:col: message`
+//! for syntax errors, with a `caused by:` chain for wrapped errors);
+//! runtime simulation failures exit 1. A bare `palsim` or an unknown
+//! subcommand prints the usage and exits 2. Results go to stdout;
+//! progress (cell and worker counts) goes to stderr, so piped CSV stays
+//! clean.
 //!
 //! Examples:
 //!
@@ -43,12 +44,13 @@
 //! palsim check configs/
 //! ```
 
-use pal_bench::{longhorn_profile, LONGHORN_MEASURED_GPUS, PROFILE_SEED};
+use pal_bench::{config_files, registry, write_csv};
 use pal_config::{
     campaign_from_path, render_chain, resume_spilled, save_state, spilled_config, spilled_results,
-    ConfigError, MetricsDir, Registry, SpillSink,
+    MetricsDir, SpillSink,
 };
 use pal_sim::{CampaignResult, MemorySink};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -74,30 +76,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// The CLI's registry: every builtin family plus the paper's Longhorn
-/// profile, registered here (not inside `pal-config`) — the intended
-/// pattern for downstream workload families.
-fn cli_registry() -> Registry {
-    let mut registry = Registry::with_builtins();
-    registry.register_profile("longhorn", |args, ctx| {
-        let seed = args.get_or("seed", PROFILE_SEED)?;
-        // The profile samples per-GPU scores without repetition from the
-        // measured cluster, so it cannot cover a larger one.
-        if ctx.gpus > LONGHORN_MEASURED_GPUS {
-            return Err(ConfigError::BadParam {
-                context: args.context().to_string(),
-                message: format!(
-                    "the Longhorn profile covers at most {LONGHORN_MEASURED_GPUS} GPUs \
-                     (the measured cluster), got a {}-GPU cluster",
-                    ctx.gpus
-                ),
-            });
-        }
-        Ok(longhorn_profile(ctx.gpus, seed))
-    });
-    registry
 }
 
 const RUN_USAGE: &str =
@@ -148,7 +126,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         eprintln!("{RUN_USAGE}");
         return ExitCode::from(2);
     };
-    let mut campaign = match campaign_from_path(path, &cli_registry()) {
+    let mut campaign = match campaign_from_path(path, &registry()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("palsim: {}", render_chain(&e));
@@ -278,7 +256,7 @@ fn cmd_resume(argv: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let campaign = match campaign_from_path(&config, &cli_registry()) {
+    let campaign = match campaign_from_path(&config, &registry()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("palsim: {}", render_chain(&e));
@@ -353,7 +331,7 @@ fn cmd_what_if(argv: &[String]) -> ExitCode {
         eprintln!("{WHAT_IF_USAGE}");
         return ExitCode::from(2);
     };
-    let campaign = match campaign_from_path(path, &cli_registry()) {
+    let campaign = match campaign_from_path(path, &registry()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("palsim: {}", render_chain(&e));
@@ -433,38 +411,12 @@ fn report_stats(stats: &pal_sim::CampaignRunStats) {
 /// One place that picks the stdout format for campaign results.
 fn output_results(results: &[CampaignResult], csv: bool) {
     if csv {
-        print_csv(results);
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        write_csv(&mut out, results)
+            .and_then(|()| out.flush())
+            .expect("write CSV to stdout");
     } else {
         print_table(results);
-    }
-}
-
-fn print_csv(results: &[CampaignResult]) {
-    println!(
-        "scenario,policy,seed,jobs,avg_jct_s,p99_jct_s,makespan_s,\
-         utilization,occupancy,migrations,rounds"
-    );
-    for r in results {
-        // Serving-only cells have no training records; JCT columns stay
-        // empty rather than inventing a number.
-        let jct = if r.result.records.is_empty() {
-            ",".into()
-        } else {
-            format!("{:.3},{:.3}", r.result.avg_jct(), r.result.p99_jct())
-        };
-        println!(
-            "{},{},{},{},{},{:.3},{:.5},{:.5},{},{}",
-            r.scenario,
-            r.policy,
-            r.seed,
-            r.result.records.len(),
-            jct,
-            r.result.makespan(),
-            r.result.utilization(),
-            r.result.occupancy(),
-            r.result.total_migrations(),
-            r.result.rounds,
-        );
     }
 }
 
@@ -515,33 +467,22 @@ fn cmd_check(argv: &[String]) -> ExitCode {
     for arg in argv {
         let path = Path::new(arg);
         if path.is_dir() {
-            let mut found = Vec::new();
-            match std::fs::read_dir(path) {
-                Ok(entries) => {
-                    for entry in entries.flatten() {
-                        let p = entry.path();
-                        let ext = p.extension().and_then(|e| e.to_str());
-                        if matches!(ext, Some("toml") | Some("json")) {
-                            found.push(p);
-                        }
-                    }
+            match config_files(path) {
+                Ok(found) if !found.is_empty() => files.extend(found),
+                Ok(_) => {
+                    eprintln!("palsim: {}: no .toml or .json files", path.display());
+                    return ExitCode::from(2);
                 }
                 Err(e) => {
                     eprintln!("palsim: {}: {e}", path.display());
                     return ExitCode::from(2);
                 }
             }
-            if found.is_empty() {
-                eprintln!("palsim: {}: no .toml or .json files", path.display());
-                return ExitCode::from(2);
-            }
-            found.sort();
-            files.extend(found);
         } else {
             files.push(path.to_path_buf());
         }
     }
-    let registry = cli_registry();
+    let registry = registry();
     let mut failed = false;
     for file in &files {
         match campaign_from_path(file, &registry) {
@@ -564,7 +505,8 @@ fn cmd_check(argv: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pal_config::{build_campaign, parse_campaign_str};
+    use pal_bench::LONGHORN_MEASURED_GPUS;
+    use pal_config::{build_campaign, parse_campaign_str, ConfigError};
 
     #[test]
     fn longhorn_profile_rejects_clusters_above_the_measured_one() {
@@ -575,7 +517,7 @@ mod tests {
                  [[scenario]]\ntag = \"t\"\ntrace = {{ kind = \"synergy\", num_jobs = 4 }}\n"
             );
             let file = parse_campaign_str(&src, "<inline>").unwrap();
-            build_campaign(&file, &cli_registry(), Path::new("."))
+            build_campaign(&file, &registry(), Path::new("."))
         };
         let Err(err) = build(625) else {
             panic!("2,500 GPUs exceed the measured cluster");

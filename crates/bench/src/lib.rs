@@ -1,9 +1,12 @@
 //! # pal-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (see DESIGN.md's per-experiment index). Each figure
-//! has a binary under `src/bin/` that prints the figure's rows/series as
-//! CSV on stdout; Criterion benches cover the placement-overhead
+//! The benchmark harness for the paper's evaluation. The simulation
+//! figures' cells are campaign files under `configs/paper/` (run them
+//! with the `palsim` binary; their CSV output is pinned under
+//! `tests/data/paper/`). The binaries under `src/bin/` print what a
+//! campaign CSV cannot: per-job and per-round series (`fig12`, `fig14`,
+//! `fig15`, `fig19`), the testbed experiment, profiles, classifier and
+//! ablation studies. Criterion benches cover the placement-overhead
 //! measurements of Figure 18.
 //!
 //! The engine-perf benches (`engine_rounds`, `placement_hot_path`) also
@@ -16,8 +19,10 @@
 #![warn(missing_docs)]
 
 pub mod bench_json;
+mod csv;
 pub mod experiment;
 pub mod gate;
 pub mod memory;
 
+pub use csv::write_csv;
 pub use experiment::*;

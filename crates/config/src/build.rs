@@ -130,9 +130,8 @@ pub fn build_campaign(
         campaign = campaign.max_parallelism(threads);
     }
 
-    // One PM-score table cache for the whole campaign, like
-    // `pal_bench::paper_policy_specs`: PAL / PM-First / Adaptive-PAL
-    // columns over one profile share a single table build.
+    // One PM-score table cache for the whole campaign: PAL / PM-First /
+    // Adaptive-PAL columns over one profile share a single table build.
     let table_cache = Arc::new(PmTableCache::new());
     // Probe profile for eager parameter validation: every policy factory
     // runs once here so a typo'd parameter fails at load, not mid-sweep.

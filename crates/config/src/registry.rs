@@ -592,9 +592,9 @@ fn register_builtin_profiles(r: &mut Registry) {
 }
 
 fn register_builtin_policies(r: &mut Registry) {
-    // The six paper configurations, with the exact figure-legend names
-    // `PolicyKind` uses — cell seeds hash the column name, so a
-    // file-built campaign reproduces a builder-built one bit-for-bit.
+    // The six paper configurations, under their figure-legend names —
+    // cell seeds hash the column name, so a file-built campaign
+    // reproduces a builder-built one with the same names bit-for-bit.
     r.register_policy("random-sticky", "Random-Sticky", true, |_args, ctx| {
         Ok(Box::new(RandomPlacement::new(ctx.seed)))
     });

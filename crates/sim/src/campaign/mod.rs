@@ -422,8 +422,8 @@ impl Campaign {
         prepare(&mut sim, &info)?;
         let mut result = sim.run_to_completion()?;
         if spec.is_some() {
-            // Use the spec's paper-facing label, as experiment::run_policy
-            // did with PolicyKind names.
+            // Report the spec's paper-facing label (the column name),
+            // not the placement object's own name.
             result.placement = info.policy;
         }
         Ok(CampaignResult {

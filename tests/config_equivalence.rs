@@ -4,13 +4,14 @@
 //! per-cell seeds (derived only from campaign seed, scenario tag, and
 //! policy name) and [`SimResult::same_outcome`]-equal results — across a
 //! policy grid and a load sweep. Also builds every file in `configs/`
-//! through the same registry `palsim` uses, so the checked-in cookbook
-//! can't rot.
+//! (subdirectories included) through the same registry `palsim` uses, so
+//! the checked-in cookbook can't rot, and pins the output of the paper's
+//! Figure 11 campaign (`configs/paper/fig11.toml`).
 
 use pal::{PalPlacement, PmFirstPlacement};
-use pal_bench::{longhorn_profile, PROFILE_SEED};
+use pal_bench::{config_files, registry, run_paper_config, write_csv};
 use pal_cluster::{ClusterTopology, VariabilityProfile};
-use pal_config::{build_campaign, campaign_from_path, parse_campaign_str, Registry};
+use pal_config::{build_campaign, campaign_from_path, parse_campaign_str};
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
 use pal_sim::sched::Fifo;
 use pal_sim::{Campaign, PolicySpec, Scenario};
@@ -85,7 +86,7 @@ fn builder_campaign() -> Campaign {
 #[test]
 fn file_campaign_matches_builder_campaign_across_policy_grid() {
     let file = parse_campaign_str(SWEEP, "<inline>").expect("sweep parses");
-    let file_results = build_campaign(&file, &Registry::with_builtins(), Path::new("."))
+    let file_results = build_campaign(&file, &registry(), Path::new("."))
         .expect("sweep builds")
         .run()
         .expect("file campaign runs");
@@ -110,39 +111,52 @@ fn file_campaign_matches_builder_campaign_across_policy_grid() {
     }
 }
 
-/// Every checked-in `configs/` file must parse, resolve, and validate
-/// through the same registry `palsim` uses — builtins plus the Longhorn
-/// profile registered downstream (the no-edits extension pattern).
+/// Every checked-in `configs/` file, `configs/paper/` included, must
+/// parse, resolve, and validate through the same registry `palsim` uses
+/// — builtins plus the Longhorn profile registered downstream (the
+/// no-edits extension pattern).
 #[test]
 fn all_checked_in_configs_build() {
-    let mut registry = Registry::with_builtins();
-    registry.register_profile("longhorn", |args, ctx| {
-        let seed = args.get_or("seed", PROFILE_SEED)?;
-        Ok(longhorn_profile(ctx.gpus, seed))
-    });
-
+    let registry = registry();
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs");
-    let mut checked = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("configs/ exists")
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("toml") | Some("json")
-            )
-        })
-        .collect();
-    entries.sort();
-    for path in entries {
-        let campaign = campaign_from_path(&path, &registry)
+    let files = config_files(&dir).expect("configs/ is readable");
+    for path in &files {
+        let campaign = campaign_from_path(path, &registry)
             .unwrap_or_else(|e| panic!("{} failed to build: {e}", path.display()));
         assert!(campaign.num_cells() > 0, "{} has no cells", path.display());
-        checked += 1;
     }
+    // The walk reaches `configs/paper/`, and every figure there has its
+    // pinned output.
+    let paper = dir.join("paper");
+    let figures: Vec<_> = files.iter().filter(|p| p.starts_with(&paper)).collect();
     assert!(
-        checked >= 4,
-        "expected the configs/ cookbook, found {checked}"
+        !figures.is_empty(),
+        "no campaign files under {}",
+        paper.display()
     );
+    for fig in figures {
+        let stem = fig
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("UTF-8 name");
+        let pin = dir.join(format!("../tests/data/paper/{stem}.csv"));
+        assert!(
+            pin.is_file(),
+            "{} has no pin {}",
+            fig.display(),
+            pin.display()
+        );
+    }
+}
+
+/// Figure 11's campaign file reproduces its committed CSV byte for byte
+/// (the other `configs/paper/` files are diffed against their pins by a
+/// release-build CI step).
+#[test]
+fn paper_fig11_matches_its_pinned_csv() {
+    let mut csv = Vec::new();
+    write_csv(&mut csv, &run_paper_config("fig11")).expect("write to memory");
+    let pin = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/paper/fig11.csv");
+    let pinned = std::fs::read_to_string(&pin).expect("pinned CSV exists");
+    assert_eq!(String::from_utf8(csv).expect("UTF-8 CSV"), pinned);
 }

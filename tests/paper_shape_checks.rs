@@ -3,7 +3,8 @@
 //! direction effects move, and rough magnitudes must match Section V.
 //!
 //! These use reduced trace sizes to stay fast in debug builds; the full
-//! configurations live in the `pal-bench` figure binaries.
+//! configurations are the campaign files under `configs/paper/`, whose
+//! outputs are pinned under `tests/data/paper/`.
 
 use pal::{PalPlacement, PmFirstPlacement};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
