@@ -4,7 +4,7 @@
 //! The paper runs the same Sia trace on the physical cluster and in
 //! simulation, finding an 11–14 % cluster-to-sim JCT gap caused by stale
 //! PM scores on node 0 (its class-A profile was ~8× too optimistic). We
-//! reproduce both sides:
+//! model both sides:
 //!
 //! - "simulation": ground-truth execution uses the same profile the policy
 //!   sees;
@@ -13,6 +13,15 @@
 //!
 //! Both arms of a policy run from one placement seed, so the gap between
 //! them is the stale profile's alone, not seed noise.
+//!
+//! This does **not** reproduce Table IV's gap. The stale node (node 15,
+//! whose class-A scores sit nearest the cluster median) never runs a PAL
+//! class-A job, so PAL's two arms are identical: a 0 % gap and a KS
+//! distance of 0.000 at 2×, 4× and 8× penalties alike. Only Tiresias,
+//! which packs without looking at scores, meets the node; its gap is
+//! −2 %, +5 % and +11 % at 2×, 4× and 8× (KS 0.062, 0.088, 0.100). A
+//! model in which both policies hit the stale node would change the
+//! printed table.
 //!
 //! Prints the four JCT CDFs (Figure 9), boxplot stats (Figure 10), and the
 //! Table IV summary.
@@ -91,15 +100,14 @@ fn main() {
     // Stale-profile effect (Section V-A's c196-071 finding): node 0's
     // class-A PM scores are stale, so jobs placed there run worse than the
     // profile predicts. The paper measured an 11-14% cluster-to-sim JCT
-    // gap from this. We apply a 2x ground-truth penalty to the node (the
-    // raw 8x of the paper's text applied to a variability-seeking policy
-    // would dominate the whole trace — their gap includes only "a few
-    // large jobs" hitting the node); Table IV reports the gap it yields,
-    // which is smaller than the paper's.
-    // Perturb the node whose profiled class-A scores sit nearest the
-    // cluster median: exposure to it is then roughly policy-independent
-    // (as on the real cluster, where both policies' jobs hit the stale
-    // node), rather than PAL-seeking.
+    // gap from this. We apply a 2x ground-truth penalty to one node;
+    // Table IV reports the gap it yields, which is not the paper's.
+    // The perturbed node is the one whose profiled class-A scores sit
+    // nearest the cluster median (node 15). That keeps it from being
+    // PAL-seeking, but it does not make exposure policy-independent:
+    // PAL never places a class-A job there, so its arms are identical
+    // (0% gap, KS 0.000) at 2x, 4x and 8x, while Tiresias's gap is
+    // -2%, +5% and +11%.
     let stale_node = (0..topo.nodes)
         .min_by(|&a, &b| {
             let mean = |n: usize| {

@@ -36,11 +36,6 @@ impl LocalityModel {
         }
     }
 
-    /// The paper's initial Frontera estimate (used in Synergy simulations).
-    pub fn frontera_estimate() -> Self {
-        LocalityModel::uniform(1.7)
-    }
-
     /// Per-model penalties estimated from the paper's physical experiments
     /// ("inter-node communication costs are not as high on Frontera, and are
     /// also model-dependent", Section IV-D). Communication-heavy models pay

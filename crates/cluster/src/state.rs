@@ -1,7 +1,7 @@
 //! GPU occupancy tracking: the scheduler's live view of which GPUs are free
 //! (the "Cluster State Monitor" box of Blox's architecture, Figure 1).
 
-use crate::ids::{GpuId, NodeId};
+use crate::ids::GpuId;
 use crate::topology::ClusterTopology;
 use crate::view::ClusterView;
 use serde::{Deserialize, Serialize};
@@ -63,12 +63,6 @@ impl ClusterState {
         &self.free_per_node
     }
 
-    /// The free GPUs of one node, in GPU-id order. Allocates; prefer the
-    /// borrowed [`ClusterView::node_free`] via [`view`](Self::view).
-    pub fn node_free_gpus(&self, node: NodeId) -> Vec<GpuId> {
-        self.view.node_free(node).iter().collect()
-    }
-
     /// Number of busy GPUs.
     pub fn busy_count(&self) -> usize {
         self.topology.total_gpus() - self.free_count()
@@ -81,16 +75,6 @@ impl ClusterState {
             .enumerate()
             .filter(|&(_, &u)| !u)
             .map(|(i, _)| GpuId(i as u32))
-            .collect()
-    }
-
-    /// Nodes that currently have at least `want` free GPUs.
-    pub fn nodes_with_free(&self, want: usize) -> Vec<NodeId> {
-        self.free_per_node
-            .iter()
-            .enumerate()
-            .filter(|&(_, &free)| free >= want)
-            .map(|(i, _)| NodeId(i as u32))
             .collect()
     }
 
@@ -153,6 +137,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
     use serde::Value;
 
     fn state() -> ClusterState {
@@ -249,26 +234,5 @@ mod tests {
             let err = bad.check_consistent().unwrap_err();
             assert!(err.contains(reason), "{err}");
         }
-    }
-
-    #[test]
-    fn node_free_gpus_in_id_order() {
-        let mut s = state();
-        s.allocate(&[GpuId(5)]);
-        assert_eq!(
-            s.node_free_gpus(NodeId(1)),
-            vec![GpuId(4), GpuId(6), GpuId(7)]
-        );
-        assert_eq!(s.node_free_gpus(NodeId(0)).len(), 4);
-    }
-
-    #[test]
-    fn nodes_with_free_thresholds() {
-        let mut s = state();
-        s.allocate(&[GpuId(0), GpuId(1), GpuId(2)]); // node 0 has 1 free
-        assert_eq!(s.nodes_with_free(1).len(), 2);
-        assert_eq!(s.nodes_with_free(2), vec![NodeId(1)]);
-        assert_eq!(s.nodes_with_free(4), vec![NodeId(1)]);
-        assert!(s.nodes_with_free(5).is_empty());
     }
 }

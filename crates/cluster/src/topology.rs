@@ -68,11 +68,6 @@ impl ClusterTopology {
         (0..self.total_gpus()).map(|i| GpuId(i as u32)).collect()
     }
 
-    /// All node ids, in order.
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes).map(|i| NodeId(i as u32)).collect()
-    }
-
     /// Number of distinct nodes an allocation touches.
     pub fn nodes_spanned(&self, gpus: &[GpuId]) -> usize {
         let mut nodes: Vec<usize> = gpus.iter().map(|&g| self.node_of(g).index()).collect();
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn gpus_of_inverts_node_of() {
         let t = ClusterTopology::new(3, 4);
-        for node in t.all_nodes() {
+        for node in (0..t.nodes).map(|n| NodeId(n as u32)) {
             for gpu in t.gpus_of(node) {
                 assert_eq!(t.node_of(gpu), node);
             }
@@ -156,6 +151,5 @@ mod tests {
     fn all_gpus_count() {
         let t = ClusterTopology::new(5, 3);
         assert_eq!(t.all_gpus().len(), 15);
-        assert_eq!(t.all_nodes().len(), 5);
     }
 }

@@ -22,8 +22,9 @@
 //! lazily built, per-class ordering of *all* GPUs by ascending score.
 //! Selecting the best free GPUs then degenerates to walking the ordering
 //! and skipping busy devices — no per-call sort, no per-call allocation.
-//! Policies whose scores drift (online PM-score updates) invalidate the
-//! affected class and the ordering is rebuilt on next use.
+//! An ordering is built once and never changes: a policy whose scores
+//! drift (Adaptive-PAL's online re-bin) builds a new policy, and with it
+//! a new, empty `ClassOrders`.
 
 use crate::ids::{GpuId, NodeId};
 use crate::topology::ClusterTopology;
@@ -223,11 +224,9 @@ impl Iterator for NodeFreeIter<'_> {
 ///
 /// Score-driven placement policies (PM-First, PAL's spread arm) own one of
 /// these next to their score table: [`ensure`](ClassOrders::ensure) builds
-/// a class's ordering on first use, [`get`](ClassOrders::get) borrows it
-/// allocation-free afterwards, and adaptive policies whose scores change
-/// at runtime call [`invalidate_all`](ClassOrders::invalidate_all) (or
-/// [`invalidate`](ClassOrders::invalidate) for one class) to trigger a
-/// rebuild on next use.
+/// a class's ordering on first use and [`get`](ClassOrders::get) borrows
+/// it allocation-free afterwards. The cache belongs to one score table;
+/// new scores need a new cache.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClassOrders {
     orders: Vec<Vec<GpuId>>,
@@ -241,7 +240,7 @@ impl ClassOrders {
         }
     }
 
-    /// Build `class`'s ordering if it is missing or invalidated: all
+    /// Build `class`'s ordering if it is missing: all
     /// `num_gpus` GPUs sorted ascending by `score`, ties by GPU id.
     /// Panics on NaN scores (a policy bug).
     pub fn ensure(&mut self, class: usize, num_gpus: usize, score: impl Fn(GpuId) -> f64) {
@@ -262,19 +261,6 @@ impl ClassOrders {
     /// built it.
     pub fn get(&self, class: usize) -> &[GpuId] {
         &self.orders[class]
-    }
-
-    /// Drop one class's ordering (rebuilt on next `ensure`).
-    pub fn invalidate(&mut self, class: usize) {
-        self.orders[class].clear();
-    }
-
-    /// Drop every class's ordering (e.g. after an online re-bin changed
-    /// the score table).
-    pub fn invalidate_all(&mut self) {
-        for order in &mut self.orders {
-            order.clear();
-        }
     }
 }
 
@@ -369,19 +355,18 @@ mod tests {
 
     #[test]
     fn class_orders_rebuild_after_invalidation() {
+        // A built ordering is fixed: ensure() with new scores is a no-op.
         let mut orders = ClassOrders::new(2);
         orders.ensure(0, 3, |g| g.index() as f64);
         assert_eq!(orders.get(0), &[GpuId(0), GpuId(1), GpuId(2)]);
-        // ensure() with new scores is a no-op until invalidated…
         orders.ensure(0, 3, |g| -(g.index() as f64));
         assert_eq!(orders.get(0), &[GpuId(0), GpuId(1), GpuId(2)]);
-        // …and rebuilds afterwards.
-        orders.invalidate(0);
-        orders.ensure(0, 3, |g| -(g.index() as f64));
-        assert_eq!(orders.get(0), &[GpuId(2), GpuId(1), GpuId(0)]);
         // Untouched classes stay lazily empty.
         assert!(orders.get(1).is_empty());
-        orders.invalidate_all();
-        assert!(orders.get(0).is_empty());
+        // A re-bin invalidates by replacing the cache: a fresh one builds
+        // from the new scores.
+        let mut orders = ClassOrders::new(2);
+        orders.ensure(0, 3, |g| -(g.index() as f64));
+        assert_eq!(orders.get(0), &[GpuId(2), GpuId(1), GpuId(0)]);
     }
 }

@@ -1,39 +1,13 @@
 //! Cross-module tests for the cluster crate: profiles built from the GPU
-//! model, persisted through CSV, perturbed, and sampled must stay
-//! consistent.
+//! model, perturbed, and sampled must stay consistent.
 
-use pal_cluster::{
-    read_profile_csv, write_profile_csv, ClusterTopology, GpuId, JobClass, VariabilityProfile,
-};
+use pal_cluster::{ClusterTopology, JobClass, VariabilityProfile};
 use pal_gpumodel::{profiler, ClusterFlavor, GpuSpec, Workload};
-use std::io::BufReader;
 
 fn modeled_profile(n: usize, seed: u64) -> VariabilityProfile {
     let gpus = profiler::build_cluster_gpus(&GpuSpec::v100(), ClusterFlavor::Frontera, n, seed);
     let apps: Vec<_> = Workload::TABLE_III.iter().map(|w| w.spec()).collect();
     VariabilityProfile::from_modeled_gpus(&apps, &gpus)
-}
-
-#[test]
-fn modeled_profile_roundtrips_through_csv() {
-    let p = modeled_profile(64, 3);
-    let mut buf = Vec::new();
-    write_profile_csv(&p, &mut buf).unwrap();
-    let q = read_profile_csv(BufReader::new(buf.as_slice())).unwrap();
-    assert_eq!(p.num_classes(), q.num_classes());
-    assert_eq!(p.num_gpus(), q.num_gpus());
-    for c in 0..p.num_classes() {
-        for g in 0..p.num_gpus() {
-            let (a, b) = (
-                p.score(JobClass(c), GpuId(g as u32)),
-                q.score(JobClass(c), GpuId(g as u32)),
-            );
-            assert!(
-                (a - b).abs() < 1e-12,
-                "class {c} gpu {g}: {a} != {b} after round trip"
-            );
-        }
-    }
 }
 
 #[test]

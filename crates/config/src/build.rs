@@ -603,35 +603,50 @@ loads = [0.5, 1.0, 2.0]
 
     #[test]
     fn generator_preconditions_are_typed_errors() {
-        // Each of these once reached an `assert!` inside a generator.
+        // Each of these once reached an `assert!` or an abort inside a
+        // generator. `extra` is one more scenario line.
         let r = Registry::with_builtins();
-        for (trace, loads) in [
-            ("{ kind = \"synergy\", jobs_per_hour = 0.0 }", "[]"),
-            ("{ kind = \"synergy\", num_jobs = 2 }", "[0.0]"),
-            ("{ kind = \"heavy-tail\", jobs_per_hour = -1.0 }", "[]"),
-            ("{ kind = \"heavy-tail\", alpha = 0.0 }", "[]"),
-            ("{ kind = \"heavy-tail\", min_duration_s = 0.0 }", "[]"),
+        for (trace, extra) in [
+            ("{ kind = \"synergy\", jobs_per_hour = 0.0 }", ""),
+            ("{ kind = \"synergy\", num_jobs = 2 }", "loads = [0.0]"),
+            ("{ kind = \"heavy-tail\", jobs_per_hour = -1.0 }", ""),
+            ("{ kind = \"heavy-tail\", alpha = 0.0 }", ""),
+            ("{ kind = \"heavy-tail\", min_duration_s = 0.0 }", ""),
             (
                 "{ kind = \"heavy-tail\", min_duration_s = 900.0, max_duration_s = 600.0 }",
-                "[]",
+                "",
+            ),
+            ("{ kind = \"sia-philly\", arrival_rate_per_hour = 0.0 }", ""),
+            ("{ kind = \"sia-philly\", median_duration_s = 0.0 }", ""),
+            ("{ kind = \"synergy\", duration_sigma = -1.0 }", ""),
+            ("{ kind = \"synergy\", single_gpu_fraction = 1.5 }", ""),
+            // Rates so small that the last arrival would be `inf`.
+            ("{ kind = \"synergy\", jobs_per_hour = 1e-308 }", ""),
+            ("{ kind = \"synergy\", num_jobs = 2 }", "loads = [1e-308]"),
+            ("{ kind = \"heavy-tail\", jobs_per_hour = 1e-308 }", ""),
+            (
+                "{ kind = \"sia-philly\", arrival_rate_per_hour = 1e-308 }",
+                "",
+            ),
+            // A `flat` profile too large to allocate, and one past the bound.
+            (
+                "{ kind = \"synergy\", num_jobs = 2 }",
+                "profile = { kind = \"flat\", classes = 4294967296 }",
             ),
             (
-                "{ kind = \"sia-philly\", arrival_rate_per_hour = 0.0 }",
-                "[]",
+                "{ kind = \"synergy\", num_jobs = 2 }",
+                "profile = { kind = \"flat\", classes = 1025 }",
             ),
-            ("{ kind = \"sia-philly\", median_duration_s = 0.0 }", "[]"),
-            ("{ kind = \"synergy\", duration_sigma = -1.0 }", "[]"),
-            ("{ kind = \"synergy\", single_gpu_fraction = 1.5 }", "[]"),
         ] {
             let src = format!(
                 "policy = [\"random\"]\n[cluster]\nnodes = 1\ngpus_per_node = 4\n\
-                 [[scenario]]\ntag = \"t\"\ntrace = {trace}\nloads = {loads}\n"
+                 [[scenario]]\ntag = \"t\"\ntrace = {trace}\n{extra}\n"
             );
             let file = parse_campaign_str(&src, "<inline>").unwrap();
             match build_campaign(&file, &r, Path::new(".")) {
                 Err(ConfigError::BadParam { .. }) => {}
-                Err(other) => panic!("{trace} loads={loads}: expected BadParam, got {other}"),
-                Ok(_) => panic!("{trace} loads={loads}: built"),
+                Err(other) => panic!("{trace} {extra}: expected BadParam, got {other}"),
+                Ok(_) => panic!("{trace} {extra}: built"),
             }
         }
     }

@@ -458,18 +458,32 @@ fn positive(args: &Args, key: &str, default: f64) -> Result<f64, ConfigError> {
     checked(args, key, default, "positive and finite", positive_finite)
 }
 
-/// The arrival rate `key` scaled by the swept load; the product is checked
-/// too, so a zero or non-finite load cannot reach the generator either.
-fn arrival_rate(args: &Args, ctx: &TraceCtx, key: &str, default: f64) -> Result<f64, ConfigError> {
+/// The arrival rate `key` (jobs per hour) scaled by the swept load; the
+/// product is checked too, so a zero or non-finite load cannot reach the
+/// generator either. The rate must also keep the last of `num_jobs`
+/// arrivals finite: an exponential gap is at most 708.4 / rate-per-second
+/// (the sampler draws `u ≥ f64::MIN_POSITIVE`), so a rate for which
+/// `num_jobs × 709 × 3600 / rate` overflows is refused.
+fn arrival_rate(
+    args: &Args,
+    ctx: &TraceCtx,
+    num_jobs: usize,
+    key: &str,
+    default: f64,
+) -> Result<f64, ConfigError> {
     let load = ctx.load.unwrap_or(1.0);
     let rate = positive(args, key, default)? * load;
-    if positive_finite(rate) {
-        Ok(rate)
-    } else {
-        Err(args.bad(format!(
+    if !positive_finite(rate) {
+        return Err(args.bad(format!(
             "`{key}` × load must be positive and finite, got {rate} (load {load})"
-        )))
+        )));
     }
+    if !(num_jobs as f64 * 709.0 * 3600.0 / rate).is_finite() {
+        return Err(args.bad(format!(
+            "`{key}` × load = {rate:e} is too small: {num_jobs} arrivals would overflow the clock"
+        )));
+    }
+    Ok(rate)
 }
 
 fn fraction(args: &Args, default: f64) -> Result<f64, ConfigError> {
@@ -495,11 +509,13 @@ fn register_builtin_traces(r: &mut Registry) {
         if !(1..=8).contains(&workload_id) {
             return Err(args.bad(format!("workload_id must be in 1..=8, got {workload_id}")));
         }
+        let num_jobs = args.get_or("num_jobs", d.num_jobs)?;
         let cfg = SiaPhillyConfig {
-            num_jobs: args.get_or("num_jobs", d.num_jobs)?,
+            num_jobs,
             arrival_rate_per_hour: arrival_rate(
                 args,
                 ctx,
+                num_jobs,
                 "arrival_rate_per_hour",
                 d.arrival_rate_per_hour,
             )?,
@@ -512,9 +528,10 @@ fn register_builtin_traces(r: &mut Registry) {
     });
     r.register_trace("synergy", |args, ctx| {
         let d = SynergyConfig::default();
+        let num_jobs = args.get_or("num_jobs", d.num_jobs)?;
         let cfg = SynergyConfig {
-            num_jobs: args.get_or("num_jobs", d.num_jobs)?,
-            jobs_per_hour: arrival_rate(args, ctx, "jobs_per_hour", d.jobs_per_hour)?,
+            num_jobs,
+            jobs_per_hour: arrival_rate(args, ctx, num_jobs, "jobs_per_hour", d.jobs_per_hour)?,
             single_gpu_fraction: fraction(args, d.single_gpu_fraction)?,
             median_duration_s: positive(args, "median_duration_s", d.median_duration_s)?,
             duration_sigma: sigma(args, d.duration_sigma)?,
@@ -525,9 +542,10 @@ fn register_builtin_traces(r: &mut Registry) {
     });
     r.register_trace("heavy-tail", |args, ctx| {
         let d = HeavyTailConfig::default();
+        let num_jobs = args.get_or("num_jobs", d.num_jobs)?;
         let cfg = HeavyTailConfig {
-            num_jobs: args.get_or("num_jobs", d.num_jobs)?,
-            jobs_per_hour: arrival_rate(args, ctx, "jobs_per_hour", d.jobs_per_hour)?,
+            num_jobs,
+            jobs_per_hour: arrival_rate(args, ctx, num_jobs, "jobs_per_hour", d.jobs_per_hour)?,
             alpha: positive(args, "alpha", d.alpha)?,
             min_duration_s: positive(args, "min_duration_s", d.min_duration_s)?,
             max_duration_s: positive(args, "max_duration_s", d.max_duration_s)?,
@@ -574,12 +592,20 @@ fn register_builtin_traces(r: &mut Registry) {
     }
 }
 
+/// Most classes a `flat` profile may declare. The paper uses three; the
+/// bound leaves room for any classifier K while turning a typo such as
+/// `classes = 4294967296` into a diagnostic instead of a classes × GPUs
+/// score allocation that aborts the process.
+const MAX_FLAT_CLASSES: usize = 1024;
+
 fn register_builtin_profiles(r: &mut Registry) {
     r.register_profile("flat", |args, ctx| {
         let classes: usize = args.get_or("classes", 3)?;
         let value: f64 = args.get_or("value", 1.0)?;
-        if classes == 0 {
-            return Err(args.bad("classes must be positive"));
+        if !(1..=MAX_FLAT_CLASSES).contains(&classes) {
+            return Err(args.bad(format!(
+                "classes must be in 1..={MAX_FLAT_CLASSES}, got {classes}"
+            )));
         }
         if !(value > 0.0 && value.is_finite()) {
             return Err(args.bad(format!("value must be positive and finite, got {value}")));
@@ -622,7 +648,6 @@ fn register_builtin_policies(r: &mut Registry) {
         let config = AdaptiveConfig {
             alpha: args.get_or("alpha", d.alpha)?,
             rebin_every: args.get_or("rebin_every", d.rebin_every)?,
-            binning: d.binning,
         };
         Ok(Box::new(AdaptivePal::from_shared(
             ctx.profile,

@@ -17,7 +17,6 @@
 use crate::pal_policy::PalPlacement;
 use crate::pm_scores::PmScoreTable;
 use pal_cluster::{ClusterState, GpuId, JobClass, VariabilityProfile};
-use pal_kmeans::ScoreBinning;
 use pal_sim::{Allocation, PlacementCtx, PlacementPolicy, PlacementRequest, RoundObservation};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -27,10 +26,9 @@ use std::sync::Arc;
 pub struct AdaptiveConfig {
     /// EWMA weight of a new observation (0 = never update, 1 = replace).
     pub alpha: f64,
-    /// Re-bin (K-Means + silhouette) after this many observation batches.
+    /// Re-bin (K-Means + silhouette, the paper's default binning) after
+    /// this many observation batches.
     pub rebin_every: usize,
-    /// Binning configuration used at each re-bin.
-    pub binning: ScoreBinning,
 }
 
 impl Default for AdaptiveConfig {
@@ -38,7 +36,6 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             alpha: 0.25,
             rebin_every: 16,
-            binning: ScoreBinning::default(),
         }
     }
 }
@@ -71,19 +68,19 @@ impl AdaptivePal {
 
     /// Start with a custom estimator configuration.
     pub fn with_config(initial: &VariabilityProfile, config: AdaptiveConfig) -> Self {
-        let table = Arc::new(PmScoreTable::build(initial, &config.binning));
+        let table = Arc::new(PmScoreTable::build_default(initial));
         AdaptivePal::from_shared(initial, table, config)
     }
 
     /// Start from an offline profile whose *initial* binned table has
     /// already been built — the sweep path: a [`crate::PmTableCache`]
     /// memoizes the design-time table (which must have been built from
-    /// `initial` with `config.binning`), and each campaign cell's
+    /// `initial` with the default binning), and each campaign cell's
     /// Adaptive-PAL shares it until its first re-bin diverges from the
     /// offline scores.
     ///
     /// Panics if the table's shape doesn't match `initial` — the cheap
-    /// half of the "built from `initial` with `config.binning`"
+    /// half of the "built from `initial` with the default binning"
     /// precondition; handing a table of the right shape but the wrong
     /// content is on the caller (the cache upholds it by construction).
     pub fn from_shared(
@@ -123,14 +120,13 @@ impl AdaptivePal {
         self.inner.table()
     }
 
-    /// Force an immediate re-bin of the current estimates. Replacing the
-    /// inner PAL policy also drops its per-class score orderings
-    /// (`pal_cluster::ClassOrders`) — the lazy invalidation that keeps
-    /// spread/PM-First selection consistent with the new table; they
-    /// rebuild on the next placement that needs them.
-    pub fn rebin(&mut self) {
+    /// Re-bin the current estimates now. The new inner PAL policy brings
+    /// fresh, empty per-class score orderings (`pal_cluster::ClassOrders`),
+    /// which keeps spread/PM-First selection consistent with the new
+    /// table; they build on the next placement that needs them.
+    fn rebin(&mut self) {
         let profile = VariabilityProfile::from_raw(self.estimates.clone());
-        self.inner = PalPlacement::with_binning(&profile, &self.config.binning);
+        self.inner = PalPlacement::new(&profile);
         self.rebin_source = Some(self.estimates.clone());
         self.rounds_since_rebin = 0;
         self.dirty = false;
@@ -212,7 +208,7 @@ impl PlacementPolicy for AdaptivePal {
         // estimates the exported run last binned (deterministic K-Means).
         if let Some(src) = &rebin_source {
             let profile = VariabilityProfile::from_raw(src.clone());
-            self.inner = PalPlacement::with_binning(&profile, &self.config.binning);
+            self.inner = PalPlacement::new(&profile);
         }
         self.estimates = estimates;
         self.rounds_since_rebin = rounds_since_rebin;

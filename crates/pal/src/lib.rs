@@ -2,28 +2,30 @@
 //!
 //! The paper's primary contribution: **variability-aware GPU placement**.
 //!
-//! - [`classifier`]: the application classification layer of Section III-A —
-//!   2-D K-Means over the `DRAMUtil × PeakFUUtil` plane producing ordered
-//!   classes (A = most variability-sensitive, … — Figure 3).
-//! - [`pm_scores`]: per-class PM-score tables — per-GPU normalized
+//! - [`AppClassifier`]: the application classification layer of
+//!   Section III-A — 2-D K-Means over the `DRAMUtil × PeakFUUtil` plane
+//!   producing ordered classes (A = most variability-sensitive, … —
+//!   Figure 3).
+//! - [`PmScoreTable`]: per-class PM-score tables — per-GPU normalized
 //!   performance binned with K-Means + silhouette K selection
 //!   (Section III-B, Figure 5).
-//! - [`pmfirst`]: the PM-First placement policy (Algorithm 1) — greedy
-//!   best-GPUs-first allocation with class-based placement priority
-//!   (Figure 4).
-//! - [`lv`]: the L×V matrix of Section III-C.1 — the combined
-//!   locality-variability slowdown entries, traversed in ascending
-//!   LV-product order.
-//! - [`pal_policy`]: the PAL placement policy (Algorithm 2) — co-optimizes
-//!   locality and variability via L×V traversal for intra-node-sized jobs,
-//!   falling back to PM-First for larger jobs.
+//! - [`PmFirstPlacement`]: the PM-First placement policy (Algorithm 1) —
+//!   greedy best-GPUs-first allocation with class-based placement
+//!   priority (Figure 4).
+//! - [`LvMatrix`]: the L×V matrix of Section III-C.1 — the combined
+//!   locality-variability slowdown entries ([`LvEntry`], one per
+//!   [`LocalityLevel`] × score level), traversed in ascending LV-product
+//!   order.
+//! - [`PalPlacement`]: the PAL placement policy (Algorithm 2) —
+//!   co-optimizes locality and variability via L×V traversal for
+//!   intra-node-sized jobs, falling back to PM-First for larger jobs.
 //!
-//! - [`adaptive`]: online PM-score updates (the extension Section V-A
-//!   motivates after finding stale profiles cost 11–14 % JCT).
-//! - [`table_cache`]: memoized PM-score table construction
-//!   ([`PmTableCache`]) — campaign sweeps build each distinct
-//!   (profile, binning) table exactly once and hand every policy a shared
-//!   `Arc<PmScoreTable>` handle.
+//! - [`AdaptivePal`]: online PM-score updates (the extension Section V-A
+//!   motivates after finding stale profiles cost 11–14 % JCT), configured
+//!   by [`AdaptiveConfig`].
+//! - [`PmTableCache`]: memoized PM-score table construction — campaign
+//!   sweeps build each distinct profile's table exactly once and hand
+//!   every policy a shared `Arc<PmScoreTable>` handle.
 //!
 //! All policies implement [`pal_sim::PlacementPolicy`] and plug into the
 //! simulator next to the Packed/Random baselines.
@@ -61,17 +63,17 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod classifier;
-pub mod lv;
-pub mod pal_policy;
-pub mod pm_scores;
-pub mod pmfirst;
-pub mod table_cache;
+mod adaptive;
+mod classifier;
+mod lv;
+mod pal_policy;
+mod pm_scores;
+mod pmfirst;
+mod table_cache;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePal};
 pub use classifier::AppClassifier;
-pub use lv::{LvEntry, LvMatrix};
+pub use lv::{LocalityLevel, LvEntry, LvMatrix};
 pub use pal_policy::PalPlacement;
 pub use pm_scores::PmScoreTable;
 pub use pmfirst::PmFirstPlacement;

@@ -12,7 +12,6 @@
 
 use crate::pm_scores::PmScoreTable;
 use pal_cluster::{ClassOrders, ClusterState, GpuId, JobClass, VariabilityProfile};
-use pal_kmeans::ScoreBinning;
 use pal_sim::{Allocation, PlacementCtx, PlacementPolicy, PlacementRequest};
 use std::sync::Arc;
 
@@ -30,11 +29,6 @@ impl PmFirstPlacement {
     /// Build from a variability profile using the paper's default binning.
     pub fn new(profile: &VariabilityProfile) -> Self {
         PmFirstPlacement::from_shared(Arc::new(PmScoreTable::build_default(profile)))
-    }
-
-    /// Build with a custom binning configuration (K-sweep ablations).
-    pub fn with_binning(profile: &VariabilityProfile, binning: &ScoreBinning) -> Self {
-        PmFirstPlacement::from_shared(Arc::new(PmScoreTable::build(profile, binning)))
     }
 
     /// Build around an already-constructed shared table — the sweep path:

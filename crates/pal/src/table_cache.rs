@@ -1,50 +1,47 @@
-//! Memoized PM-score table construction for wide sweeps.
-//!
-//! Section IV-C makes PM-score tables a *static, design-time* artifact:
-//! they depend only on the variability profile and the binning
-//! configuration, never on the trace, the scheduler, or the cell seed. A
-//! campaign sweeping M scenarios × N policies over one profile therefore
-//! needs exactly **one** table — not one per cell — yet each
-//! [`PalPlacement`](crate::PalPlacement) /
-//! [`PmFirstPlacement`](crate::PmFirstPlacement) constructor re-runs the
-//! full K-Means + silhouette pipeline.
-//!
-//! [`PmTableCache`] closes that gap: policy builders ask it for the table
-//! via [`get_or_build`](PmTableCache::get_or_build) and receive a shared
-//! `Arc<PmScoreTable>`, built on first request and handed out by
-//! reference count afterwards. Entries are bucketed by a **content
-//! fingerprint** of the profile (shape + FNV-1a over the score bits) plus
-//! the binning configuration, and every hit is verified against the
-//! stored inputs by value, so equality is genuinely by value: two
-//! separately constructed but identical profiles share one table, a
-//! dropped profile can never alias a stale entry the way raw-pointer
-//! interning could, and a fingerprint collision costs a probe rather
-//! than serving the wrong table. Fingerprinting and verification are
-//! O(classes × GPUs) — noise next to the K-Means sweep they avoid, which
-//! costs about 0.3 s for a 2,500-GPU, 3-class profile (see
-//! [`PmTableCache`]).
-//!
-//! The cache counts its [`builds`](PmTableCache::builds), which is what
-//! lets tests and the `campaign_startup` benchmark pin "an N×M grid over
-//! one profile performs exactly one table build" as a deterministic,
-//! CI-gated number.
+//! Memoized PM-score table construction for wide sweeps
+//! ([`PmTableCache`]).
 
 use crate::pm_scores::PmScoreTable;
 use pal_cluster::{JobClass, VariabilityProfile};
-use pal_kmeans::ScoreBinning;
 use pal_sim::{fnv1a, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A memoizing, thread-safe store of built [`PmScoreTable`]s. See the
-/// [module docs](self).
+/// A memoizing, thread-safe store of built [`PmScoreTable`]s.
+///
+/// Section IV-C makes PM-score tables a *static, design-time* artifact:
+/// with the paper's default binning they depend only on the variability
+/// profile, never on the trace, the scheduler, or the cell seed. A
+/// campaign sweeping M scenarios × N policies over one profile therefore
+/// needs exactly **one** table — not one per cell — yet each
+/// [`PalPlacement`](crate::PalPlacement) /
+/// [`PmFirstPlacement`](crate::PmFirstPlacement) constructor re-runs the
+/// full K-Means + silhouette pipeline.
+///
+/// This cache closes that gap: policy builders ask it for the table via
+/// [`get_or_build_default`](PmTableCache::get_or_build_default) and
+/// receive a shared `Arc<PmScoreTable>`, built on first request and
+/// handed out by reference count afterwards. Entries are bucketed by a
+/// **content fingerprint** of the profile (shape + FNV-1a over the score
+/// bits), and every hit is verified against the stored profile by value,
+/// so equality is genuinely by value: two separately constructed but
+/// identical profiles share one table, a dropped profile can never alias
+/// a stale entry the way raw-pointer interning could, and a fingerprint
+/// collision costs a probe rather than serving the wrong table. Fingerprinting and verification are
+/// O(classes × GPUs) — noise next to the K-Means sweep they avoid, which
+/// costs about 0.3 s for a 2,500-GPU, 3-class profile.
+///
+/// The cache counts its [`builds`](PmTableCache::builds), which is what
+/// lets tests and the `campaign_startup` benchmark pin "an N×M grid over
+/// one profile performs exactly one table build" as a deterministic,
+/// CI-gated number.
 ///
 /// Construction happens under the cache lock, so concurrent campaign
-/// cells requesting the same (profile, binning) pair serialize on one
+/// cells requesting the same profile's table serialize on one
 /// build instead of racing to duplicate it — the build count is
 /// deterministic under any thread interleaving. (The flip side: builds
-/// of *distinct* pairs also serialize, and every worker that needs a
+/// of *distinct* profiles also serialize, and every worker that needs a
 /// table waits out the build. That is the intended trade — a campaign
 /// sweeps a handful of design-time profiles, each built once: a few
 /// milliseconds at 64 GPUs, about 0.3 s at 2,500 GPUs (the
@@ -56,25 +53,22 @@ pub struct PmTableCache {
     builds: AtomicUsize,
 }
 
-/// Fingerprint bucket of one memoized table: profile shape, profile
-/// content fingerprint, and binning-configuration fingerprint. A hit is
-/// only served after the stored inputs compare equal by value
-/// ([`CacheEntry`]), so a 64-bit fingerprint collision costs one extra
-/// linear probe, never a wrong table.
+/// Fingerprint bucket of one memoized table: profile shape and profile
+/// content fingerprint. A hit is only served after the stored profile
+/// compares equal by value ([`CacheEntry`]), so a 64-bit fingerprint
+/// collision costs one extra linear probe, never a wrong table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TableKey {
     classes: usize,
     gpus: usize,
     profile_fp: u64,
-    binning_fp: u64,
 }
 
-/// One memoized table plus the exact inputs it was built from, kept so a
+/// One memoized table plus the exact profile it was built from, kept so a
 /// hit can be verified by value rather than trusted to the fingerprint.
 #[derive(Debug)]
 struct CacheEntry {
     profile: VariabilityProfile,
-    binning: ScoreBinning,
     table: Arc<PmScoreTable>,
 }
 
@@ -87,18 +81,6 @@ fn profile_fingerprint(profile: &VariabilityProfile) -> u64 {
                 .iter()
                 .flat_map(|s| s.to_bits().to_le_bytes())
         }),
-    )
-}
-
-fn binning_fingerprint(binning: &ScoreBinning) -> u64 {
-    fnv1a(
-        FNV1A_BASIS,
-        (binning.k_min as u64)
-            .to_le_bytes()
-            .into_iter()
-            .chain((binning.k_max as u64).to_le_bytes())
-            .chain(binning.outlier_sigma.to_bits().to_le_bytes())
-            .chain(binning.seed.to_le_bytes()),
     )
 }
 
@@ -120,65 +102,46 @@ fn profiles_bitwise_eq(a: &VariabilityProfile, b: &VariabilityProfile) -> bool {
         })
 }
 
-/// Bit-level binning-config equality (same NaN rationale as
-/// [`profiles_bitwise_eq`], for `outlier_sigma`).
-fn binnings_bitwise_eq(a: &ScoreBinning, b: &ScoreBinning) -> bool {
-    a.k_min == b.k_min
-        && a.k_max == b.k_max
-        && a.outlier_sigma.to_bits() == b.outlier_sigma.to_bits()
-        && a.seed == b.seed
-}
-
 impl PmTableCache {
     /// An empty cache.
     pub fn new() -> Self {
         PmTableCache::default()
     }
 
-    /// The shared table for `(profile, binning)`: built on first request,
-    /// a reference-count bump on every later one.
-    pub fn get_or_build(
-        &self,
-        profile: &VariabilityProfile,
-        binning: &ScoreBinning,
-    ) -> Arc<PmScoreTable> {
+    /// The shared table for `profile`, binned with the paper's default
+    /// configuration ([`PmScoreTable::build_default`]): built on first
+    /// request, a reference-count bump on every later one.
+    pub fn get_or_build_default(&self, profile: &VariabilityProfile) -> Arc<PmScoreTable> {
         let key = TableKey {
             classes: profile.num_classes(),
             gpus: profile.num_gpus(),
             profile_fp: profile_fingerprint(profile),
-            binning_fp: binning_fingerprint(binning),
         };
         let mut entries = self.entries.lock().expect("PM-table cache lock");
         let bucket = entries.entry(key).or_default();
-        if let Some(hit) = bucket.iter().find(|e| {
-            profiles_bitwise_eq(&e.profile, profile) && binnings_bitwise_eq(&e.binning, binning)
-        }) {
+        if let Some(hit) = bucket
+            .iter()
+            .find(|e| profiles_bitwise_eq(&e.profile, profile))
+        {
             return Arc::clone(&hit.table);
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let table = Arc::new(PmScoreTable::build(profile, binning));
+        let table = Arc::new(PmScoreTable::build_default(profile));
         bucket.push(CacheEntry {
             profile: profile.clone(),
-            binning: binning.clone(),
             table: Arc::clone(&table),
         });
         table
     }
 
-    /// [`get_or_build`](PmTableCache::get_or_build) with the paper's
-    /// default binning configuration.
-    pub fn get_or_build_default(&self, profile: &VariabilityProfile) -> Arc<PmScoreTable> {
-        self.get_or_build(profile, &ScoreBinning::default())
-    }
-
     /// How many tables this cache has actually constructed (cache misses).
-    /// For an N×M campaign over P distinct (profile, binning) pairs this
-    /// is exactly P, independent of thread interleaving.
+    /// For an N×M campaign over P distinct profiles this is exactly P,
+    /// independent of thread interleaving.
     pub fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct (profile, binning) entries currently held.
+    /// Number of distinct profiles' tables currently held.
     pub fn len(&self) -> usize {
         self.entries
             .lock()
@@ -242,22 +205,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.builds(), 2);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn distinct_binnings_build_distinct_tables() {
-        let cache = PmTableCache::new();
-        let p = profile(0.0);
-        let default = cache.get_or_build_default(&p);
-        let coarse = cache.get_or_build(
-            &p,
-            &ScoreBinning {
-                k_max: 3,
-                ..Default::default()
-            },
-        );
-        assert!(!Arc::ptr_eq(&default, &coarse));
-        assert_eq!(cache.builds(), 2);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! a mutating cluster and requires every allocation to be identical —
 //! same GPUs, same order.
 
-use pal::lv::LocalityLevel;
-use pal::{LvMatrix, PalPlacement, PmScoreTable};
+use pal::{LocalityLevel, LvMatrix, PalPlacement, PmScoreTable};
 use pal_cluster::{
     ClusterState, ClusterTopology, GpuId, JobClass, LocalityModel, VariabilityProfile,
 };

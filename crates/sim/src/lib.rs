@@ -2,7 +2,7 @@
 //!
 //! A Blox-style round-based, trace-driven GPU cluster scheduling simulator
 //! (the paper integrates its policies into Blox \[26\]; this crate is the
-//! in-process Rust equivalent — see DESIGN.md for the substitution).
+//! in-process Rust equivalent).
 //!
 //! ## Model
 //!

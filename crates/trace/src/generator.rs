@@ -10,7 +10,7 @@ use rand::Rng;
 /// unit time). Used for Poisson arrival processes. Delegates to the shim's
 /// [`Exp`] distribution, which reproduces the exact stream this function
 /// historically produced, so seeded traces are unchanged.
-pub fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
+pub(crate) fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
     Exp::new(rate).sample(rng)
 }
@@ -18,14 +18,14 @@ pub fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
 /// Sample a log-normal random variable with the given median and sigma (of
 /// the underlying normal). Philly job durations are famously heavy-tailed;
 /// log-normal matches the published duration CDFs well.
-pub fn lognormal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
     assert!(median > 0.0 && sigma >= 0.0, "bad lognormal parameters");
     let z = standard_normal(rng);
     median * (sigma * z).exp()
 }
 
 /// Standard normal via Box–Muller.
-pub fn standard_normal(rng: &mut StdRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -33,7 +33,7 @@ pub fn standard_normal(rng: &mut StdRng) -> f64 {
 
 /// Weighted choice over `(item, weight)` pairs. Panics on empty input or
 /// non-positive total weight.
-pub fn weighted_choice<T: Copy>(rng: &mut StdRng, choices: &[(T, f64)]) -> T {
+pub(crate) fn weighted_choice<T: Copy>(rng: &mut StdRng, choices: &[(T, f64)]) -> T {
     assert!(!choices.is_empty(), "weighted choice over nothing");
     let total: f64 = choices.iter().map(|&(_, w)| w).sum();
     assert!(total > 0.0, "total weight must be positive");

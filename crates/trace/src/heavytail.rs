@@ -66,7 +66,10 @@ impl HeavyTailConfig {
     /// [`SynergyConfig::stream`](crate::SynergyConfig::stream):
     /// [`generate`](HeavyTailConfig::generate) collects this exact
     /// stream, sample for sample).
-    pub fn stream<'a>(&self, catalog: &'a ModelCatalog) -> HeavyTailJobs<'a> {
+    pub fn stream<'a>(
+        &self,
+        catalog: &'a ModelCatalog,
+    ) -> impl ExactSizeIterator<Item = JobSpec> + 'a {
         assert!(!catalog.is_empty(), "empty model catalog");
         assert!(self.jobs_per_hour > 0.0, "non-positive arrival rate");
         assert!(self.alpha > 0.0, "non-positive Pareto alpha");
@@ -105,7 +108,7 @@ impl HeavyTailConfig {
 
 /// Streaming heavy-tail job source created by [`HeavyTailConfig::stream`].
 #[derive(Debug)]
-pub struct HeavyTailJobs<'a> {
+struct HeavyTailJobs<'a> {
     cfg: HeavyTailConfig,
     catalog: &'a ModelCatalog,
     rng: StdRng,

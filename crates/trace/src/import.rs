@@ -1,25 +1,4 @@
-//! External cluster-trace importers.
-//!
-//! Production traces (Microsoft Philly, Alibaba PAI, Google Borg) publish
-//! per-job rows with a submission time, a GPU request, and a duration —
-//! but no model identity or iteration structure, which this simulator
-//! needs. [`import_csv_trace`] bridges the gap: it streams rows out of a
-//! header-named CSV (columns located by name, not position, so column
-//! order and extra columns don't matter), converts times and GPU counts
-//! into simulator units via a per-family [`ExternalCsvFormat`], and
-//! synthesizes the missing iteration structure from an
-//! [`ImportOptions`]-supplied model (`iterations = ceil(duration /
-//! base_iter_time)`, so the imported ideal runtime matches the recorded
-//! duration).
-//!
-//! Parsing is streaming: each row is read, converted, and appended
-//! directly into the output job list — no intermediate row
-//! materialization — matching the streaming contract of the synthetic
-//! generators ([`crate::SynergyConfig::stream`]).
-//!
-//! Rows that describe work the simulator can't schedule (zero GPUs after
-//! scaling, non-positive duration — e.g. failed or cancelled jobs) are
-//! *skipped*, not errors: production traces contain them by the thousand.
+//! External cluster-trace importers ([`import_csv_trace`]).
 
 use crate::io::TraceIoError;
 use crate::job::{JobId, JobSpec, Trace};
@@ -139,8 +118,28 @@ impl Default for ImportOptions {
     }
 }
 
-/// Import an external cluster trace from CSV, streaming. See the
-/// [module docs](self) for the conversion model.
+/// Import an external cluster trace from CSV, streaming.
+///
+/// Production traces (Microsoft Philly, Alibaba PAI, Google Borg) publish
+/// per-job rows with a submission time, a GPU request, and a duration —
+/// but no model identity or iteration structure, which this simulator
+/// needs. This importer bridges the gap: it streams rows out of a
+/// header-named CSV (columns located by name, not position, so column
+/// order and extra columns don't matter), converts times and GPU counts
+/// into simulator units via a per-family [`ExternalCsvFormat`], and
+/// synthesizes the missing iteration structure from an
+/// [`ImportOptions`]-supplied model (`iterations = ceil(duration /
+/// base_iter_time)`, so the imported ideal runtime matches the recorded
+/// duration).
+///
+/// Parsing is streaming: each row is read, converted, and appended
+/// directly into the output job list — no intermediate row
+/// materialization — matching the streaming contract of the synthetic
+/// generators ([`crate::SynergyConfig::stream`]).
+///
+/// Rows that describe work the simulator can't schedule (zero GPUs after
+/// scaling, non-positive duration — e.g. failed or cancelled jobs) are
+/// *skipped*, not errors: production traces contain them by the thousand.
 ///
 /// Times are re-based so the earliest submission lands at `t = 0`
 /// (published traces start at arbitrary epoch offsets), and jobs are

@@ -15,7 +15,7 @@ use pal_gpumodel::Workload;
 use std::io::{BufRead, Write};
 
 /// Header line of the trace CSV format.
-pub const TRACE_CSV_HEADER: &str = "id,model,class,arrival,gpu_demand,iterations,base_iter_time";
+const TRACE_CSV_HEADER: &str = "id,model,class,arrival,gpu_demand,iterations,base_iter_time";
 
 /// Errors from trace (de)serialization.
 #[derive(Debug)]

@@ -64,7 +64,10 @@ impl SynergyConfig {
     /// however long the trace. [`generate`](SynergyConfig::generate)
     /// collects this same stream — sample for sample — so a streamed
     /// trace is bit-identical to a generated one.
-    pub fn stream<'a>(&self, catalog: &'a ModelCatalog) -> SynergyJobs<'a> {
+    pub fn stream<'a>(
+        &self,
+        catalog: &'a ModelCatalog,
+    ) -> impl ExactSizeIterator<Item = JobSpec> + 'a {
         assert!(!catalog.is_empty(), "empty model catalog");
         assert!(self.jobs_per_hour > 0.0, "non-positive arrival rate");
         SynergyJobs {
@@ -101,7 +104,7 @@ impl SynergyConfig {
 /// [`SynergyConfig::num_jobs`] jobs in arrival order, one RNG draw set
 /// per `next()`. Created by [`SynergyConfig::stream`].
 #[derive(Debug)]
-pub struct SynergyJobs<'a> {
+struct SynergyJobs<'a> {
     cfg: SynergyConfig,
     catalog: &'a ModelCatalog,
     rng: StdRng,

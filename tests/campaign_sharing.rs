@@ -203,11 +203,7 @@ fn cached_policies_share_one_table_instance() {
     let pal = PalPlacement::from_shared(cache.get_or_build_default(&profile));
     let pmf = PmFirstPlacement::from_shared(cache.get_or_build_default(&profile));
     let config = AdaptiveConfig::default();
-    let adaptive = AdaptivePal::from_shared(
-        &profile,
-        cache.get_or_build(&profile, &config.binning),
-        config,
-    );
+    let adaptive = AdaptivePal::from_shared(&profile, cache.get_or_build_default(&profile), config);
     assert!(Arc::ptr_eq(&table, pal.shared_table()));
     assert!(Arc::ptr_eq(&table, pmf.shared_table()));
     assert_eq!(adaptive.table(), &*table);
@@ -224,7 +220,7 @@ fn adaptive_from_shared_behaves_like_with_config() {
     let config = AdaptiveConfig::default();
     let shared = AdaptivePal::from_shared(
         &profile,
-        cache.get_or_build(&profile, &config.binning),
+        cache.get_or_build_default(&profile),
         config.clone(),
     );
     let owned = AdaptivePal::with_config(&profile, config);
