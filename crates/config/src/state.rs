@@ -144,7 +144,7 @@ mod tests {
         assert_eq!(
             state_to_json(&state).unwrap(),
             concat!(
-                r#"{"version":2,"trace":"pair","trace_jobs":2,"trace_digest":10072191973144045054,"#,
+                r#"{"version":3,"trace":"pair","trace_jobs":2,"trace_digest":10072191973144045054,"#,
                 r#""scheduler":"FIFO","placement":"Packed","sticky":false,"time":300,"rounds":1,"#,
                 r#""executed_rounds":1,"finished":1,"next_admit":1,"active_queue":[],"active_demand":0,"#,
                 r#""jobs":[{"phase":{"Finished":{"at":40}},"remaining_work":0,"attained_service":80,"#,
@@ -212,6 +212,22 @@ mod tests {
             "migrations":0,"preemptions":0}],"rejected":[false]}"#;
         let msg = state_from_json("v1.json", v1).unwrap_err().to_string();
         assert!(msg.contains("state format v1 is not supported"), "{msg}");
+        assert!(msg.contains("different version"), "{msg}");
+    }
+
+    #[test]
+    fn v2_documents_get_the_version_error() {
+        // The v2 serving layout: every queued request and the stream's
+        // one-request lookahead, beside the counters.
+        let v2 = r#"{"version":2,"trace":"mix","trace_jobs":0,"trace_digest":1,
+            "serving":[{"workload":"chat","gpus":1,"arrived":2,
+            "next":{"id":2,"arrival":3.5,"work":0.01,"deadline":4.0},
+            "queue":[{"id":1,"arrival":1.5,"work":0.01,"deadline":2.0}],
+            "completed":1,"batches":1,"slo_met":1,"latencies":[0.02],
+            "first_arrival":0.5,"last_finish":0.52,
+            "replicas":[{"slowdown":1,"free_at":0.52}]}]}"#;
+        let msg = state_from_json("v2.json", v2).unwrap_err().to_string();
+        assert!(msg.contains("state format v2 is not supported"), "{msg}");
         assert!(msg.contains("different version"), "{msg}");
     }
 

@@ -8,6 +8,9 @@
 //! and a serving deployment paused mid-stream. Each gets 1,000 seeded
 //! mutations: truncation, a flipped digit, a deleted byte, or one scalar
 //! value swapped for `null`, `-1`, `1e309`, a huge integer, and the like.
+//! The serving state's position — the `arrived` and `completed` indices
+//! into its request log — is also set to every pair of values around the
+//! log's ends and the exported position.
 
 use pal_cluster::{ClusterTopology, JobClass};
 use pal_config::{state_from_json, state_to_json};
@@ -227,4 +230,63 @@ fn mutated_training_states_never_panic() {
 #[test]
 fn mutated_serving_states_never_panic() {
     fuzz("serving", serving_scenario, 2, 0x5EED_0002);
+}
+
+/// Requests in [`serving_scenario`]'s stream.
+const SERVING_TOTAL: u64 = 400;
+
+#[test]
+fn serving_positions_around_the_stream_end_never_panic() {
+    let mut sim = serving_scenario().start().unwrap();
+    for _ in 0..2 {
+        sim.step().unwrap();
+    }
+    let state = sim.export_state();
+    let (completed, arrived) = (state.serving[0].completed, state.serving[0].arrived);
+    assert!(
+        0 < completed && arrived < SERVING_TOTAL,
+        "stream is mid-flight"
+    );
+    let mut values: Vec<u64> = [0, completed, arrived, SERVING_TOTAL]
+        .iter()
+        .flat_map(|&v| [v.saturating_sub(1), v, v + 1])
+        .chain([u64::MAX])
+        .collect();
+    values.sort_unstable();
+    values.dedup();
+    let (mut imported, mut refused) = (0, 0);
+    for &arrived in &values {
+        for &completed in &values {
+            let mut mutated = state.clone();
+            let d = &mut mutated.serving[0];
+            d.arrived = arrived;
+            d.completed = completed;
+            // Stretch or cut the latency log to `completed`, so the
+            // position checks, not the latency count, decide.
+            if completed <= SERVING_TOTAL + 1 {
+                d.latencies.resize(completed as usize, 0.25);
+                d.slo_met = d.slo_met.min(completed);
+            }
+            let doc = state_to_json(&mutated).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let back = state_from_json("positions.state.json", &doc).unwrap();
+                let mut sim = serving_scenario().start().unwrap();
+                match sim.import_state(&back) {
+                    Err(SimError::StateImport { .. }) => false,
+                    Err(other) => panic!("import failed with a non-import error: {other}"),
+                    Ok(()) => {
+                        let _ = sim.run_to_completion();
+                        true
+                    }
+                }
+            }));
+            match outcome {
+                Ok(true) => imported += 1,
+                Ok(false) => refused += 1,
+                Err(_) => panic!("arrived {arrived}, completed {completed} panicked"),
+            }
+        }
+    }
+    assert!(imported > 0, "no position imported");
+    assert!(refused > 0, "no position refused");
 }

@@ -4,7 +4,7 @@
 //! returns a `Simulation` that owns everything the run needs. Callers can
 //! [`step`](Simulation::step) one scheduling round at a time, read the
 //! clocks, [`export_state`](Simulation::export_state) the whole paused run
-//! (clocks, per-job progress, rejections, serving counters and queues),
+//! (clocks, per-job progress, rejections, serving positions and counters),
 //! and either keep stepping or finish with
 //! [`run_to_completion`](Simulation::run_to_completion). Stepping is
 //! side-effect-free between rounds: a run driven round-by-round (with any
@@ -82,8 +82,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Build a stepper from resolved, validated parts.
-    pub(crate) fn from_parts(parts: SimulationParts) -> Self {
+    /// Build a stepper from resolved, validated parts. Fails only when a
+    /// serving deployment's request or latency log cannot be allocated.
+    pub(crate) fn from_parts(parts: SimulationParts) -> Result<Self, SimError> {
         let SimulationParts {
             trace,
             topology,
@@ -112,10 +113,10 @@ impl Simulation {
                 &truth,
                 &locality,
                 trace.len() as u32,
-            ))
+            )?)
         };
         let held = serving.as_ref().map_or(0, ServingEngine::gpus_held);
-        Simulation {
+        Ok(Simulation {
             ideal_gpu_seconds: trace.total_ideal_gpu_service(),
             trace_name: trace.name.clone(),
             trace_digest: OnceCell::new(),
@@ -131,7 +132,7 @@ impl Simulation {
             telemetry: Telemetry::new(),
             serving,
             sink: None,
-        }
+        })
     }
 
     /// Attach a [`MetricsSink`]: from the next [`step`](Simulation::step)
@@ -746,7 +747,7 @@ mod tests {
         sim.step().unwrap();
         let mut state = sim.export_state();
         let s = &state.serving[0];
-        assert!(s.completed > 0 && s.next.is_some(), "stream is mid-flight");
+        assert!(s.completed > 0 && s.arrived < 400, "stream is mid-flight");
         let mut fresh = serving_scenario(0.5).start().unwrap();
         fresh
             .import_state(&state)
@@ -775,27 +776,28 @@ mod tests {
 
     #[test]
     fn import_rejects_serving_stream_position_past_the_workload() {
-        // Overflowed `arrived + 1` in debug builds; ~10^19 pulls in release.
-        assert_serving_import_rejects(|s| s.serving[0].arrived = u64::MAX, "arrived");
-        // The stream is exhausted at 400 arrivals, so no lookahead is left.
+        // Each would index past the 400-request log in `advance_to`.
         assert_serving_import_rejects(
-            |s| s.serving[0].arrived = 400,
-            "arrived 400 with a lookahead",
+            |s| s.serving[0].arrived = u64::MAX,
+            "arrived 18446744073709551615 do not fit a 400-request stream",
         );
-        // No lookahead mid-stream reached `unreachable!` in `advance_to`.
-        assert_serving_import_rejects(|s| s.serving[0].next = None, "without a lookahead");
+        assert_serving_import_rejects(|s| s.serving[0].arrived = 401, "arrived 401 do not fit");
     }
 
     #[test]
     fn import_rejects_serving_queue_that_disagrees_with_counters() {
-        assert_serving_import_rejects(|s| s.serving[0].completed += 1, "queued");
+        // The queue is `completed..arrived`: empty-or-longer only.
         assert_serving_import_rejects(
             |s| {
-                let next = s.serving[0].next.unwrap();
-                s.serving[0].queue.push(next);
+                let d = &mut s.serving[0];
+                d.completed = d.arrived + 1;
+                d.latencies.resize(d.completed as usize, 0.1);
             },
-            "queued",
+            "do not fit",
         );
+        // Queued requests that arrive after the next batch starts would
+        // finish before they arrive.
+        assert_serving_import_rejects(|s| s.serving[0].arrived = 400, "queues a request");
     }
 
     #[test]

@@ -254,6 +254,10 @@ impl Scenario {
     /// ([`Simulation::export_state`]), and instrument a run mid-flight;
     /// driving it to completion is bit-identical to
     /// [`run`](Scenario::run), which is a thin wrapper over this method.
+    ///
+    /// Starting generates each serving deployment's request log, unless
+    /// a running clone of the same [`ServingJob`] already holds it; a log
+    /// the allocator cannot hold is [`SimError::InvalidServingJob`].
     pub fn start(self) -> Result<Simulation, SimError> {
         let Scenario {
             trace,
@@ -276,7 +280,7 @@ impl Scenario {
             &topology,
             profile.num_classes().min(truth.num_classes()),
         )?;
-        Ok(Simulation::from_parts(SimulationParts {
+        Simulation::from_parts(SimulationParts {
             trace,
             topology,
             profile,
@@ -287,7 +291,7 @@ impl Scenario {
             admission,
             config,
             serving,
-        }))
+        })
     }
 
     /// Run the simulation to completion.

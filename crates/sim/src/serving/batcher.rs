@@ -8,9 +8,7 @@
 //! the projected batch completion still meets the *head's* deadline — the
 //! tightest one in a FIFO queue with a uniform SLO offset.
 
-use pal_trace::ServingRequest;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Batcher knobs of one serving deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,62 +45,50 @@ impl BatcherConfig {
     }
 }
 
-/// Form one batch from the front of `queue` at time `now` on a replica
-/// with the given `slowdown`, writing it into `out` (cleared first).
+/// Form one batch from the front of a FIFO queue at time `now` on a
+/// replica with the given `slowdown`, and return its end: the batch is
+/// `work[..end]`.
 ///
-/// The head of the queue always goes in — a request is never dropped,
-/// even when its deadline is already unmeetable (it runs as a singleton
-/// or at the front of whatever fits, and is counted as an SLO miss when
-/// it finishes late). Further requests are admitted in FIFO order while
-/// the projected execution time `(overhead + Σ work) × slowdown` stays
-/// within the head's deadline budget and the batch is under
+/// `work` holds the queued requests' service demands in FIFO order and
+/// `head_deadline` is the absolute deadline of the first of them. The
+/// head always goes in — a request is never dropped, even when its
+/// deadline is already unmeetable (it runs as a singleton or at the front
+/// of whatever fits, and is counted as an SLO miss when it finishes
+/// late). Further requests are admitted in FIFO order while the projected
+/// execution time `(overhead + Σ work) × slowdown` stays within the
+/// head's deadline budget and the batch is under
 /// [`BatcherConfig::max_batch_size`].
 ///
 /// Invariant (pinned by proptests): a batch of size ≥ 2 never violates
 /// the head-of-line deadline budget at formation time.
 ///
-/// Panics if `queue` is empty.
+/// Panics if `work` is empty.
 pub fn form_batch(
-    queue: &mut VecDeque<ServingRequest>,
+    work: &[f64],
+    head_deadline: f64,
     now: f64,
     slowdown: f64,
     cfg: &BatcherConfig,
-    out: &mut Vec<ServingRequest>,
-) {
+) -> usize {
     debug_assert!(slowdown > 0.0);
-    out.clear();
-    let head = queue.pop_front().expect("form_batch on an empty queue");
-    let budget = head.deadline - now;
-    let mut exec = (cfg.batch_overhead_s + head.work) * slowdown;
-    out.push(head);
-    while out.len() < cfg.max_batch_size {
-        let Some(next) = queue.front() else { break };
-        let with_next = exec + next.work * slowdown;
+    let (&head, rest) = work.split_first().expect("form_batch on an empty queue");
+    let budget = head_deadline - now;
+    let mut exec = (cfg.batch_overhead_s + head) * slowdown;
+    let mut end = 1;
+    for &next in rest.iter().take(cfg.max_batch_size.saturating_sub(1)) {
+        let with_next = exec + next * slowdown;
         if with_next > budget {
             break;
         }
         exec = with_next;
-        out.push(queue.pop_front().expect("front just observed"));
+        end += 1;
     }
+    end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pal_trace::RequestId;
-
-    fn req(id: u64, arrival: f64, work: f64, slo: f64) -> ServingRequest {
-        ServingRequest {
-            id: RequestId(id),
-            arrival,
-            work,
-            deadline: arrival + slo,
-        }
-    }
-
-    fn queue(reqs: Vec<ServingRequest>) -> VecDeque<ServingRequest> {
-        reqs.into()
-    }
 
     #[test]
     fn fills_up_to_budget() {
@@ -112,12 +98,10 @@ mod tests {
             max_batch_size: 16,
             batch_overhead_s: 0.1,
         };
-        let mut q = queue((0..8).map(|i| req(i, 0.0, 0.2, 1.0)).collect());
-        let mut out = Vec::new();
-        form_batch(&mut q, 0.0, 1.0, &cfg, &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(q.len(), 4);
-        assert_eq!(out[0].id, RequestId(0));
+        let work = [0.2; 8];
+        let end = form_batch(&work, 1.0, 0.0, 1.0, &cfg);
+        assert_eq!(end, 4);
+        assert_eq!(work.len() - end, 4);
     }
 
     #[test]
@@ -126,10 +110,7 @@ mod tests {
             max_batch_size: 3,
             batch_overhead_s: 0.0,
         };
-        let mut q = queue((0..10).map(|i| req(i, 0.0, 1e-6, 100.0)).collect());
-        let mut out = Vec::new();
-        form_batch(&mut q, 0.0, 1.0, &cfg, &mut out);
-        assert_eq!(out.len(), 3);
+        assert_eq!(form_batch(&[1e-6; 10], 100.0, 0.0, 1.0, &cfg), 3);
     }
 
     #[test]
@@ -137,12 +118,10 @@ mod tests {
         // Head's deadline already passed: budget is negative, nothing else
         // is admitted, but the head is not dropped.
         let cfg = BatcherConfig::default();
-        let mut q = queue(vec![req(0, 0.0, 0.5, 1.0), req(1, 0.1, 0.5, 1.0)]);
-        let mut out = Vec::new();
-        form_batch(&mut q, 5.0, 1.0, &cfg, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].id, RequestId(0));
-        assert_eq!(q.len(), 1);
+        let work = [0.5, 0.5];
+        let end = form_batch(&work, 1.0, 5.0, 1.0, &cfg);
+        assert_eq!(end, 1);
+        assert_eq!(work.len() - end, 1);
     }
 
     #[test]
@@ -151,12 +130,10 @@ mod tests {
             max_batch_size: 16,
             batch_overhead_s: 0.1,
         };
-        let make = || queue((0..8).map(|i| req(i, 0.0, 0.2, 1.0)).collect());
-        let mut out_fast = Vec::new();
-        form_batch(&mut make(), 0.0, 1.0, &cfg, &mut out_fast);
-        let mut out_slow = Vec::new();
-        form_batch(&mut make(), 0.0, 2.0, &cfg, &mut out_slow);
-        assert!(out_slow.len() < out_fast.len());
+        let work = [0.2; 8];
+        let fast = form_batch(&work, 1.0, 0.0, 1.0, &cfg);
+        let slow = form_batch(&work, 1.0, 0.0, 2.0, &cfg);
+        assert!(slow < fast);
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //! jobs the capacity is the whole cluster and the training path is
 //! bit-identical to a serving-free build.
 //!
-//! Requests flow FIFO through a per-deployment queue into the
-//! push-to-deadline batcher ([`batcher::form_batch`]); each batch runs on
-//! the earliest-free replica for `(overhead + Σ work) × slowdown`
-//! seconds. Processing is continuous-time and advanced lazily to the
-//! round clock (`ServingEngine::advance_to`): decisions depend only on
-//! the queue contents at each batch's start time, never on the stepping
+//! Each distinct workload's requests are materialized once, as a
+//! request log of `arrival` and `work` columns (16 B per request; the id
+//! is the index and the deadline is `arrival + slo_s`). Every clone of a
+//! [`ServingJob`] — every cell of a campaign row — shares one log while
+//! any of them runs. A deployment walks the log by index: requests
+//! `completed..arrived` are its FIFO queue, and the push-to-deadline
+//! batcher ([`batcher::form_batch`]) takes a batch off its front. Each
+//! batch runs on the earliest-free replica for
+//! `(overhead + Σ work) × slowdown` seconds. Processing is
+//! continuous-time and advanced lazily to the round clock
+//! (`ServingEngine::advance_to`): decisions depend only on the queue
+//! contents at each batch's start time, never on the stepping
 //! granularity, so event-driven and fixed-round runs produce identical
 //! serving outcomes.
 //!
@@ -31,6 +37,8 @@
 //! sorts the log it owns, with no copy.
 
 pub mod batcher;
+#[cfg(test)]
+mod oracle;
 
 pub use batcher::{form_batch, BatcherConfig};
 
@@ -41,10 +49,9 @@ use crate::placement::{validate_allocation, PlacementCtx, PlacementPolicy, Place
 use crate::state::{ReplicaState, ServingState};
 use pal_cluster::{ClusterState, ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::Workload;
-use pal_trace::{JobId, RequestStream, ServingRequest, ServingWorkload};
+use pal_trace::{JobId, ServingWorkload};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, TryLockError, Weak};
 
 /// Completion tolerance for the SLO check, mirroring the engine's round
 /// tolerance: a batch finishing within this of the deadline meets it.
@@ -68,7 +75,16 @@ pub struct ServingJob {
     pub class: JobClass,
     /// Batcher knobs.
     pub batcher: BatcherConfig,
+    /// The request log a clone of this job built, while one is alive.
+    log: LogSlot,
 }
+
+/// The request-log slot every clone of a [`ServingJob`] shares.
+type LogSlot = Arc<Mutex<Weak<RequestLog>>>;
+
+/// Bytes each request costs while its deployment runs: `arrival` and
+/// `work` in the request log, plus its latency.
+const BYTES_PER_REQUEST: u64 = 24;
 
 impl ServingJob {
     /// A deployment of `replicas` × `gpus_per_replica` GPUs serving
@@ -86,6 +102,7 @@ impl ServingJob {
             model: Workload::Bert,
             class: JobClass::A,
             batcher: BatcherConfig::default(),
+            log: LogSlot::default(),
         }
     }
 
@@ -111,6 +128,88 @@ impl ServingJob {
     pub fn total_gpus(&self) -> usize {
         self.replicas * self.gpus_per_replica
     }
+
+    /// The request log of this job's workload: the one a clone of this
+    /// job built, while it is alive and was built from this very
+    /// workload, or else a new one, which the clones then share. Holding
+    /// the slot's lock while building keeps concurrent cells from
+    /// generating the same stream twice. A poisoned slot is still valid:
+    /// it is written in one store, after the log is complete.
+    fn request_log(&self) -> Result<Arc<RequestLog>, SimError> {
+        self.log_in(&mut self.log.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// [`request_log`](Self::request_log), or `None` while a concurrent
+    /// cell holds the slot (building the log).
+    fn try_request_log(&self) -> Option<Result<Arc<RequestLog>, SimError>> {
+        match self.log.try_lock() {
+            Ok(mut slot) => Some(self.log_in(&mut slot)),
+            Err(TryLockError::Poisoned(slot)) => Some(self.log_in(&mut slot.into_inner())),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    fn log_in(&self, slot: &mut Weak<RequestLog>) -> Result<Arc<RequestLog>, SimError> {
+        if let Some(log) = slot.upgrade() {
+            if Arc::ptr_eq(&log.workload, &self.workload) {
+                return Ok(log);
+            }
+        }
+        let log = Arc::new(RequestLog::build(&self.workload)?);
+        *slot = Arc::downgrade(&log);
+        Ok(log)
+    }
+}
+
+/// One workload's requests in arrival order, by index: request `i`
+/// arrives at `arrival[i]`, needs `work[i]` seconds on a median replica
+/// and is due at `arrival[i] + slo_s`, exactly as the stream computes
+/// its deadline.
+#[derive(Debug)]
+struct RequestLog {
+    /// The workload the log was generated from: the key a [`ServingJob`]
+    /// checks before it shares the log.
+    workload: Arc<ServingWorkload>,
+    arrival: Vec<f64>,
+    work: Vec<f64>,
+}
+
+impl RequestLog {
+    /// Generate `workload`'s whole stream. The columns are reserved up
+    /// front, so a count the allocator cannot hold is a typed error, not
+    /// an abort.
+    fn build(workload: &Arc<ServingWorkload>) -> Result<RequestLog, SimError> {
+        // A count past `usize` cannot be reserved either.
+        let n = usize::try_from(workload.num_requests).unwrap_or(usize::MAX);
+        let (mut arrival, mut work) = (Vec::new(), Vec::new());
+        arrival
+            .try_reserve_exact(n)
+            .and_then(|()| work.try_reserve_exact(n))
+            .map_err(|e| unallocatable(workload, "request log", e))?;
+        for r in workload.stream() {
+            arrival.push(r.arrival);
+            work.push(r.work);
+        }
+        Ok(RequestLog {
+            workload: Arc::clone(workload),
+            arrival,
+            work,
+        })
+    }
+}
+
+fn unallocatable(
+    workload: &ServingWorkload,
+    what: &str,
+    e: std::collections::TryReserveError,
+) -> SimError {
+    SimError::InvalidServingJob {
+        workload: workload.name.clone(),
+        reason: format!(
+            "cannot allocate the {what} of {} requests: {e}",
+            workload.num_requests
+        ),
+    }
 }
 
 /// Validate serving jobs against the cluster and profile dimensions.
@@ -130,6 +229,17 @@ pub(crate) fn validate_serving(
         };
         job.workload.validate().map_err(&invalid)?;
         job.batcher.validate().map_err(&invalid)?;
+        if job
+            .workload
+            .num_requests
+            .checked_mul(BYTES_PER_REQUEST)
+            .is_none_or(|bytes| bytes > isize::MAX as u64)
+        {
+            return Err(invalid(format!(
+                "{} requests at {BYTES_PER_REQUEST} B each overflow the address space",
+                job.workload.num_requests
+            )));
+        }
         if job.replicas == 0 {
             return Err(invalid("zero replicas".into()));
         }
@@ -161,25 +271,20 @@ struct Replica {
     free_at: f64,
 }
 
-/// Runtime state of one [`ServingJob`]'s deployment.
+/// Runtime state of one [`ServingJob`]'s deployment: a position in its
+/// request log, counters, the latency log and the replicas.
 #[derive(Debug)]
 struct Deployment {
     name: String,
     cfg: BatcherConfig,
     gpus: usize,
-    /// The workload behind `stream` — kept so state import can rebuild
-    /// the stream at the exported position (streams are deterministic
-    /// per workload seed, so position is just a pull count).
-    workload: Arc<ServingWorkload>,
-    stream: RequestStream,
-    /// One-slot stream lookahead: the next request not yet queued.
-    next: Option<ServingRequest>,
-    queue: VecDeque<ServingRequest>,
+    slo_s: f64,
+    log: Arc<RequestLog>,
     replicas: Vec<Replica>,
-    batch: Vec<ServingRequest>,
-    total: u64,
-    arrived: u64,
-    completed: u64,
+    /// Requests that have arrived by the last batch's start; those from
+    /// `completed` on are the FIFO queue.
+    arrived: usize,
+    completed: usize,
     batches: u64,
     slo_met: u64,
     latencies: Vec<f64>,
@@ -188,8 +293,47 @@ struct Deployment {
 }
 
 impl Deployment {
+    /// A deployment of `job` over its request log at `t = 0`, one
+    /// replica per slowdown. Its latency log is reserved for the whole
+    /// stream.
+    fn new(
+        job: &ServingJob,
+        log: Arc<RequestLog>,
+        slowdowns: &[f64],
+    ) -> Result<Deployment, SimError> {
+        let mut latencies = Vec::new();
+        latencies
+            .try_reserve_exact(log.arrival.len())
+            .map_err(|e| unallocatable(&job.workload, "latency log", e))?;
+        Ok(Deployment {
+            name: job.workload.name.clone(),
+            cfg: job.batcher,
+            gpus: job.total_gpus(),
+            slo_s: job.workload.slo_s,
+            log,
+            replicas: slowdowns
+                .iter()
+                .map(|&slowdown| Replica {
+                    slowdown,
+                    free_at: 0.0,
+                })
+                .collect(),
+            arrived: 0,
+            completed: 0,
+            batches: 0,
+            slo_met: 0,
+            latencies,
+            first_arrival: 0.0,
+            last_finish: 0.0,
+        })
+    }
+
+    fn total(&self) -> usize {
+        self.log.arrival.len()
+    }
+
     fn is_done(&self) -> bool {
-        self.completed >= self.total
+        self.completed >= self.total()
     }
 
     /// Process every batch whose start time is `≤ t_end`. Start times
@@ -199,14 +343,10 @@ impl Deployment {
     /// executed batch is reported through `obs` (extra sink only; the
     /// deployment's own counters are the built-in accumulators here).
     fn advance_to(&mut self, t_end: f64, obs: &mut Observer<'_>) {
-        while !self.is_done() {
-            let head_arrival = match self.queue.front() {
-                Some(r) => r.arrival,
-                None => match &self.next {
-                    Some(r) => r.arrival,
-                    None => unreachable!("pending requests but none left to pull"),
-                },
-            };
+        let RequestLog { arrival, work, .. } = &*self.log;
+        let total = arrival.len();
+        while self.completed < total {
+            let head = self.completed;
             // Earliest-free replica, lowest index on ties.
             let mut ri = 0usize;
             for i in 1..self.replicas.len() {
@@ -214,37 +354,38 @@ impl Deployment {
                     ri = i;
                 }
             }
-            let start = self.replicas[ri].free_at.max(head_arrival);
+            let start = self.replicas[ri].free_at.max(arrival[head]);
             if start > t_end {
                 return;
             }
-            // Everything that has arrived by the batch's start is eligible.
-            while let Some(r) = self.next.take() {
-                if r.arrival <= start {
-                    if self.arrived == 0 {
-                        self.first_arrival = r.arrival;
-                    }
-                    self.arrived += 1;
-                    self.queue.push_back(r);
-                    self.next = self.stream.next();
-                } else {
-                    self.next = Some(r);
-                    break;
-                }
+            // Everything that has arrived by the batch's start is
+            // eligible; the head always has.
+            if self.arrived == 0 {
+                self.first_arrival = arrival[0];
+            }
+            while self.arrived < total && arrival[self.arrived] <= start {
+                self.arrived += 1;
             }
             let slowdown = self.replicas[ri].slowdown;
-            form_batch(&mut self.queue, start, slowdown, &self.cfg, &mut self.batch);
-            let work: f64 = self.batch.iter().map(|r| r.work).sum();
-            let finish = start + (self.cfg.batch_overhead_s + work) * slowdown;
+            let end = head
+                + form_batch(
+                    &work[head..self.arrived],
+                    arrival[head] + self.slo_s,
+                    start,
+                    slowdown,
+                    &self.cfg,
+                );
+            let batch_work: f64 = work[head..end].iter().sum();
+            let finish = start + (self.cfg.batch_overhead_s + batch_work) * slowdown;
             let mut batch_slo_met = 0usize;
-            for r in &self.batch {
-                self.latencies.push(finish - r.arrival);
-                if finish <= r.deadline + EPS {
-                    self.slo_met += 1;
+            for &a in &arrival[head..end] {
+                self.latencies.push(finish - a);
+                if finish <= (a + self.slo_s) + EPS {
                     batch_slo_met += 1;
                 }
             }
-            self.completed += self.batch.len() as u64;
+            self.slo_met += batch_slo_met as u64;
+            self.completed = end;
             self.batches += 1;
             self.replicas[ri].free_at = finish;
             if finish > self.last_finish {
@@ -255,9 +396,9 @@ impl Deployment {
                     workload: self.name.clone(),
                     start,
                     finish,
-                    batch_size: self.batch.len(),
+                    batch_size: end - head,
                     slo_met: batch_slo_met,
-                    queued: self.queue.len(),
+                    queued: self.arrived - end,
                 });
             }
         }
@@ -267,10 +408,8 @@ impl Deployment {
         ServingState {
             workload: self.name.clone(),
             gpus: self.gpus,
-            arrived: self.arrived,
-            next: self.next,
-            queue: self.queue.iter().copied().collect(),
-            completed: self.completed,
+            arrived: self.arrived as u64,
+            completed: self.completed as u64,
             batches: self.batches,
             slo_met: self.slo_met,
             latencies: self.latencies.clone(),
@@ -287,42 +426,32 @@ impl Deployment {
         }
     }
 
-    /// Restore a state exported from the same workload. The stream is
-    /// repositioned by replaying pulls against a fresh stream — each
-    /// queued arrival consumed one pull, plus one for the lookahead —
-    /// then the lookahead and queue are overwritten wholesale, so the
-    /// resumed deployment sees exactly the continuation the exported one
-    /// would have. A state [`Deployment::check_state`] refuses leaves the
-    /// deployment untouched.
+    /// Restore a state exported from the same workload. The queue is
+    /// `completed..arrived` of the request log, so the two indices are
+    /// the whole stream position. A state [`Deployment::check_state`]
+    /// refuses leaves the deployment untouched.
     fn import_state(&mut self, s: &ServingState) -> Result<(), String> {
         self.check_state(s)?;
-        let mut stream = self.workload.stream();
-        for _ in 0..s.arrived + u64::from(s.next.is_some()) {
-            stream.next();
-        }
-        self.stream = stream;
-        self.next = s.next;
-        self.queue = s.queue.iter().copied().collect();
-        self.arrived = s.arrived;
-        self.completed = s.completed;
+        // Both fit: check_state bounds them by the log's length.
+        self.arrived = s.arrived as usize;
+        self.completed = s.completed as usize;
         self.batches = s.batches;
         self.slo_met = s.slo_met;
-        self.latencies = s.latencies.clone();
+        self.latencies.clear();
+        self.latencies.extend_from_slice(&s.latencies);
         self.first_arrival = s.first_arrival;
         self.last_finish = s.last_finish;
         for (r, rs) in self.replicas.iter_mut().zip(&s.replicas) {
             r.slowdown = rs.slowdown;
             r.free_at = rs.free_at;
         }
-        self.batch.clear();
         Ok(())
     }
 
-    /// Refuse a state that disagrees with this deployment or with itself.
-    /// Without the counter and value checks, a stream position past the
-    /// workload's end replays (or overflows) an unbounded pull count, and
-    /// a lookahead missing mid-stream reaches `advance_to`'s
-    /// `unreachable!`.
+    /// Refuse a state that disagrees with this deployment, its request
+    /// log or itself. Without the position checks, an index past the
+    /// log's end panics in `advance_to`, and a queued request that has
+    /// not arrived by the next batch's start finishes before it arrives.
     ///
     /// Every latency must be finite with a clear sign bit, as live ones
     /// are: `finish − arrival` with `finish ≥ arrival` is never negative
@@ -348,22 +477,12 @@ impl Deployment {
                 s.gpus, self.gpus
             ));
         }
-        // `next` is `None` exactly when the stream is exhausted, so this
-        // also bounds the replayed pull count `arrived + next.is_some()`.
-        if s.arrived > self.total || s.next.is_none() != (s.arrived == self.total) {
+        if !(s.completed <= s.arrived && s.arrived <= self.total() as u64) {
             return fail(format!(
-                "arrived {} with{} a lookahead request does not fit a {}-request stream",
-                s.arrived,
-                if s.next.is_some() { "" } else { "out" },
-                self.total
-            ));
-        }
-        if s.completed.checked_add(s.queue.len() as u64) != Some(s.arrived) {
-            return fail(format!(
-                "completed {} + queued {} != arrived {}",
+                "completed {} and arrived {} do not fit a {}-request stream",
                 s.completed,
-                s.queue.len(),
-                s.arrived
+                s.arrived,
+                self.total()
             ));
         }
         if s.latencies.len() as u64 != s.completed || s.slo_met > s.completed {
@@ -391,6 +510,26 @@ impl Deployment {
                  free_at)",
                 r.slowdown, r.free_at
             ));
+        }
+        // A live run queues only requests that arrived by the last
+        // batch's start, and the next batch — on the earliest-free
+        // replica, no earlier than its head's arrival — starts no earlier.
+        if s.arrived > s.completed {
+            let arrival = &self.log.arrival;
+            let free = s
+                .replicas
+                .iter()
+                .map(|r| r.free_at)
+                .fold(f64::INFINITY, f64::min);
+            let next_start = free.max(arrival[s.completed as usize]);
+            let last = arrival[s.arrived as usize - 1];
+            if last > next_start {
+                return fail(format!(
+                    "arrived {} queues a request arriving at {last}, after the next batch \
+                     starts at {next_start}",
+                    s.arrived
+                ));
+            }
         }
         Ok(())
     }
@@ -424,7 +563,7 @@ impl Deployment {
             workload: self.name.clone(),
             replicas: self.replicas.len(),
             gpus: self.gpus,
-            requests: self.completed,
+            requests: self.completed as u64,
             batches: self.batches,
             slo_attained: self.slo_met,
             latency_mean: pal_stats::mean(sorted).unwrap_or(0.0),
@@ -453,7 +592,8 @@ impl ServingEngine {
     /// round loop places training jobs: `placement_order_into` over all
     /// replica requests, then `place_into` + validation + allocation per
     /// replica in the policy's order. Replica request ids continue after
-    /// the trace's job ids.
+    /// the trace's job ids. Fails only when a request or latency log
+    /// cannot be allocated.
     pub(crate) fn place(
         jobs: &[ServingJob],
         cluster: &mut ClusterState,
@@ -462,7 +602,7 @@ impl ServingEngine {
         truth: &VariabilityProfile,
         locality: &LocalityModel,
         first_replica_id: u32,
-    ) -> ServingEngine {
+    ) -> Result<ServingEngine, SimError> {
         let mut requests = Vec::new();
         for job in jobs {
             for _ in 0..job.replicas {
@@ -510,44 +650,28 @@ impl ServingEngine {
                 .fold(0.0f64, f64::max);
             slowdowns[ri] = l * v;
         }
+        // Take the logs no concurrent cell is building first, then wait
+        // for the others: the cells of a row then generate their distinct
+        // streams in parallel.
+        let mut logs = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            logs.push(job.try_request_log().transpose()?);
+        }
         let mut deployments = Vec::with_capacity(jobs.len());
         let mut next_replica = 0usize;
-        let mut gpus_held = 0usize;
-        for job in jobs {
-            let replicas: Vec<Replica> = (0..job.replicas)
-                .map(|k| Replica {
-                    slowdown: slowdowns[next_replica + k],
-                    free_at: 0.0,
-                })
-                .collect();
+        for (job, log) in jobs.iter().zip(logs) {
+            let log = match log {
+                Some(log) => log,
+                None => job.request_log()?,
+            };
+            let replicas = next_replica..next_replica + job.replicas;
+            deployments.push(Deployment::new(job, log, &slowdowns[replicas])?);
             next_replica += job.replicas;
-            gpus_held += job.total_gpus();
-            let mut stream = job.workload.stream();
-            let next = stream.next();
-            deployments.push(Deployment {
-                name: job.workload.name.clone(),
-                cfg: job.batcher,
-                gpus: job.total_gpus(),
-                workload: Arc::clone(&job.workload),
-                stream,
-                next,
-                queue: VecDeque::new(),
-                replicas,
-                batch: Vec::new(),
-                total: job.workload.num_requests,
-                arrived: 0,
-                completed: 0,
-                batches: 0,
-                slo_met: 0,
-                latencies: Vec::new(),
-                first_arrival: 0.0,
-                last_finish: 0.0,
-            });
         }
-        ServingEngine {
+        Ok(ServingEngine {
+            gpus_held: jobs.iter().map(ServingJob::total_gpus).sum(),
             deployments,
-            gpus_held,
-        }
+        })
     }
 
     /// GPUs carved out of the cluster for serving replicas.
@@ -678,6 +802,7 @@ mod tests {
     use super::*;
     use crate::placement::PackedPlacement;
     use pal_cluster::ClusterTopology;
+    use pal_trace::ArrivalProcess;
     use proptest::prelude::*;
 
     /// Drive an engine with no extra sink attached, as the round loop
@@ -703,6 +828,7 @@ mod tests {
             &locality,
             0,
         )
+        .unwrap()
     }
 
     fn workload(rate: f64, n: u64) -> ServingWorkload {
@@ -745,35 +871,6 @@ mod tests {
         assert_eq!(m.latency_p99.to_bits(), 0x3fd2_9e0f_48b5_a175);
         assert_eq!(m.latency_max.to_bits(), 0x3fd5_e8c1_56c1_0810);
         assert_eq!(e.into_metrics(), vec![m]);
-    }
-
-    /// The summary as it was computed before the bit-pattern sort: a
-    /// copy, comparison-sorted, then the same mean and percentiles.
-    fn comparison_sort_summary(d: &Deployment, latencies: &[f64]) -> ServingMetrics {
-        let mut sorted = latencies.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
-        let pct = |p: f64| {
-            if sorted.is_empty() {
-                0.0
-            } else {
-                pal_stats::percentile_of_sorted(&sorted, p)
-            }
-        };
-        ServingMetrics {
-            workload: d.name.clone(),
-            replicas: d.replicas.len(),
-            gpus: d.gpus,
-            requests: d.completed,
-            batches: d.batches,
-            slo_attained: d.slo_met,
-            latency_mean: pal_stats::mean(&sorted).unwrap_or(0.0),
-            latency_p50: pct(50.0),
-            latency_p95: pct(95.0),
-            latency_p99: pct(99.0),
-            latency_max: sorted.last().copied().unwrap_or(0.0),
-            first_arrival: d.first_arrival,
-            last_finish: d.last_finish,
-        }
     }
 
     fn summary_bits(m: &ServingMetrics) -> [u64; 7] {
@@ -825,7 +922,7 @@ mod tests {
             let mut e = engine(1, workload(10.0, 10));
             advance(&mut e, 1e12);
             let d = &e.deployments[0];
-            let oracle = comparison_sort_summary(d, &latencies);
+            let oracle = oracle::comparison_sort_summary(d.summary(&mut []), &latencies);
             let mut sorted = latencies.clone();
             let m = d.summary(&mut sorted);
             prop_assert_eq!(summary_bits(&m), summary_bits(&oracle));
@@ -835,6 +932,150 @@ mod tests {
             expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
             prop_assert_eq!(bits(&sorted), bits(&expected));
         }
+    }
+
+    /// Collects the serving batches a run reports.
+    #[derive(Default)]
+    struct Batches(Vec<ServingBatchEvent>);
+
+    impl crate::observe::MetricsSink for Batches {
+        fn on_serving_batch(&mut self, event: &ServingBatchEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    fn arrivals(pick: usize, rate: f64) -> ArrivalProcess {
+        match pick {
+            0 => ArrivalProcess::Poisson { rate_per_s: rate },
+            1 => ArrivalProcess::Bursty {
+                base_rate_per_s: rate,
+                burst_rate_per_s: rate * 4.0,
+                mean_dwell_s: 5.0,
+            },
+            _ => ArrivalProcess::Diurnal {
+                mean_rate_per_s: rate,
+                amplitude: 0.8,
+                period_s: 60.0,
+            },
+        }
+    }
+
+    fn event_bits(e: &ServingBatchEvent) -> (u64, u64, usize, usize, usize) {
+        (
+            e.start.to_bits(),
+            e.finish.to_bits(),
+            e.batch_size,
+            e.slo_met,
+            e.queued,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The indexed loop over the shared request log serves exactly
+        /// what the queue-and-stream loop it replaced served: the same
+        /// batches, in the same order, with bit-equal times and metrics,
+        /// at any `advance_to` granularity.
+        #[test]
+        fn indexed_loop_matches_the_queue_oracle(
+            pick in 0usize..3,
+            rate in 1.0f64..150.0,
+            n in 1u64..400,
+            seed in any::<u64>(),
+            work_median_s in 0.002f64..0.1,
+            slo_s in 0.05f64..2.0,
+            slowdowns in proptest::collection::vec(0.5f64..3.0, 1..=3),
+            max_batch_size in 1usize..12,
+            batch_overhead_s in 0.0f64..0.05,
+            step in prop_oneof![Just(f64::INFINITY), 0.05f64..5.0],
+        ) {
+            let w = ServingWorkload {
+                arrivals: arrivals(pick, rate),
+                work_median_s,
+                slo_s,
+                seed,
+                ..ServingWorkload::poisson("diff", rate, n)
+            };
+            let job = ServingJob::new(w, slowdowns.len(), 1).batcher(BatcherConfig {
+                max_batch_size,
+                batch_overhead_s,
+            });
+            let mut indexed = Deployment::new(&job, job.request_log().unwrap(), &slowdowns).unwrap();
+            let mut oracle = oracle::Oracle::new(&job, &slowdowns);
+            let (mut got, mut want) = (Batches::default(), Vec::new());
+            let mut tel = crate::engine::Telemetry::new();
+            let mut t = 0.0;
+            while !(indexed.is_done() && oracle.is_done()) {
+                t += step;
+                indexed.advance_to(t, &mut Observer::new(&mut tel, Some(&mut got)));
+                oracle.advance_to(t, &mut want);
+                prop_assert_eq!(indexed.is_done(), oracle.is_done());
+                prop_assert_eq!(got.0.len(), want.len());
+            }
+            prop_assert_eq!(&got.0, &want);
+            let bits = |es: &[ServingBatchEvent]| es.iter().map(event_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.0), bits(&want));
+            let (m, o) = (indexed.summary(&mut indexed.latencies.clone()), oracle.metrics());
+            prop_assert_eq!(summary_bits(&m), summary_bits(&o));
+            prop_assert_eq!(m, o);
+        }
+    }
+
+    #[test]
+    fn clones_of_a_job_share_one_log_while_it_lives() {
+        let job = ServingJob::new(workload(50.0, 500), 1, 1);
+        let twin = job.clone();
+        let a = job.request_log().unwrap();
+        let b = twin.request_log().unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let bits = |l: &RequestLog| {
+            let col = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (col(&l.arrival), col(&l.work))
+        };
+        let stream: Vec<_> = job.workload.stream().collect();
+        assert_eq!(
+            bits(&a).0,
+            stream
+                .iter()
+                .map(|r| r.arrival.to_bits())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            bits(&a).1,
+            stream.iter().map(|r| r.work.to_bits()).collect::<Vec<_>>()
+        );
+        let before = bits(&a);
+        drop((a, b));
+        let rebuilt = twin.request_log().unwrap();
+        assert_eq!(bits(&rebuilt), before);
+        // A clone given another workload never gets this one's log.
+        let mut other = job.clone();
+        other.workload = Arc::new(workload(60.0, 500));
+        let log = other.request_log().unwrap();
+        assert!(!Arc::ptr_eq(&log, &rebuilt));
+        assert!(Arc::ptr_eq(&log.workload, &other.workload));
+    }
+
+    #[test]
+    fn request_counts_beyond_memory_are_typed_errors() {
+        let topo = ClusterTopology::new(1, 4);
+        let mut huge = workload(10.0, u64::MAX);
+        let job = |w: &ServingWorkload| ServingJob::new(w.clone(), 1, 1);
+        assert!(matches!(
+            validate_serving(&[job(&huge)], &topo, 3),
+            Err(SimError::InvalidServingJob { reason, .. }) if reason.contains("overflow")
+        ));
+        // 2^58 requests pass the address-space bound but not the
+        // allocator: their 2 EiB columns exceed any address space, so the
+        // reservation fails before a byte is touched.
+        huge.num_requests = 1 << 58;
+        assert!(validate_serving(&[job(&huge)], &topo, 3).is_ok());
+        let err = job(&huge).request_log().unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidServingJob { reason, .. } if reason.contains("cannot allocate")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -891,7 +1132,6 @@ mod tests {
         let s1 = &e.export_state()[0];
         assert!(s1.completed > 0 && s1.completed < 100);
         assert!(s1.arrived >= s1.completed);
-        assert_eq!(s1.queue.len() as u64, s1.arrived - s1.completed);
         advance(&mut e, 1e12);
         assert_eq!(e.export_state()[0].completed, 100);
     }
@@ -913,7 +1153,8 @@ mod tests {
                 &truth,
                 &locality,
                 0,
-            );
+            )
+            .unwrap();
             advance(&mut e, 1e12);
             e.metrics()[0].latency_mean
         };

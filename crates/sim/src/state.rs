@@ -6,12 +6,12 @@
 //! admitted job, cluster occupancy, clocks, accumulated telemetry, the
 //! placement policy's opaque run state
 //! ([`PlacementPolicy::export_state`]), and every serving deployment's
-//! queue/counters/replica times. Per-round scratch buffers are
+//! stream position/counters/replica times. Per-round scratch buffers are
 //! deliberately absent — they are rebuilt from the persistent state at
 //! the next executed round, so serializing them would only version-lock
 //! internals.
 //!
-//! ## Layout (format v2)
+//! ## Layout (format v3)
 //!
 //! A state saves what the run changed, not the workload:
 //!
@@ -29,6 +29,10 @@
 //!   the importer resets them to that.
 //! - **Rejections as indices.** `rejected` lists the rejected jobs'
 //!   indices, strictly ascending and below `next_admit`.
+//! - **Serving positions as indices.** A deployment's requests are its
+//!   workload's, regenerated from the seed; its state holds only the
+//!   `completed` and `arrived` counts (the queue is the requests between
+//!   them), counters, latencies and replica times.
 //!
 //! ## Versioning
 //!
@@ -38,7 +42,9 @@
 //! the format changes exactly when the engine's persistent state grows a
 //! field, and silently dropping or defaulting one would break the
 //! resumed-equals-uninterrupted guarantee the proptests pin. Version 1
-//! stored every job's spec and runtime state; this build refuses it.
+//! stored every job's spec and runtime state, and version 2 every
+//! serving deployment's queued requests and stream lookahead; this build
+//! refuses both.
 //!
 //! [`Simulation`]: crate::Simulation
 //! [`Simulation::import_state`]: crate::Simulation::import_state
@@ -48,12 +54,12 @@ use crate::engine::EPS;
 use crate::job_state::{ActiveJob, JobPhase};
 use pal_cluster::ClusterState;
 use pal_stats::StepSeries;
-use pal_trace::{JobSpec, ServingRequest};
+use pal_trace::JobSpec;
 use serde::{Deserialize, Emitter, Serialize, Value};
 
 /// Format version written into every [`SimState`]. Bump whenever a field
 /// is added, removed, or reinterpreted; importers reject other versions.
-pub const STATE_FORMAT_VERSION: u32 = 2;
+pub const STATE_FORMAT_VERSION: u32 = 3;
 
 /// The persistent state of one simulation run at a round boundary,
 /// beyond what its scenario already holds (see the [module docs](self)
@@ -475,7 +481,7 @@ impl SimState {
     }
 }
 
-/// Persistent state of one serving deployment: stream position, queue,
+/// Persistent state of one serving deployment: stream position,
 /// counters, latency log, and per-replica availability.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingState {
@@ -483,16 +489,10 @@ pub struct ServingState {
     pub workload: String,
     /// GPUs the deployment holds.
     pub gpus: usize,
-    /// Requests that have entered the queue so far. Together with
-    /// `next`, this pins the request stream's position: the stream has
-    /// been pulled `arrived + next.is_some()` times, which import
-    /// replays against a fresh stream (same workload, same seed) to
-    /// land on the identical continuation.
+    /// Requests that had arrived by the last batch's start. The ones
+    /// from `completed` on are queued; the stream, a pure function of the
+    /// workload's seed, supplies them on import.
     pub arrived: u64,
-    /// The one-slot stream lookahead (pulled but not yet queued).
-    pub next: Option<ServingRequest>,
-    /// Requests waiting for a batch, FIFO order.
-    pub queue: Vec<ServingRequest>,
     /// Requests served so far.
     pub completed: u64,
     /// Batches executed so far.

@@ -43,5 +43,5 @@ pub use io::{read_trace_csv, write_trace_csv, TraceIoError};
 pub use job::{JobId, JobSpec, Trace};
 pub use models::{CatalogEntry, ModelCatalog};
 pub use philly::SiaPhillyConfig;
-pub use serving::{ArrivalProcess, RequestId, RequestStream, ServingRequest, ServingWorkload};
+pub use serving::{ArrivalProcess, RequestId, ServingRequest, ServingWorkload};
 pub use synergy::SynergyConfig;

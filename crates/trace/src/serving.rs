@@ -9,8 +9,10 @@
 //!
 //! A [`ServingWorkload`] is a pure description (cheap to build, immutable,
 //! share it via `Arc` across Campaign cells like `Trace`); the actual
-//! requests come from [`ServingWorkload::stream`], a lazy iterator, so a
-//! million-request stream never needs to be materialized.
+//! requests come from [`ServingWorkload::stream`], an iterator that
+//! generates them one at a time. The simulator materializes each
+//! distinct stream once, as arrival and work columns, and shares that
+//! log across the cells that serve it.
 
 use crate::generator::lognormal;
 use rand::distributions::{Distribution, Exp};
@@ -229,9 +231,10 @@ impl ServingWorkload {
         Ok(())
     }
 
-    /// Lazily generate the request stream. Each call starts an identical
+    /// Lazily generate the request stream, in arrival order with
+    /// strictly increasing arrival times. Each call starts an identical
     /// stream (same seed ⇒ same requests, bit for bit).
-    pub fn stream(&self) -> RequestStream {
+    pub fn stream(&self) -> impl ExactSizeIterator<Item = ServingRequest> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let phase = match self.arrivals {
             ArrivalProcess::Bursty { mean_dwell_s, .. } => {
@@ -265,10 +268,9 @@ struct MmppPhase {
     end: f64,
 }
 
-/// Lazy iterator over a [`ServingWorkload`]'s requests, in arrival order
-/// with strictly increasing arrival times.
+/// Lazy iterator over a [`ServingWorkload`]'s requests.
 #[derive(Debug, Clone)]
-pub struct RequestStream {
+struct RequestStream {
     arrivals: ArrivalProcess,
     remaining: u64,
     work_median_s: f64,
