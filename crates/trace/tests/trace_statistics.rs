@@ -135,3 +135,83 @@ fn classes_in_traces_match_catalog_ground_truth() {
         assert!((j.base_iter_time - entry.base_iter_time).abs() < 1e-12);
     }
 }
+
+/// FNV-1a 64 over the trace name and every field of every job, floats by
+/// their IEEE bit pattern — any change to a draw, its order or its
+/// arithmetic changes the digest.
+fn trace_digest(t: &pal_trace::Trace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut absorb = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    absorb(t.name.as_bytes());
+    for j in &t.jobs {
+        absorb(&j.id.0.to_le_bytes());
+        absorb(format!("{:?}", j.model).as_bytes());
+        absorb(&(j.class.0 as u64).to_le_bytes());
+        absorb(&j.arrival.to_bits().to_le_bytes());
+        absorb(&(j.gpu_demand as u64).to_le_bytes());
+        absorb(&j.iterations.to_le_bytes());
+        absorb(&j.base_iter_time.to_bits().to_le_bytes());
+    }
+    h
+}
+
+#[test]
+fn generated_traces_are_pinned() {
+    use pal_trace::HeavyTailConfig;
+    let c = catalog();
+    let mut traces: Vec<_> = (1..=8)
+        .map(|w| SiaPhillyConfig::default().generate(w, &c))
+        .collect();
+    traces.push(SiaPhillyConfig::default().generate_seeded(
+        1,
+        0x117C31,
+        &ModelCatalog::table2(&GpuSpec::quadro_rtx5000()),
+    ));
+    let synergy = SynergyConfig::default();
+    traces.push(synergy.generate(&c));
+    traces.push(synergy.at_load(20.0).generate(&c));
+    traces.push(
+        SynergyConfig {
+            num_jobs: 3000,
+            single_gpu_fraction: 0.9,
+            seed: 7,
+            ..synergy
+        }
+        .generate(&c),
+    );
+    traces.push(HeavyTailConfig::default().generate(&c));
+    traces.push(
+        HeavyTailConfig {
+            num_jobs: 30_000,
+            jobs_per_hour: 1500.0,
+            alpha: 0.8,
+            ..Default::default()
+        }
+        .generate(&c),
+    );
+    let got: Vec<(&str, u64)> = traces
+        .iter()
+        .map(|t| (t.name.as_str(), trace_digest(t)))
+        .collect();
+    let want = [
+        ("sia-philly-1", 0x39a668c3d9caa182),
+        ("sia-philly-2", 0xdf07ee0968ade18f),
+        ("sia-philly-3", 0x4ceea0cd861acd58),
+        ("sia-philly-4", 0x48d96d770ad9a9d9),
+        ("sia-philly-5", 0x5da4f8f789eaddde),
+        ("sia-philly-6", 0xd45d67fae8e8943f),
+        ("sia-philly-7", 0x848a17d16a9f7dad),
+        ("sia-philly-8", 0xcfd64a1b093aa961),
+        ("sia-philly-1", 0xccbf4b48fcb3b49f),
+        ("synergy-10jph", 0xf75470b7286b1294),
+        ("synergy-20jph", 0x06e169516fea4ee0),
+        ("synergy-10jph", 0x43b5c107ff3dad7e),
+        ("heavy-tail-10jph", 0x330b94d55b851243),
+        ("heavy-tail-1500jph", 0x81e4d31412d00201),
+    ];
+    assert_eq!(got, want);
+}
