@@ -82,49 +82,9 @@ const RUN_USAGE: &str =
     "usage: palsim run <campaign.toml|.json> [--csv] [--spill <dir>] [--metrics <dir>]";
 
 fn cmd_run(argv: &[String]) -> ExitCode {
-    let mut path: Option<&str> = None;
-    let mut csv = false;
-    let mut spill: Option<PathBuf> = None;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => csv = true,
-            "--spill" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(dir) => spill = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("palsim run: --spill needs a directory\n{RUN_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--metrics" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(dir) => metrics_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("palsim run: --metrics needs a directory\n{RUN_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{RUN_USAGE}");
-                return ExitCode::from(2);
-            }
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => {
-                eprintln!("palsim run: unexpected argument `{other}`\n{RUN_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("{RUN_USAGE}");
-        return ExitCode::from(2);
+    let (path, flags) = match parse_args("run", RUN_USAGE, argv) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let mut campaign = match campaign_from_path(path, &registry()) {
         Ok(c) => c,
@@ -138,7 +98,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     // Live per-cell event/round streaming through the engine's sink path.
-    let metrics = match metrics_dir {
+    let metrics = match flags.metrics {
         Some(dir) => match MetricsDir::create(&dir) {
             Ok(metrics) => {
                 let factory = metrics.clone();
@@ -152,7 +112,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let results = if let Some(dir) = spill {
+    let results = if let Some(dir) = flags.spill {
         match run_spill(path, &campaign, &dir) {
             Ok(r) => r,
             Err(code) => return code,
@@ -175,7 +135,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         eprintln!("palsim: metrics incomplete: {err}");
         return ExitCode::FAILURE;
     }
-    output_results(&results, csv);
+    output_results(&results, flags.csv);
     ExitCode::SUCCESS
 }
 
@@ -229,26 +189,11 @@ fn run_spill(
 const RESUME_USAGE: &str = "usage: palsim resume <spill-dir> [--csv]";
 
 fn cmd_resume(argv: &[String]) -> ExitCode {
-    let mut dir: Option<&str> = None;
-    let mut csv = false;
-    for arg in argv {
-        match arg.as_str() {
-            "--csv" => csv = true,
-            "--help" | "-h" => {
-                eprintln!("{RESUME_USAGE}");
-                return ExitCode::from(2);
-            }
-            other if !other.starts_with('-') && dir.is_none() => dir = Some(other),
-            other => {
-                eprintln!("palsim resume: unexpected argument `{other}`\n{RESUME_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(dir) = dir.map(Path::new) else {
-        eprintln!("{RESUME_USAGE}");
-        return ExitCode::from(2);
+    let (dir, flags) = match parse_args("resume", RESUME_USAGE, argv) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
+    let dir = Path::new(dir);
     let Some(config) = spilled_config(dir) else {
         eprintln!(
             "palsim: {}: no campaign.toml or campaign.json — not a spill directory?",
@@ -267,7 +212,7 @@ fn cmd_resume(argv: &[String]) -> ExitCode {
         Ok((stats, results)) => {
             eprintln!("palsim: resumed {}:", dir.display());
             report_stats(&stats);
-            output_results(&results, csv);
+            output_results(&results, flags.csv);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -285,49 +230,11 @@ const WHAT_IF_USAGE: &str = "usage: palsim what-if <campaign.toml|.json> --fork-
 /// ([`pal_sim::Campaign::what_if`]). Fork diagnostics go to stderr;
 /// branch results go to stdout through the same formatter `run` uses.
 fn cmd_what_if(argv: &[String]) -> ExitCode {
-    let mut path: Option<&str> = None;
-    let mut fork_at: Option<f64> = None;
-    let mut csv = false;
-    let mut export: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => csv = true,
-            "--fork-at" => {
-                i += 1;
-                match argv.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(t) => fork_at = Some(t),
-                    None => {
-                        eprintln!(
-                            "palsim what-if: --fork-at needs a time in seconds\n{WHAT_IF_USAGE}"
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--export" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(dir) => export = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("palsim what-if: --export needs a directory\n{WHAT_IF_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{WHAT_IF_USAGE}");
-                return ExitCode::from(2);
-            }
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => {
-                eprintln!("palsim what-if: unexpected argument `{other}`\n{WHAT_IF_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    let (Some(path), Some(fork_at)) = (path, fork_at) else {
+    let (path, flags) = match parse_args("what-if", WHAT_IF_USAGE, argv) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
+    let Some(fork_at) = flags.fork_at else {
         eprintln!("{WHAT_IF_USAGE}");
         return ExitCode::from(2);
     };
@@ -342,7 +249,7 @@ fn cmd_what_if(argv: &[String]) -> ExitCode {
         eprintln!("palsim: {path}: campaign has no cells (no scenarios)");
         return ExitCode::from(2);
     }
-    if let Some(dir) = &export {
+    if let Some(dir) = &flags.export {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("palsim: cannot create {}: {e}", dir.display());
             return ExitCode::from(2);
@@ -366,7 +273,7 @@ fn cmd_what_if(argv: &[String]) -> ExitCode {
             sc.branches.len(),
             sc.prefix_digest
         );
-        if let Some(dir) = &export {
+        if let Some(dir) = &flags.export {
             let file = dir.join(format!("{}.state.json", sanitize_file_stem(&sc.scenario)));
             if let Err(e) = save_state(&file, &sc.fork_state) {
                 eprintln!("palsim: {}", render_chain(&e));
@@ -376,8 +283,68 @@ fn cmd_what_if(argv: &[String]) -> ExitCode {
         }
         results.extend(sc.branches);
     }
-    output_results(&results, csv);
+    output_results(&results, flags.csv);
     ExitCode::SUCCESS
+}
+
+/// The flags `run`, `what-if` and `resume` share: `--csv` plus the value
+/// flags each one's usage line names.
+#[derive(Default)]
+struct Flags {
+    csv: bool,
+    spill: Option<PathBuf>,
+    metrics: Option<PathBuf>,
+    export: Option<PathBuf>,
+    fork_at: Option<f64>,
+}
+
+/// The one argument parser of `run`, `what-if` and `resume`: one path
+/// plus [`Flags`], where a value flag is accepted only if the
+/// subcommand's `usage` line names it. `--help`, a missing path or any
+/// bad argument prints the usage (after a one-line diagnostic) and
+/// returns exit code 2.
+fn parse_args<'a>(
+    cmd: &str,
+    usage: &str,
+    argv: &'a [String],
+) -> Result<(&'a str, Flags), ExitCode> {
+    let bad = |msg: String| {
+        eprintln!("palsim {cmd}: {msg}\n{usage}");
+        ExitCode::from(2)
+    };
+    let usage_only = || {
+        eprintln!("{usage}");
+        ExitCode::from(2)
+    };
+    let mut path = None;
+    let mut flags = Flags::default();
+    let mut args = argv.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--csv" => flags.csv = true,
+            "--fork-at" if usage.contains(arg) => {
+                match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                    Some(t) if t.is_finite() && t >= 0.0 => flags.fork_at = Some(t),
+                    _ => return Err(bad("--fork-at needs a finite time ≥ 0 in seconds".into())),
+                }
+            }
+            "--spill" | "--metrics" | "--export" if usage.contains(arg) => {
+                let Some(dir) = args.next() else {
+                    return Err(bad(format!("{arg} needs a directory")));
+                };
+                let slot = match arg {
+                    "--spill" => &mut flags.spill,
+                    "--metrics" => &mut flags.metrics,
+                    _ => &mut flags.export,
+                };
+                *slot = Some(PathBuf::from(dir));
+            }
+            "--help" | "-h" => return Err(usage_only()),
+            other if !other.starts_with('-') && path.is_none() => path = Some(other),
+            other => return Err(bad(format!("unexpected argument `{other}`"))),
+        }
+    }
+    path.map(|path| (path, flags)).ok_or_else(usage_only)
 }
 
 fn sanitize_file_stem(s: &str) -> String {
@@ -525,5 +492,34 @@ mod tests {
         assert!(matches!(err, ConfigError::BadParam { .. }), "{err}");
         assert!(err.to_string().contains("448"), "{err}");
         assert!(build(LONGHORN_MEASURED_GPUS / 4).is_ok());
+    }
+
+    #[test]
+    fn fork_at_must_be_a_finite_non_negative_time() {
+        let fork_at = |value: &str| {
+            let argv = ["c.toml", "--fork-at", value].map(String::from);
+            parse_args("what-if", WHAT_IF_USAGE, &argv)
+                .ok()
+                .map(|(_, flags)| flags.fork_at)
+        };
+        for bad in ["nan", "-5", "inf", "1e400", "soon"] {
+            assert_eq!(fork_at(bad), None, "{bad}");
+        }
+        assert_eq!(fork_at("0"), Some(Some(0.0)));
+        assert_eq!(fork_at("3600"), Some(Some(3600.0)));
+    }
+
+    #[test]
+    fn value_flags_are_accepted_only_where_the_usage_names_them() {
+        let parses = |cmd: &str, usage: &str, flag: &str| {
+            let argv = ["dir", flag, "x"].map(String::from);
+            parse_args(cmd, usage, &argv).is_ok()
+        };
+        assert!(parses("run", RUN_USAGE, "--spill"));
+        assert!(parses("run", RUN_USAGE, "--metrics"));
+        assert!(!parses("run", RUN_USAGE, "--export"));
+        assert!(parses("what-if", WHAT_IF_USAGE, "--export"));
+        assert!(!parses("what-if", WHAT_IF_USAGE, "--spill"));
+        assert!(!parses("resume", RESUME_USAGE, "--metrics"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Descriptive statistics used throughout the PAL scheduler reproduction:
 //! summaries (mean / geometric mean / standard deviation), percentiles,
-//! empirical CDFs, histograms, boxplot statistics, online (streaming)
-//! accumulators, and step-function time series.
+//! empirical CDFs, histograms, boxplot statistics, and step-function time
+//! series.
 //!
 //! The paper reports geomean improvements in job completion time (JCT),
 //! 99th-percentile JCT, makespan, and cluster utilization; the CDFs of
@@ -20,7 +20,6 @@
 pub mod boxplot;
 pub mod cdf;
 pub mod histogram;
-pub mod online;
 pub mod percentile;
 pub mod summary;
 pub mod timeseries;
@@ -28,7 +27,6 @@ pub mod timeseries;
 pub use boxplot::BoxplotStats;
 pub use cdf::EmpiricalCdf;
 pub use histogram::Histogram;
-pub use online::{OnlineStats, StreamingExtrema};
 pub use percentile::{median, percentile, percentile_of_sorted};
 pub use summary::{geomean, geomean_of_ratios, mean, std_dev, Summary};
 pub use timeseries::StepSeries;

@@ -2,8 +2,7 @@
 //! satisfy their defining mathematical identities on arbitrary inputs.
 
 use pal_stats::{
-    geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, Histogram, OnlineStats,
-    StepSeries, Summary,
+    geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, Histogram, StepSeries, Summary,
 };
 use proptest::prelude::*;
 
@@ -86,35 +85,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&d));
         prop_assert!((d - b.ks_distance(&a)).abs() < 1e-12, "symmetry");
         prop_assert!(a.ks_distance(&a) == 0.0, "identity");
-    }
-
-    #[test]
-    fn online_stats_match_batch(xs in finite_sample()) {
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        let scale = xs.iter().map(|x| x.abs()).fold(1.0, f64::max);
-        prop_assert!((o.mean().unwrap() - mean(&xs).unwrap()).abs() < 1e-9 * scale);
-        if xs.len() >= 2 {
-            let batch = pal_stats::std_dev(&xs).unwrap();
-            prop_assert!((o.std_dev().unwrap() - batch).abs() < 1e-6 * scale.max(batch));
-        }
-    }
-
-    #[test]
-    fn online_merge_is_associative_enough(xs in finite_sample(), split in 0usize..200) {
-        let k = split.min(xs.len());
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..k] { left.push(x); }
-        for &x in &xs[k..] { right.push(x); }
-        let mut whole = OnlineStats::new();
-        for &x in &xs { whole.push(x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        let scale = xs.iter().map(|x| x.abs()).fold(1.0, f64::max);
-        prop_assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9 * scale);
     }
 
     #[test]

@@ -1,10 +1,93 @@
-//! Low-level sampling helpers shared by the trace generators: exponential
-//! inter-arrival gaps, log-normal durations, and weighted discrete choice.
-//! All deterministic via `StdRng`.
+//! The one Poisson job source behind the Sia-Philly, Synergy and
+//! heavy-tail families ([`poisson_jobs`]), and the sampling helpers it and
+//! the serving streams draw from: exponential inter-arrival gaps,
+//! log-normal durations, and weighted discrete choice. All deterministic
+//! via `StdRng`.
 
+use crate::job::{JobId, JobSpec};
+use crate::models::ModelCatalog;
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+/// Philly's GPU demands for the multi-GPU minority, dominated by 2-, 4-
+/// and 8-GPU requests (Synergy "preserves the Philly trace's GPU demand";
+/// the heavy-tail family draws the same demands).
+pub(crate) const PHILLY_MULTI_GPU_DEMANDS: &[(usize, f64)] =
+    &[(2, 0.40), (4, 0.32), (8, 0.18), (16, 0.07), (32, 0.03)];
+
+/// How [`poisson_jobs`] draws a job's ideal duration, in seconds.
+pub(crate) enum DurationLaw {
+    /// Log-normal around `median_s`, times `demand^0.25` (larger Philly
+    /// jobs run somewhat longer), capped at `max_s`.
+    LogNormal {
+        median_s: f64,
+        sigma: f64,
+        max_s: f64,
+    },
+    /// Bounded Pareto by inversion, `min_s · U^{-1/alpha}`, capped at
+    /// `max_s`.
+    Pareto { alpha: f64, min_s: f64, max_s: f64 },
+}
+
+/// `num_jobs` training jobs with Poisson arrivals at `jobs_per_hour`,
+/// seeded by `seed`, in arrival order with ids `0..num_jobs`. Each job
+/// draws, in this order: its arrival gap, single- vs multi-GPU, a demand
+/// from `multi_gpu_demands`, a uniformly chosen catalog model, and a
+/// duration from `durations`. Draws happen as the iterator is pulled, so
+/// streaming a trace holds one job at a time. Panics on an empty catalog.
+pub(crate) fn poisson_jobs<'a>(
+    catalog: &'a ModelCatalog,
+    seed: u64,
+    num_jobs: usize,
+    jobs_per_hour: f64,
+    single_gpu_fraction: f64,
+    multi_gpu_demands: &'static [(usize, f64)],
+    durations: DurationLaw,
+) -> impl ExactSizeIterator<Item = JobSpec> + 'a {
+    assert!(!catalog.is_empty(), "empty model catalog");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rate_per_s = jobs_per_hour / 3600.0;
+    let single = [
+        (true, single_gpu_fraction),
+        (false, 1.0 - single_gpu_fraction),
+    ];
+    let models: Vec<(usize, f64)> = (0..catalog.len()).map(|i| (i, 1.0)).collect();
+    let mut t = 0.0;
+    (0..num_jobs).map(move |i| {
+        t += exponential(&mut rng, rate_per_s);
+        let gpu_demand = if weighted_choice(&mut rng, &single) {
+            1
+        } else {
+            weighted_choice(&mut rng, multi_gpu_demands)
+        };
+        let entry = &catalog.entries()[weighted_choice(&mut rng, &models)];
+        let duration = match durations {
+            DurationLaw::LogNormal {
+                median_s,
+                sigma,
+                max_s,
+            } => (lognormal(&mut rng, median_s, sigma) * (gpu_demand as f64).powf(0.25)).min(max_s),
+            DurationLaw::Pareto {
+                alpha,
+                min_s,
+                max_s,
+            } => {
+                let u = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                (min_s * u.powf(-1.0 / alpha)).min(max_s)
+            }
+        };
+        JobSpec {
+            id: JobId(i as u32),
+            model: entry.model,
+            class: entry.class,
+            arrival: t,
+            gpu_demand,
+            iterations: (duration / entry.base_iter_time).ceil().max(1.0) as u64,
+            base_iter_time: entry.base_iter_time,
+        }
+    })
+}
 
 /// Sample an exponential random variable with the given rate (events per
 /// unit time). Used for Poisson arrival processes. Delegates to the shim's

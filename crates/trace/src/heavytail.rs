@@ -9,21 +9,15 @@
 //! of total service into the tail and stresses schedulers that starve
 //! long jobs (LAS demotion, SRTF) in ways the log-normal families don't.
 //!
-//! Mirrors [`SynergyConfig`](crate::SynergyConfig)'s shape: Poisson
-//! arrivals at a configurable rate, a single-GPU majority with
-//! Philly-like multi-GPU demands, a streaming generator
+//! It draws from the Synergy job source with a Pareto duration law: Poisson
+//! arrivals at a configurable rate, a single-GPU majority with Philly's
+//! multi-GPU demands, and a streaming generator
 //! ([`HeavyTailConfig::stream`]) whose collected output is bit-identical
 //! to [`HeavyTailConfig::generate`].
 
-use crate::generator::{exponential, weighted_choice};
-use crate::job::{JobId, JobSpec, Trace};
+use crate::generator::{poisson_jobs, DurationLaw, PHILLY_MULTI_GPU_DEMANDS};
+use crate::job::{JobSpec, Trace};
 use crate::models::ModelCatalog;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Philly-like GPU-demand distribution for the multi-GPU minority.
-const MULTI_GPU_DEMANDS: [(usize, f64); 5] =
-    [(2, 0.40), (4, 0.32), (8, 0.18), (16, 0.07), (32, 0.03)];
 
 /// Configuration for the heavy-tail (bounded-Pareto) generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,22 +64,26 @@ impl HeavyTailConfig {
         &self,
         catalog: &'a ModelCatalog,
     ) -> impl ExactSizeIterator<Item = JobSpec> + 'a {
-        assert!(!catalog.is_empty(), "empty model catalog");
+        let jobs = poisson_jobs(
+            catalog,
+            self.seed,
+            self.num_jobs,
+            self.jobs_per_hour,
+            self.single_gpu_fraction,
+            PHILLY_MULTI_GPU_DEMANDS,
+            DurationLaw::Pareto {
+                alpha: self.alpha,
+                min_s: self.min_duration_s,
+                max_s: self.max_duration_s,
+            },
+        );
         assert!(self.jobs_per_hour > 0.0, "non-positive arrival rate");
         assert!(self.alpha > 0.0, "non-positive Pareto alpha");
         assert!(
             self.min_duration_s > 0.0 && self.max_duration_s >= self.min_duration_s,
             "invalid duration bounds"
         );
-        HeavyTailJobs {
-            cfg: self.clone(),
-            catalog,
-            rng: StdRng::seed_from_u64(self.seed),
-            model_weights: (0..catalog.len()).map(|i| (i, 1.0)).collect(),
-            rate_per_s: self.jobs_per_hour / 3600.0,
-            t: 0.0,
-            produced: 0,
-        }
+        jobs
     }
 
     /// Generate the full trace at this config's arrival rate.
@@ -95,75 +93,7 @@ impl HeavyTailConfig {
             self.stream(catalog),
         )
     }
-
-    /// Same job population at a different arrival rate (the load knob, as
-    /// in [`SynergyConfig::at_load`](crate::SynergyConfig::at_load)).
-    pub fn at_load(&self, jobs_per_hour: f64) -> Self {
-        HeavyTailConfig {
-            jobs_per_hour,
-            ..self.clone()
-        }
-    }
 }
-
-/// Streaming heavy-tail job source created by [`HeavyTailConfig::stream`].
-#[derive(Debug)]
-struct HeavyTailJobs<'a> {
-    cfg: HeavyTailConfig,
-    catalog: &'a ModelCatalog,
-    rng: StdRng,
-    model_weights: Vec<(usize, f64)>,
-    rate_per_s: f64,
-    t: f64,
-    produced: usize,
-}
-
-impl Iterator for HeavyTailJobs<'_> {
-    type Item = JobSpec;
-
-    fn next(&mut self) -> Option<JobSpec> {
-        if self.produced >= self.cfg.num_jobs {
-            return None;
-        }
-        let i = self.produced;
-        self.produced += 1;
-        self.t += exponential(&mut self.rng, self.rate_per_s);
-        let single = weighted_choice(
-            &mut self.rng,
-            &[
-                (true, self.cfg.single_gpu_fraction),
-                (false, 1.0 - self.cfg.single_gpu_fraction),
-            ],
-        );
-        let gpu_demand = if single {
-            1
-        } else {
-            weighted_choice(&mut self.rng, &MULTI_GPU_DEMANDS)
-        };
-        let entry = &self.catalog.entries()[weighted_choice(&mut self.rng, &self.model_weights)];
-        // Bounded Pareto by inversion: D = x_min · U^{-1/α}, capped.
-        let u: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let duration =
-            (self.cfg.min_duration_s * u.powf(-1.0 / self.cfg.alpha)).min(self.cfg.max_duration_s);
-        let iterations = (duration / entry.base_iter_time).ceil().max(1.0) as u64;
-        Some(JobSpec {
-            id: JobId(i as u32),
-            model: entry.model,
-            class: entry.class,
-            arrival: self.t,
-            gpu_demand,
-            iterations,
-            base_iter_time: entry.base_iter_time,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.cfg.num_jobs - self.produced;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for HeavyTailJobs<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -218,27 +148,6 @@ mod tests {
             "top decile carries {:.2} of service",
             top_decile / total
         );
-    }
-
-    #[test]
-    fn at_load_changes_only_rate() {
-        let base = HeavyTailConfig::default();
-        let fast = base.at_load(20.0);
-        assert_eq!(fast.num_jobs, base.num_jobs);
-        assert_eq!(fast.seed, base.seed);
-        let d_base: Vec<usize> = base
-            .generate(&catalog())
-            .jobs
-            .iter()
-            .map(|j| j.gpu_demand)
-            .collect();
-        let d_fast: Vec<usize> = fast
-            .generate(&catalog())
-            .jobs
-            .iter()
-            .map(|j| j.gpu_demand)
-            .collect();
-        assert_eq!(d_base, d_fast);
     }
 
     #[test]

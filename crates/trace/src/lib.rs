@@ -16,14 +16,18 @@
 //! adds open-loop inference request streams (Poisson, bursty/MMPP, diurnal)
 //! with per-request SLO deadlines, for the serving subsystem of `pal-sim`.
 //!
-//! We do not have the original trace files, so both generators are
+//! We do not have the original trace files, so both families are
 //! *statistical regenerations* from the published characteristics (job
 //! counts, arrival processes, demand distributions, duration scales).
+//! [`HeavyTailConfig`] adds a third family with bounded-Pareto durations.
+//! All three are one Poisson job source with different parameters: per
+//! job it draws the arrival gap, single- vs multi-GPU, a demand from a
+//! fixed table, a uniformly chosen catalog model and a duration
+//! (log-normal for Sia-Philly and Synergy, Pareto for heavy-tail).
 //! Generators are deterministic in their seed, and the eight Sia workload
-//! variants are eight seeds. [`HeavyTailConfig`] adds a bounded-Pareto
-//! duration family; [`read_trace_csv`] / [`write_trace_csv`] persist
-//! a trace and [`import_csv_trace`] reads external (Philly, Alibaba,
-//! Google) CSV logs.
+//! variants are eight seeds. [`read_trace_csv`] / [`write_trace_csv`]
+//! persist a trace and [`import_csv_trace`] reads external (Philly,
+//! Alibaba, Google) CSV logs.
 
 #![warn(missing_docs)]
 

@@ -9,11 +9,9 @@
 //! jobs (the paper's workload 5) and some delay them (workload 3), which
 //! drives the spread of policy benefits in Figure 11.
 
-use crate::generator::{exponential, lognormal, weighted_choice};
-use crate::job::{JobId, JobSpec, Trace};
+use crate::generator::{poisson_jobs, DurationLaw};
+use crate::job::Trace;
 use crate::models::ModelCatalog;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Configuration for the Sia-Philly generator.
 #[derive(Debug, Clone)]
@@ -50,7 +48,7 @@ impl Default for SiaPhillyConfig {
 /// Multi-GPU demand distribution (given the job is multi-GPU): Philly-like
 /// power-of-two dominated, capped at 48 ("the largest multi-GPU jobs
 /// request up to 48 GPUs").
-const MULTI_GPU_DEMANDS: [(usize, f64); 7] = [
+const MULTI_GPU_DEMANDS: &[(usize, f64)] = &[
     (2, 0.34),
     (4, 0.30),
     (8, 0.18),
@@ -74,49 +72,20 @@ impl SiaPhillyConfig {
     /// Generate with an explicit seed (for ablations beyond the eight paper
     /// variants).
     pub fn generate_seeded(&self, workload_id: u32, seed: u64, catalog: &ModelCatalog) -> Trace {
-        assert!(!catalog.is_empty(), "empty model catalog");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rate_per_s = self.arrival_rate_per_hour / 3600.0;
-        let mut t = 0.0;
-        let mut jobs = Vec::with_capacity(self.num_jobs);
-        let model_weights: Vec<(usize, f64)> = (0..catalog.len()).map(|i| (i, 1.0)).collect();
-        for i in 0..self.num_jobs {
-            t += exponential(&mut rng, rate_per_s);
-            let single = weighted_choice(
-                &mut rng,
-                &[
-                    (true, self.single_gpu_fraction),
-                    (false, 1.0 - self.single_gpu_fraction),
-                ],
-            );
-            let gpu_demand = if single {
-                1
-            } else {
-                weighted_choice(&mut rng, &MULTI_GPU_DEMANDS)
-            };
-            let entry = &catalog.entries()[weighted_choice(&mut rng, &model_weights)];
-            // Larger jobs run somewhat longer in Philly; correlate mildly.
-            let size_factor = (gpu_demand as f64).powf(0.25);
-            let duration = (lognormal(&mut rng, self.median_duration_s, self.duration_sigma)
-                * size_factor)
-                .min(self.max_duration_s);
-            let iterations = (duration / entry.base_iter_time).ceil().max(1.0) as u64;
-            jobs.push(JobSpec {
-                id: JobId(i as u32),
-                model: entry.model,
-                class: entry.class,
-                arrival: t,
-                gpu_demand,
-                iterations,
-                base_iter_time: entry.base_iter_time,
-            });
-        }
-        Trace::new(format!("sia-philly-{workload_id}"), jobs)
-    }
-
-    /// All eight paper variants.
-    pub fn generate_all(&self, catalog: &ModelCatalog) -> Vec<Trace> {
-        (1..=8).map(|w| self.generate(w, catalog)).collect()
+        let jobs = poisson_jobs(
+            catalog,
+            seed,
+            self.num_jobs,
+            self.arrival_rate_per_hour,
+            self.single_gpu_fraction,
+            MULTI_GPU_DEMANDS,
+            DurationLaw::LogNormal {
+                median_s: self.median_duration_s,
+                sigma: self.duration_sigma,
+                max_s: self.max_duration_s,
+            },
+        );
+        Trace::from_sorted_stream(format!("sia-philly-{workload_id}"), jobs)
     }
 }
 
@@ -129,6 +98,13 @@ mod tests {
         ModelCatalog::table2(&GpuSpec::v100())
     }
 
+    /// The eight paper variants.
+    fn all_variants(c: &ModelCatalog) -> Vec<Trace> {
+        (1..=8)
+            .map(|w| SiaPhillyConfig::default().generate(w, c))
+            .collect()
+    }
+
     #[test]
     fn has_160_jobs() {
         let t = SiaPhillyConfig::default().generate(1, &catalog());
@@ -138,9 +114,7 @@ mod tests {
     #[test]
     fn single_gpu_fraction_near_forty_percent() {
         // Aggregate over the eight variants to smooth sampling noise.
-        let cfg = SiaPhillyConfig::default();
-        let c = catalog();
-        let traces = cfg.generate_all(&c);
+        let traces = all_variants(&catalog());
         let total: usize = traces.iter().map(|t| t.len()).sum();
         let singles: usize = traces
             .iter()
@@ -153,14 +127,11 @@ mod tests {
     #[test]
     fn max_demand_capped_at_48() {
         let c = catalog();
-        for t in SiaPhillyConfig::default().generate_all(&c) {
+        for t in all_variants(&c) {
             assert!(t.max_gpu_demand() <= 48);
         }
         // And across all eight variants, someone actually asks for >16 GPUs.
-        let any_large = SiaPhillyConfig::default()
-            .generate_all(&c)
-            .iter()
-            .any(|t| t.max_gpu_demand() >= 24);
+        let any_large = all_variants(&c).iter().any(|t| t.max_gpu_demand() >= 24);
         assert!(any_large);
     }
 

@@ -8,11 +8,9 @@
 //! paper reports steady-state metrics over a job-id window; the generator
 //! produces enough jobs for a warm-up + measurement window.
 
-use crate::generator::{exponential, lognormal, weighted_choice};
-use crate::job::{JobId, JobSpec, Trace};
+use crate::generator::{poisson_jobs, DurationLaw, PHILLY_MULTI_GPU_DEMANDS};
+use crate::job::{JobSpec, Trace};
 use crate::models::ModelCatalog;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Configuration for the Synergy generator.
 #[derive(Debug, Clone)]
@@ -50,35 +48,32 @@ impl Default for SynergyConfig {
     }
 }
 
-/// Philly GPU-demand distribution for the multi-GPU minority (Synergy
-/// "preserves the Philly trace's GPU demand"; Philly multi-GPU jobs are
-/// dominated by 2-, 4-, and 8-GPU requests).
-const MULTI_GPU_DEMANDS: [(usize, f64); 5] =
-    [(2, 0.40), (4, 0.32), (8, 0.18), (16, 0.07), (32, 0.03)];
-
 impl SynergyConfig {
     /// Stream Synergy jobs one at a time, in arrival order, without
     /// materializing the trace: each `next()` draws one job's samples
     /// from the seeded RNG and returns it, so the generator's peak
-    /// scratch is O(1) per job (one `JobSpec`, reused sampling state)
-    /// however long the trace. [`generate`](SynergyConfig::generate)
-    /// collects this same stream — sample for sample — so a streamed
-    /// trace is bit-identical to a generated one.
+    /// scratch is O(1) per job however long the trace.
+    /// [`generate`](SynergyConfig::generate) collects this same stream, so
+    /// a streamed trace is bit-identical to a generated one.
     pub fn stream<'a>(
         &self,
         catalog: &'a ModelCatalog,
     ) -> impl ExactSizeIterator<Item = JobSpec> + 'a {
-        assert!(!catalog.is_empty(), "empty model catalog");
-        assert!(self.jobs_per_hour > 0.0, "non-positive arrival rate");
-        SynergyJobs {
-            cfg: self.clone(),
+        let jobs = poisson_jobs(
             catalog,
-            rng: StdRng::seed_from_u64(self.seed),
-            model_weights: (0..catalog.len()).map(|i| (i, 1.0)).collect(),
-            rate_per_s: self.jobs_per_hour / 3600.0,
-            t: 0.0,
-            produced: 0,
-        }
+            self.seed,
+            self.num_jobs,
+            self.jobs_per_hour,
+            self.single_gpu_fraction,
+            PHILLY_MULTI_GPU_DEMANDS,
+            DurationLaw::LogNormal {
+                median_s: self.median_duration_s,
+                sigma: self.duration_sigma,
+                max_s: self.max_duration_s,
+            },
+        );
+        assert!(self.jobs_per_hour > 0.0, "non-positive arrival rate");
+        jobs
     }
 
     /// Generate a Synergy trace at this config's arrival rate.
@@ -99,70 +94,6 @@ impl SynergyConfig {
         }
     }
 }
-
-/// Streaming Synergy job source: an iterator yielding
-/// [`SynergyConfig::num_jobs`] jobs in arrival order, one RNG draw set
-/// per `next()`. Created by [`SynergyConfig::stream`].
-#[derive(Debug)]
-struct SynergyJobs<'a> {
-    cfg: SynergyConfig,
-    catalog: &'a ModelCatalog,
-    rng: StdRng,
-    model_weights: Vec<(usize, f64)>,
-    rate_per_s: f64,
-    t: f64,
-    produced: usize,
-}
-
-impl Iterator for SynergyJobs<'_> {
-    type Item = JobSpec;
-
-    fn next(&mut self) -> Option<JobSpec> {
-        if self.produced >= self.cfg.num_jobs {
-            return None;
-        }
-        let i = self.produced;
-        self.produced += 1;
-        self.t += exponential(&mut self.rng, self.rate_per_s);
-        let single = weighted_choice(
-            &mut self.rng,
-            &[
-                (true, self.cfg.single_gpu_fraction),
-                (false, 1.0 - self.cfg.single_gpu_fraction),
-            ],
-        );
-        let gpu_demand = if single {
-            1
-        } else {
-            weighted_choice(&mut self.rng, &MULTI_GPU_DEMANDS)
-        };
-        let entry = &self.catalog.entries()[weighted_choice(&mut self.rng, &self.model_weights)];
-        let size_factor = (gpu_demand as f64).powf(0.25);
-        let duration = (lognormal(
-            &mut self.rng,
-            self.cfg.median_duration_s,
-            self.cfg.duration_sigma,
-        ) * size_factor)
-            .min(self.cfg.max_duration_s);
-        let iterations = (duration / entry.base_iter_time).ceil().max(1.0) as u64;
-        Some(JobSpec {
-            id: JobId(i as u32),
-            model: entry.model,
-            class: entry.class,
-            arrival: self.t,
-            gpu_demand,
-            iterations,
-            base_iter_time: entry.base_iter_time,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.cfg.num_jobs - self.produced;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for SynergyJobs<'_> {}
 
 #[cfg(test)]
 mod tests {

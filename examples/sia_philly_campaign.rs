@@ -56,7 +56,9 @@ fn main() {
     let profile = VariabilityProfile::sample_from_profiled(&profiled, 64, 11);
     let locality = LocalityModel::frontera_per_model();
     let catalog = ModelCatalog::table2(&GpuSpec::v100());
-    let traces: Vec<Trace> = SiaPhillyConfig::default().generate_all(&catalog);
+    let traces: Vec<Trace> = (1..=8)
+        .map(|w| SiaPhillyConfig::default().generate(w, &catalog))
+        .collect();
 
     let mut campaign = Campaign::new().seed(0x51A).policies(policies());
     for (w, trace) in traces.iter().enumerate() {
