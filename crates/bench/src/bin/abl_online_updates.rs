@@ -26,7 +26,10 @@ fn main() {
     let catalog = ModelCatalog::table2(&GpuSpec::quadro_rtx5000());
 
     println!("# Ablation: online PM-score updates under a stale profile");
-    println!("# (8 nodes' worth of class-A capacity degraded 3x after profiling)");
+    println!(
+        "# (class-A speed of 2 nodes, {} GPUs, degraded 3x after profiling)",
+        degraded_gpus.len()
+    );
     println!("workload,policy,avg_jct_h,p99_jct_h,makespan_h");
     for w in 1..=4u32 {
         let trace = SiaPhillyConfig::default().generate(w, &catalog);
