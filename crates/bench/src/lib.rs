@@ -17,6 +17,7 @@
 //! tolerance against the committed baseline.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bench_json;
 mod csv;

@@ -19,6 +19,7 @@
 //! - [`GpuId`], [`NodeId`] and [`JobClass`]: typed identifiers.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod ids;
 mod locality;

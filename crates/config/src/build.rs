@@ -1,28 +1,4 @@
 //! From file to runnable campaign.
-//!
-//! Three steps, each with its own error context:
-//!
-//! 1. [`parse_campaign_str`] / [`load_campaign_file`]: text → [`serde::Value`]
-//!    (TOML by default, JSON for `.json` files or `{`-leading text) →
-//!    [`CampaignFile`]. Syntax errors carry `file:line:col`; schema
-//!    errors carry the file name and the offending field path.
-//! 2. [`build_campaign`]: resolve every [`GeneratorRef`]/`PolicyRef`
-//!    against a [`Registry`] into a [`pal_sim::Campaign`]. Resolution is
-//!    **eager**: every factory runs (and its parameters are checked for
-//!    typos) at build time, and every scenario cell is
-//!    [validated](pal_sim::Scenario::validate) before the campaign is
-//!    returned — a config error never surfaces mid-sweep.
-//! 3. [`campaign_from_path`]: both of the above, with relative `path`
-//!    parameters resolved against the config file's directory.
-//!
-//! ## Bit-identical reproduction
-//!
-//! A file-built campaign is *the same campaign* as its builder-built
-//! equivalent: cell seeds depend only on `(campaign seed, scenario tag,
-//! policy name)`, load-sweep tags use the builder's exact
-//! `"{tag}@x{load}"` format, and the builtin policy kinds carry the
-//! figure-legend names — so [`pal_sim::SimResult::same_outcome`] holds
-//! cell for cell against code that constructs the sweep by hand.
 
 use crate::error::ConfigError;
 use crate::json::parse_json;
@@ -89,8 +65,31 @@ pub fn campaign_from_path(
 }
 
 /// Resolve a parsed [`CampaignFile`] against a [`Registry`] into a
-/// runnable [`Campaign`]. See the [module docs](self) for the eager
-/// validation and reproduction guarantees.
+/// runnable [`Campaign`].
+///
+/// Three steps, each with its own error context:
+///
+/// 1. [`parse_campaign_str`] / [`load_campaign_file`]: text → [`serde::Value`]
+///    (TOML by default, JSON for `.json` files or `{`-leading text) →
+///    [`CampaignFile`]. Syntax errors carry `file:line:col`; schema
+///    errors carry the file name and the offending field path.
+/// 2. [`build_campaign`]: resolve every [`GeneratorRef`]/`PolicyRef`
+///    against a [`Registry`] into a [`pal_sim::Campaign`]. Resolution is
+///    **eager**: every factory runs (and its parameters are checked for
+///    typos) at build time, and every scenario cell is
+///    [validated](pal_sim::Scenario::validate) before the campaign is
+///    returned — a config error never surfaces mid-sweep.
+/// 3. [`campaign_from_path`]: both of the above, with relative `path`
+///    parameters resolved against the config file's directory.
+///
+/// ## Bit-identical reproduction
+///
+/// A file-built campaign is *the same campaign* as its builder-built
+/// equivalent: cell seeds depend only on `(campaign seed, scenario tag,
+/// policy name)`, load-sweep tags use the builder's exact
+/// `"{tag}@x{load}"` format, and the builtin policy kinds carry the
+/// figure-legend names — so [`pal_sim::SimResult::same_outcome`] holds
+/// cell for cell against code that constructs the sweep by hand.
 pub fn build_campaign(
     file: &CampaignFile,
     registry: &Registry,

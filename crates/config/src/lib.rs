@@ -16,21 +16,22 @@
 //!
 //! The three layers:
 //!
-//! - [`schema`]: the typed file format ([`CampaignFile`]), round-trippable
+//! - The schema: the typed file format ([`CampaignFile`]), round-trippable
 //!   through [`serde::Value`] via the workspace's derive shim.
-//! - [`registry`]: string-keyed builders for the trace, profile and
+//! - The [`Registry`]: string-keyed builders for the trace, profile and
 //!   placement-policy families ([`Registry::with_builtins`]); downstream
 //!   crates extend them with `register_*` without touching this crate.
 //!   Schedulers and admission rules are a fixed set, resolved by kind.
-//! - [`build`]: [`load_campaign_file`] (parse + schema-check) and
+//! - The build step: [`load_campaign_file`] (parse + schema-check) and
 //!   [`build_campaign`] (resolve against a registry into a runnable
 //!   [`pal_sim::Campaign`], with eager validation so errors carry file
 //!   or scenario context).
 //!
-//! Formats: [`toml`] (hand-rolled TOML subset, 1-based line/col errors)
-//! and [`json`] (with `//` comments plus the canonical [`to_json`]
-//! writer); [`import`] adds a JSONL trace reader alongside
-//! [`pal_trace::import_csv_trace`]'s external CSV importers.
+//! Formats: TOML ([`parse_toml`], a hand-rolled subset with 1-based
+//! line/col errors) and JSON ([`parse_json`], with `//` comments, plus
+//! the canonical [`to_json`] writer); [`read_jsonl_trace`] adds a JSONL
+//! trace reader alongside [`pal_trace::import_csv_trace`]'s external CSV
+//! importers.
 //!
 //! [`spill`] is the fleet-scale layer: a streaming
 //! [`pal_sim::ResultSink`] that spills each completed campaign cell to
@@ -38,24 +39,25 @@
 //! re-runs only the cells an interrupted run never finished —
 //! byte-identical to an uninterrupted run.
 //!
-//! [`state`] persists exported engine state ([`pal_sim::SimState`]) as
-//! canonical-JSON files with an up-front format-version check — the
-//! on-disk half of pause-resume and `palsim what-if` forking — and
-//! [`metrics`] streams live engine events to per-cell JSONL/CSV files
+//! [`save_state`] and [`load_state`] persist exported engine state
+//! ([`pal_sim::SimState`]) as canonical-JSON files with an up-front
+//! format-version check — the on-disk half of pause-resume and `palsim what-if` forking — and
+//! [`MetricsDir`] streams live engine events to per-cell JSONL/CSV files
 //! through [`pal_sim::Campaign::metrics_sinks`].
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod build;
-pub mod error;
-pub mod import;
-pub mod json;
-pub mod metrics;
-pub mod registry;
-pub mod schema;
+mod build;
+mod error;
+mod import;
+mod json;
+mod metrics;
+mod registry;
+mod schema;
 pub mod spill;
-pub mod state;
-pub mod toml;
+mod state;
+mod toml;
 
 pub use build::{build_campaign, campaign_from_path, load_campaign_file, parse_campaign_str};
 pub use error::{render_chain, ConfigError};

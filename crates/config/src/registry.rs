@@ -1,34 +1,4 @@
 //! The pluggable generator/policy registry.
-//!
-//! A campaign file names its pieces by string kind (`trace = { kind =
-//! "synergy" }`, `policy = ["pal"]`); a [`Registry`] maps the trace,
-//! profile and placement-policy kinds to builder functions.
-//! [`Registry::with_builtins`] registers every family shipped in the
-//! workspace; downstream code adds its own with the `register_*` methods
-//! — **no edits inside this crate required**:
-//!
-//! ```
-//! use pal_config::{Args, ConfigError, Registry, TraceCtx};
-//! use pal_trace::Trace;
-//!
-//! let mut registry = Registry::with_builtins();
-//! registry.register_trace("always-empty", |args: &Args, _ctx: &TraceCtx| {
-//!     let name = args.get_or("name", "empty".to_string())?;
-//!     Ok::<_, ConfigError>(Trace::new(name, vec![]))
-//! });
-//! assert!(registry.trace("always-empty").is_ok());
-//! ```
-//!
-//! The scheduler and admission kinds are fixed (the paper's FIFO, LAS,
-//! SRTF and SRSF orders and four admission rules) and resolve through a
-//! `match`, not the registry.
-//!
-//! Builders receive an [`Args`] view of the reference's parameter map —
-//! typed getters with defaults — plus a context struct with what the
-//! campaign knows (the swept load factor, the config file's directory
-//! for relative paths, the cell's profile and seed). Parameters no
-//! builder consumed are an error, so a typo like `num_job = 100` fails
-//! loudly instead of silently running the default.
 
 use crate::error::ConfigError;
 use crate::import::read_jsonl_trace;
@@ -211,7 +181,37 @@ pub struct PolicyEntry {
 }
 
 /// Maps kind strings to builders for the trace, profile and
-/// placement-policy families. See the [module docs](self).
+/// placement-policy families.
+///
+/// A campaign file names its pieces by string kind (`trace = { kind =
+/// "synergy" }`, `policy = ["pal"]`); a [`Registry`] maps the trace,
+/// profile and placement-policy kinds to builder functions.
+/// [`Registry::with_builtins`] registers every family shipped in the
+/// workspace; downstream code adds its own with the `register_*` methods
+/// — **no edits inside this crate required**:
+///
+/// ```
+/// use pal_config::{Args, ConfigError, Registry, TraceCtx};
+/// use pal_trace::Trace;
+///
+/// let mut registry = Registry::with_builtins();
+/// registry.register_trace("always-empty", |args: &Args, _ctx: &TraceCtx| {
+///     let name = args.get_or("name", "empty".to_string())?;
+///     Ok::<_, ConfigError>(Trace::new(name, vec![]))
+/// });
+/// assert!(registry.trace("always-empty").is_ok());
+/// ```
+///
+/// The scheduler and admission kinds are fixed (the paper's FIFO, LAS,
+/// SRTF and SRSF orders and four admission rules) and resolve through a
+/// `match`, not the registry.
+///
+/// Builders receive an [`Args`] view of the reference's parameter map —
+/// typed getters with defaults — plus a context struct with what the
+/// campaign knows (the swept load factor, the config file's directory
+/// for relative paths, the cell's profile and seed). Parameters no
+/// builder consumed are an error, so a typo like `num_job = 100` fails
+/// loudly instead of silently running the default.
 #[derive(Clone)]
 pub struct Registry {
     traces: BTreeMap<String, TraceFactory>,

@@ -1,33 +1,5 @@
-//! A hand-rolled TOML-subset parser and writer over [`serde::Value`].
-//!
-//! No registry access means no `toml` crate, so this module implements
-//! the slice of TOML the campaign schema needs — which is most of the
-//! everyday language:
-//!
-//! - `key = value` pairs with bare (`[A-Za-z0-9_-]+`) or quoted keys,
-//!   and dotted key paths (`sim.round_duration = 60.0`)
-//! - `[table]` and `[nested.table]` headers
-//! - `[[array_of_tables]]` headers, with later `[array_of_tables.sub]`
-//!   headers attaching to the most recent element
-//! - strings with the usual escapes (`\n \t \r \" \\ \uXXXX`)
-//! - integers (decimal with `_` separators, `0x`/`0o`/`0b` prefixes),
-//!   floats (including exponents), booleans
-//! - arrays (multi-line, trailing commas) and inline tables
-//! - `#` comments everywhere a comment is legal
-//!
-//! Out of scope (the writer never produces them): dates, multi-line
-//! strings, `+inf`/`nan` literals.
-//!
-//! All errors carry a **1-based line and column** so `palsim` can print
-//! `campaign.toml:12:7: expected '=' after key`. Duplicate keys and
-//! re-opened tables are errors, not last-one-wins: a config that says
-//! `seed = 1` twice is a bug worth surfacing.
-//!
-//! The writer ([`write_toml`]) emits a canonical layout — root scalars
-//! first, then `[section]` per top-level map, then `[[name]]` per
-//! top-level array-of-maps, with deeper structure as inline tables —
-//! chosen so that `parse(write(v))` reproduces `v` up to map entry
-//! order ([`Value::eq_unordered`]).
+//! A hand-rolled TOML-subset parser and writer over [`serde::Value`]:
+//! see [`parse_toml`] for the subset and [`write_toml`] for the layout.
 
 use serde::Value;
 use std::fmt::Write as _;
@@ -52,6 +24,29 @@ impl std::fmt::Display for TomlError {
 impl std::error::Error for TomlError {}
 
 /// Parse TOML text into a [`Value::Map`] tree.
+///
+/// No registry access means no `toml` crate, so this module implements
+/// the slice of TOML the campaign schema needs — which is most of the
+/// everyday language:
+///
+/// - `key = value` pairs with bare (`[A-Za-z0-9_-]+`) or quoted keys,
+///   and dotted key paths (`sim.round_duration = 60.0`)
+/// - `[table]` and `[nested.table]` headers
+/// - `[[array_of_tables]]` headers, with later `[array_of_tables.sub]`
+///   headers attaching to the most recent element
+/// - strings with the usual escapes (`\n \t \r \" \\ \uXXXX`)
+/// - integers (decimal with `_` separators, `0x`/`0o`/`0b` prefixes),
+///   floats (including exponents), booleans
+/// - arrays (multi-line, trailing commas) and inline tables
+/// - `#` comments everywhere a comment is legal
+///
+/// Out of scope (the writer never produces them): dates, multi-line
+/// strings, `+inf`/`nan` literals.
+///
+/// All errors carry a **1-based line and column** so `palsim` can print
+/// `campaign.toml:12:7: expected '=' after key`. Duplicate keys and
+/// re-opened tables are errors, not last-one-wins: a config that says
+/// `seed = 1` twice is a bug worth surfacing.
 pub fn parse_toml(src: &str) -> Result<Value, TomlError> {
     Parser::new(src).parse_document()
 }
@@ -569,8 +564,11 @@ fn insert_dotted(
     Ok(())
 }
 
-/// Serialize a [`Value::Map`] tree as TOML in the canonical layout (see
-/// the [module docs](self)). Fails on values TOML cannot express:
+/// Serialize a [`Value::Map`] tree as TOML in the canonical layout: root
+/// scalars first, then `[section]` per top-level map, then `[[name]]` per
+/// top-level array-of-maps, with deeper structure as inline tables —
+/// chosen so that `parse(write(v))` reproduces `v` up to map entry order
+/// ([`Value::eq_unordered`]). Fails on values TOML cannot express:
 /// a non-map root, [`Value::Unit`] inside an array, or a non-finite
 /// float. `Unit` *map entries* are simply skipped — absent and unit
 /// read back identically.

@@ -27,17 +27,18 @@
 //! paper builds on.
 //!
 //! The [`profiler`] module then "runs" an application on every GPU of a
-//! modeled cluster and emits median-normalized profiles, and [`apps`]
-//! provides the model zoo of Tables II/III with kernel mixes tuned to land
+//! modeled cluster and emits median-normalized profiles, and [`Workload`]
+//! is the model zoo of Tables II/III with kernel mixes tuned to land
 //! where Figure 3 places them in the `DRAMUtil × PeakFUUtil` plane.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod apps;
+mod apps;
 pub mod dvfs;
-pub mod gpu;
-pub mod kernel;
-pub mod pm;
+mod gpu;
+mod kernel;
+mod pm;
 pub mod profiler;
 
 pub use apps::{AppSpec, Workload};

@@ -14,10 +14,10 @@
 //!    with >3σ outliers separated first and given their own exact scores.
 //!
 //! This crate provides Lloyd's algorithm with k-means++ seeding
-//! ([`kmeans::KMeans`], one implementation over contiguous `[f64; D]`
+//! ([`KMeans`], one implementation over contiguous `[f64; D]`
 //! points, monomorphized per dimension), silhouette analysis
-//! ([`silhouette`]), and the 1-D binning pipeline
-//! ([`binning::ScoreBinning`]). All randomness flows through
+//! ([`silhouette_samples`]), and the 1-D binning pipeline
+//! ([`ScoreBinning`]). All randomness flows through
 //! caller-provided seeds for exact reproducibility.
 //!
 //! Binning scores every candidate K with an exact 1-D worst-bin
@@ -25,10 +25,11 @@
 //! pairwise [`min_cluster_silhouette`] is kept as its reference oracle.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod binning;
-pub mod kmeans;
-pub mod silhouette;
+mod binning;
+mod kmeans;
+mod silhouette;
 
 pub use binning::{BinnedScores, ScoreBinning};
 pub use kmeans::{KMeans, KMeansResult};

@@ -62,6 +62,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod adaptive;
 mod classifier;

@@ -1,53 +1,10 @@
 //! The [`Campaign`] sweep runner: M scenarios × N placement policies,
 //! executed in parallel with deterministic per-cell seeds and tagged
 //! results.
-//!
-//! A campaign cell is one `(scenario, policy)` pair. Scenarios are
-//! registered as named factories (a fresh [`Scenario`] is built per cell,
-//! since placement policies are stateful); policies are registered as
-//! named [`PolicySpec`] builders receiving the scenario's effective
-//! variability profile and the cell's seed. Cell seeds are a pure function
-//! of `(campaign seed, scenario tag, policy name)`, so results are
-//! byte-identical across thread interleavings and match
-//! [`Campaign::run_sequential`] exactly (modulo wall-clock placement
-//! timing, which [`SimResult::same_outcome`] ignores).
-//!
-//! ## Sharing inputs across cells
-//!
-//! [`Scenario`] holds its heavy inputs behind `Arc`s (see the
-//! [`Scenario` module docs](crate::scenario#shared-inputs)), so a factory
-//! that captures `Arc<Trace>` / `Arc<VariabilityProfile>` handles and
-//! clones *them* gives every cell a view of one shared copy — an N×M grid
-//! over one trace allocates the trace once, not N×M times. Policy builders
-//! receive the scenario's profile as a shared `&Arc` for the same reason:
-//! builders that derive expensive per-profile artifacts (e.g. the `pal`
-//! crate's PM-score tables) can key a memoization cache on it and build
-//! each distinct artifact once per campaign instead of once per cell.
-//!
-//! ## Fleet-scale execution
-//!
-//! [`Campaign::run`] collects every [`CampaignResult`] in memory — fine
-//! for paper-sized sweeps, quadratically painful for thousand-cell grids.
-//! The fleet-scale surface decomposes that into three parts:
-//!
-//! - [`runner`]: [`Campaign::run_with_sink`] /
-//!   [`Campaign::run_cells_with_sink`] drive cells through one scoped
-//!   worker pool — workers pull cells off a shared cursor, in cell order
-//!   — and hand each completed result to a sink instead of accumulating
-//!   it;
-//! - [`sink`]: the [`ResultSink`] trait with the in-memory
-//!   [`MemorySink`] collector. Streaming sinks (the `pal-config` crate's
-//!   JSONL spill sink) bound memory to O(workers × one result) and make
-//!   runs crash-resumable;
-//! - [`Campaign::cells`]: the deterministic cell enumeration — index,
-//!   tag, policy name, injective seed — that durable sinks record so an
-//!   interrupted grid can be resumed by skipping completed cells
-//!   (re-running a cell is byte-identical because its seed is a pure
-//!   function of `(campaign seed, tag, policy)`).
 
-pub mod runner;
-pub mod sink;
-pub mod what_if;
+pub(crate) mod runner;
+pub(crate) mod sink;
+pub(crate) mod what_if;
 
 pub use runner::{CampaignRunStats, FALLBACK_WORKERS};
 pub use sink::{MemorySink, ResultSink};
@@ -182,8 +139,50 @@ pub struct CellInfo {
     pub seed: u64,
 }
 
-/// A sweep over scenarios × placement policies. See the
-/// [module docs](self).
+/// A sweep over scenarios × placement policies.
+///
+/// A campaign cell is one `(scenario, policy)` pair. Scenarios are
+/// registered as named factories (a fresh [`Scenario`] is built per cell,
+/// since placement policies are stateful); policies are registered as
+/// named [`PolicySpec`] builders receiving the scenario's effective
+/// variability profile and the cell's seed. Cell seeds are a pure function
+/// of `(campaign seed, scenario tag, policy name)`, so results are
+/// byte-identical across thread interleavings and match
+/// [`Campaign::run_sequential`] exactly (modulo wall-clock placement
+/// timing, which [`SimResult::same_outcome`] ignores).
+///
+/// ## Sharing inputs across cells
+///
+/// [`Scenario`] holds its heavy inputs behind `Arc`s (see
+/// [`Scenario`'s docs](Scenario#shared-inputs)), so a factory
+/// that captures `Arc<Trace>` / `Arc<VariabilityProfile>` handles and
+/// clones *them* gives every cell a view of one shared copy — an N×M grid
+/// over one trace allocates the trace once, not N×M times. Policy builders
+/// receive the scenario's profile as a shared `&Arc` for the same reason:
+/// builders that derive expensive per-profile artifacts (e.g. the `pal`
+/// crate's PM-score tables) can key a memoization cache on it and build
+/// each distinct artifact once per campaign instead of once per cell.
+///
+/// ## Fleet-scale execution
+///
+/// [`Campaign::run`] collects every [`CampaignResult`] in memory — fine
+/// for paper-sized sweeps, quadratically painful for thousand-cell grids.
+/// The fleet-scale surface decomposes that into three parts:
+///
+/// - [`Campaign::run_with_sink`] /
+///   [`Campaign::run_cells_with_sink`] drive cells through one scoped
+///   worker pool — workers pull cells off a shared cursor, in cell order
+///   — and hand each completed result to a sink instead of accumulating
+///   it;
+/// - the [`ResultSink`] trait with the in-memory
+///   [`MemorySink`] collector. Streaming sinks (the `pal-config` crate's
+///   JSONL spill sink) bound memory to O(workers × one result) and make
+///   runs crash-resumable;
+/// - [`Campaign::cells`]: the deterministic cell enumeration — index,
+///   tag, policy name, injective seed — that durable sinks record so an
+///   interrupted grid can be resumed by skipping completed cells
+///   (re-running a cell is byte-identical because its seed is a pure
+///   function of `(campaign seed, tag, policy)`).
 ///
 /// With no registered [`PolicySpec`]s, each scenario runs once with its
 /// own placement policy (a pure scenario sweep).

@@ -1,29 +1,29 @@
 //! [`ResultSink`]: where completed campaign cells go.
-//!
-//! [`Campaign::run_with_sink`](super::Campaign::run_with_sink) hands each
-//! [`CampaignResult`] to a sink the moment its cell finishes, instead of
-//! accumulating a `Vec` — the runner's memory footprint is then bounded by
-//! the sink, not by the grid size. Two implementations ship:
-//!
-//! - [`MemorySink`] here: the classic collect-everything behaviour
-//!   [`Campaign::run`](super::Campaign::run) wraps;
-//! - `pal-config`'s `SpillSink`: streams each result to a JSONL file and
-//!   records a digest + the cell's injective seed in a manifest, keeping
-//!   memory flat across thousand-cell grids and making the run resumable
-//!   after an interrupt.
-//!
-//! Sinks are shared across worker threads, so [`ResultSink::accept`]
-//! takes `&self` and implementations synchronize internally. A sink
-//! error stops the worker that hit it; the other workers keep running
-//! cells. Like a per-cell simulation error, it surfaces from the run
-//! (as [`SimError::Sink`]) only if no earlier cell, in cell order,
-//! failed.
 
 use super::CampaignResult;
 use crate::error::SimError;
 use std::sync::Mutex;
 
-/// Consumer of completed campaign cells. See the [module docs](self).
+/// Consumer of completed campaign cells.
+///
+/// [`Campaign::run_with_sink`](super::Campaign::run_with_sink) hands each
+/// [`CampaignResult`] to a sink the moment its cell finishes, instead of
+/// accumulating a `Vec` — the runner's memory footprint is then bounded by
+/// the sink, not by the grid size. Two implementations ship:
+///
+/// - [`MemorySink`]: the classic collect-everything behaviour
+///   [`Campaign::run`](super::Campaign::run) wraps;
+/// - `pal-config`'s `SpillSink`: streams each result to a JSONL file and
+///   records a digest + the cell's injective seed in a manifest, keeping
+///   memory flat across thousand-cell grids and making the run resumable
+///   after an interrupt.
+///
+/// Sinks are shared across worker threads, so [`ResultSink::accept`]
+/// takes `&self` and implementations synchronize internally. A sink
+/// error stops the worker that hit it; the other workers keep running
+/// cells. Like a per-cell simulation error, it surfaces from the run
+/// (as [`SimError::Sink`]) only if no earlier cell, in cell order,
+/// failed.
 pub trait ResultSink: Sync {
     /// Accept the finished result of cell `cell` (an index into
     /// [`Campaign::cells`](super::Campaign::cells) order). Called from

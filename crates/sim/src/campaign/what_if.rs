@@ -1,36 +1,5 @@
 //! Fork-at-T what-if replay: run one shared prefix per scenario, then
 //! branch the run across every policy column from the frozen state.
-//!
-//! The question a what-if answers is counterfactual, not comparative:
-//! *given the exact cluster state at time T — queue, placements,
-//! accumulated progress, serving backlogs — what would each policy do
-//! from here?* Running each policy from t = 0 answers a different
-//! question, because by time T the policies have already diverged the
-//! state. [`Campaign::what_if`] instead executes each scenario once up
-//! to the fork point under the scenario's own placement, exports the
-//! engine state ([`Simulation::export_state`]), and imports that one
-//! state into a fresh simulation per policy column
-//! ([`Simulation::import_state`] with the placement's opaque state and
-//! its wall-clock compute times cleared — branch policies start fresh by
-//! design, observing only the rounds after the fork).
-//!
-//! The prefixes run first, one after another; every (scenario, policy
-//! column) branch then runs on the same worker pool as
-//! [`Campaign::run_with_sink`], sized by [`Campaign::effective_workers`].
-//! Branches come back in column order whichever worker finished first,
-//! and a failing branch reports the first failing cell's error in cell
-//! order.
-//!
-//! Every branch's state is digest-checked against the prefix
-//! immediately after import ([`fork_digest`]). A branch differs from its
-//! prefix only in its policies, so the check first gives the branch's
-//! export the fork's policy identity (`scheduler`, `placement`, `sticky`)
-//! and clears its `placement_state`: all branches of one scenario
-//! provably continue from bit-identical state, so any difference in
-//! their results is attributable to the branch policy alone.
-//!
-//! [`Simulation::export_state`]: crate::Simulation::export_state
-//! [`Simulation::import_state`]: crate::Simulation::import_state
 
 use super::{Campaign, CampaignResult, MemorySink};
 use crate::engine::StepOutcome;
@@ -77,7 +46,38 @@ pub struct WhatIfScenario {
 
 impl Campaign {
     /// Fork every scenario at simulated time `fork_t` and replay the
-    /// suffix once per policy column. See the [module docs](self).
+    /// suffix once per policy column.
+    ///
+    /// The question a what-if answers is counterfactual, not comparative:
+    /// *given the exact cluster state at time T — queue, placements,
+    /// accumulated progress, serving backlogs — what would each policy do
+    /// from here?* Running each policy from t = 0 answers a different
+    /// question, because by time T the policies have already diverged the
+    /// state. This method instead executes each scenario once up
+    /// to the fork point under the scenario's own placement, exports the
+    /// engine state ([`Simulation::export_state`]), and imports that one
+    /// state into a fresh simulation per policy column
+    /// ([`Simulation::import_state`] with the placement's opaque state and
+    /// its wall-clock compute times cleared — branch policies start fresh by
+    /// design, observing only the rounds after the fork).
+    ///
+    /// The prefixes run first, one after another; every (scenario, policy
+    /// column) branch then runs on the same worker pool as
+    /// [`Campaign::run_with_sink`], sized by [`Campaign::effective_workers`].
+    /// Branches come back in column order whichever worker finished first,
+    /// and a failing branch reports the first failing cell's error in cell
+    /// order.
+    ///
+    /// Every branch's state is digest-checked against the prefix
+    /// immediately after import ([`fork_digest`]). A branch differs from its
+    /// prefix only in its policies, so the check first gives the branch's
+    /// export the fork's policy identity (`scheduler`, `placement`, `sticky`)
+    /// and clears its `placement_state`: all branches of one scenario
+    /// provably continue from bit-identical state, so any difference in
+    /// their results is attributable to the branch policy alone.
+    ///
+    /// [`Simulation::export_state`]: crate::Simulation::export_state
+    /// [`Simulation::import_state`]: crate::Simulation::import_state
     ///
     /// The prefix runs under the scenario's own placement policy and is
     /// exported at the first round boundary at or after `fork_t`

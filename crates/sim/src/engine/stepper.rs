@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// [`Scenario::start`](crate::Scenario::start).
 ///
 /// The immutable inputs arrive as `Arc` handles (see the
-/// [`Scenario` module docs](crate::scenario#shared-inputs)): a sweep
+/// [`Scenario` docs](crate::Scenario#shared-inputs)): a sweep
 /// starting many simulations over the same trace/profile/locality model
 /// shares one copy of each, and building a stepper copies nothing but the
 /// per-run job state.
@@ -140,7 +140,7 @@ impl Simulation {
     /// transitions, serving batches, accumulator updates) is also
     /// delivered to `sink`. Replaces any previously attached sink. Sinks
     /// observe without perturbing: the run's outcome is bit-identical
-    /// whatever the sink does. See [`crate::observe`] for event cadence
+    /// whatever the sink does. See [`MetricsSink`] for event cadence
     /// and a custom-sink example.
     pub fn attach_sink(&mut self, sink: Box<dyn MetricsSink + Send>) {
         self.sink = Some(sink);
@@ -192,7 +192,7 @@ impl Simulation {
     /// every serving deployment's position. Job specs and the jobs
     /// admission has not reached are the trace's and are left out, as is
     /// per-round scratch, which is rebuilt on resume (see
-    /// [`crate::state`]).
+    /// [`SimState`]'s layout).
     ///
     /// Feeding the result to [`import_state`](Simulation::import_state)
     /// on a freshly [`Scenario::start`](crate::Scenario::start)-ed

@@ -22,7 +22,7 @@
 //!    `1 / (L × max_g V_g)` of its nominal iteration rate (Equation 1),
 //!    with mid-round completions credited at their exact times.
 //!
-//! Metrics ([`metrics`]): per-job JCT and wait time, makespan, cluster
+//! Metrics ([`SimResult`]): per-job JCT and wait time, makespan, cluster
 //! utilization, GPUs-in-use time series, and per-round placement compute
 //! time (Figure 18).
 //!
@@ -45,20 +45,21 @@
 //! like the round loop driving them — allocate nothing at steady state.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod admission;
-pub mod campaign;
-pub mod config;
-pub mod engine;
-pub mod error;
+mod campaign;
+mod config;
+mod engine;
+mod error;
 pub mod job_state;
-pub mod metrics;
-pub mod observe;
+mod metrics;
+mod observe;
 pub mod placement;
-pub mod scenario;
+mod scenario;
 pub mod sched;
 pub mod serving;
-pub mod state;
+mod state;
 
 pub use admission::{AdmissionCtx, AdmissionPolicy, AdmitAll};
 pub use campaign::{
@@ -77,5 +78,6 @@ pub use scenario::Scenario;
 pub use sched::SchedulingPolicy;
 pub use serving::{BatcherConfig, ServingJob, ServingMetrics};
 pub use state::{
-    fnv1a, fork_digest, ReplicaState, ServingState, SimState, FNV1A_BASIS, STATE_FORMAT_VERSION,
+    fnv1a, fork_digest, JobProgress, ReplicaState, ServingState, SimState, FNV1A_BASIS,
+    STATE_FORMAT_VERSION,
 };

@@ -1,80 +1,5 @@
 //! Pluggable run observability: the [`MetricsSink`] trait and the event
 //! types the engine emits through it.
-//!
-//! The engine's own accumulators (`engine::telemetry::Telemetry`, which
-//! assembles [`SimResult`](crate::SimResult)) implement this same trait —
-//! result assembly is just the built-in sink. An *additional* sink can be
-//! attached to a [`Simulation`](crate::Simulation) with
-//! [`attach_sink`](crate::Simulation::attach_sink) (or per campaign cell
-//! with [`Campaign::metrics_sinks`](crate::Campaign::metrics_sinks)) to
-//! stream
-//! round-boundary, job-lifecycle, and serving-batch events out of a live
-//! run — to JSONL/CSV files, a progress display, or anything else —
-//! without touching the engine.
-//!
-//! Attaching no sink costs nothing: the hot loop's only addition is one
-//! branch on an `Option` that is `None` (the `observer_overhead` bench
-//! gates this at ≤1.05× the pre-refactor throughput). Event delivery
-//! never affects simulation state; runs are bit-identical with any sink
-//! attached, including [`NullSink`].
-//!
-//! ## Event cadence
-//!
-//! Accumulation events ([`on_gpu_usage`](MetricsSink::on_gpu_usage),
-//! [`on_busy_gpu_seconds`](MetricsSink::on_busy_gpu_seconds)) fire for
-//! every simulated round, including rounds the event-driven engine
-//! fast-replays. [`on_round`](MetricsSink::on_round) fires once per
-//! *executed* round (decision rounds and idle fast-forwards) — the same
-//! granularity as [`Simulation::step`](crate::Simulation::step) — so a
-//! skipped span delivers its accumulation bit-identically but only one
-//! round event at the hop's end.
-//!
-//! ## Writing a custom sink
-//!
-//! Every method has a no-op default; override only what you consume:
-//!
-//! ```
-//! use pal_cluster::{ClusterTopology, JobClass};
-//! use pal_gpumodel::Workload;
-//! use pal_sim::{JobEvent, JobEventKind, MetricsSink, Scenario};
-//! use pal_trace::{JobId, JobSpec, Trace};
-//! use std::sync::{Arc, Mutex};
-//!
-//! /// Streams job completion times into shared state as they happen.
-//! struct FinishLog {
-//!     finishes: Arc<Mutex<Vec<(JobId, f64)>>>,
-//! }
-//!
-//! impl MetricsSink for FinishLog {
-//!     fn on_job(&mut self, ev: &JobEvent) {
-//!         if ev.kind == JobEventKind::Finished {
-//!             self.finishes.lock().unwrap().push((ev.job, ev.t));
-//!         }
-//!     }
-//! }
-//!
-//! let jobs = (0..4)
-//!     .map(|i| JobSpec {
-//!         id: JobId(i),
-//!         model: Workload::ResNet50,
-//!         class: JobClass::A,
-//!         arrival: i as f64 * 100.0,
-//!         gpu_demand: 1 + i as usize % 2,
-//!         iterations: 600,
-//!         base_iter_time: 1.0,
-//!     })
-//!     .collect();
-//! let finishes = Arc::new(Mutex::new(Vec::new()));
-//! let mut sim = Scenario::new(Trace::new("doc", jobs), ClusterTopology::new(2, 4))
-//!     .start()
-//!     .unwrap();
-//! sim.attach_sink(Box::new(FinishLog {
-//!     finishes: Arc::clone(&finishes),
-//! }));
-//! let result = sim.run_to_completion().unwrap();
-//! // The sink saw every completion the result records, as it happened.
-//! assert_eq!(finishes.lock().unwrap().len(), result.records.len());
-//! ```
 
 use pal_trace::JobId;
 use serde::{Deserialize, Serialize};
@@ -148,8 +73,82 @@ pub struct ServingBatchEvent {
     pub queued: usize,
 }
 
-/// A consumer of engine events. See the [module docs](self) for cadence
-/// and a custom-sink example.
+/// A consumer of engine events.
+///
+/// The engine's own accumulators (`engine::telemetry::Telemetry`, which
+/// assembles [`SimResult`](crate::SimResult)) implement this same trait —
+/// result assembly is just the built-in sink. An *additional* sink can be
+/// attached to a [`Simulation`](crate::Simulation) with
+/// [`attach_sink`](crate::Simulation::attach_sink) (or per campaign cell
+/// with [`Campaign::metrics_sinks`](crate::Campaign::metrics_sinks)) to
+/// stream
+/// round-boundary, job-lifecycle, and serving-batch events out of a live
+/// run — to JSONL/CSV files, a progress display, or anything else —
+/// without touching the engine.
+///
+/// Attaching no sink costs nothing: the hot loop's only addition is one
+/// branch on an `Option` that is `None` (the `observer_overhead` bench
+/// gates this at ≤1.05× the pre-refactor throughput). Event delivery
+/// never affects simulation state; runs are bit-identical with any sink
+/// attached, including [`NullSink`].
+///
+/// ## Event cadence
+///
+/// Accumulation events ([`on_gpu_usage`](MetricsSink::on_gpu_usage),
+/// [`on_busy_gpu_seconds`](MetricsSink::on_busy_gpu_seconds)) fire for
+/// every simulated round, including rounds the event-driven engine
+/// fast-replays. [`on_round`](MetricsSink::on_round) fires once per
+/// *executed* round (decision rounds and idle fast-forwards) — the same
+/// granularity as [`Simulation::step`](crate::Simulation::step) — so a
+/// skipped span delivers its accumulation bit-identically but only one
+/// round event at the hop's end.
+///
+/// ## Writing a custom sink
+///
+/// Every method has a no-op default; override only what you consume:
+///
+/// ```
+/// use pal_cluster::{ClusterTopology, JobClass};
+/// use pal_gpumodel::Workload;
+/// use pal_sim::{JobEvent, JobEventKind, MetricsSink, Scenario};
+/// use pal_trace::{JobId, JobSpec, Trace};
+/// use std::sync::{Arc, Mutex};
+///
+/// /// Streams job completion times into shared state as they happen.
+/// struct FinishLog {
+///     finishes: Arc<Mutex<Vec<(JobId, f64)>>>,
+/// }
+///
+/// impl MetricsSink for FinishLog {
+///     fn on_job(&mut self, ev: &JobEvent) {
+///         if ev.kind == JobEventKind::Finished {
+///             self.finishes.lock().unwrap().push((ev.job, ev.t));
+///         }
+///     }
+/// }
+///
+/// let jobs = (0..4)
+///     .map(|i| JobSpec {
+///         id: JobId(i),
+///         model: Workload::ResNet50,
+///         class: JobClass::A,
+///         arrival: i as f64 * 100.0,
+///         gpu_demand: 1 + i as usize % 2,
+///         iterations: 600,
+///         base_iter_time: 1.0,
+///     })
+///     .collect();
+/// let finishes = Arc::new(Mutex::new(Vec::new()));
+/// let mut sim = Scenario::new(Trace::new("doc", jobs), ClusterTopology::new(2, 4))
+///     .start()
+///     .unwrap();
+/// sim.attach_sink(Box::new(FinishLog {
+///     finishes: Arc::clone(&finishes),
+/// }));
+/// let result = sim.run_to_completion().unwrap();
+/// // The sink saw every completion the result records, as it happened.
+/// assert_eq!(finishes.lock().unwrap().len(), result.records.len());
+/// ```
 ///
 /// Every method defaults to a no-op, so implementations override only the
 /// events they consume. Sinks observe; they cannot perturb the run —

@@ -209,12 +209,12 @@ pub(crate) mod test_util {
     use pal_cluster::{ClusterTopology, VariabilityProfile};
 
     /// A uniform profile (every GPU scores 1.0 for 3 classes) over `n` GPUs.
-    pub fn flat_profile(n: usize) -> VariabilityProfile {
+    pub(crate) fn flat_profile(n: usize) -> VariabilityProfile {
         VariabilityProfile::from_raw(vec![vec![1.0; n]; 3])
     }
 
     /// Convenience request.
-    pub fn request(job: u32, demand: usize) -> PlacementRequest {
+    pub(crate) fn request(job: u32, demand: usize) -> PlacementRequest {
         PlacementRequest {
             job: JobId(job),
             model: "resnet50",
@@ -224,7 +224,7 @@ pub(crate) mod test_util {
     }
 
     /// A 4-GPUs-per-node state.
-    pub fn state(nodes: usize) -> ClusterState {
+    pub(crate) fn state(nodes: usize) -> ClusterState {
         ClusterState::new(ClusterTopology::new(nodes, 4))
     }
 }

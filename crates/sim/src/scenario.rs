@@ -1,44 +1,4 @@
 //! The [`Scenario`] builder — the primary entry point to the simulator.
-//!
-//! A scenario owns everything one simulation run needs: the trace, the
-//! cluster, the profiles, the policies, and the knob set. Every dimension
-//! beyond `(trace, topology)` has a sensible default, so the minimal run
-//! is two lines:
-//!
-//! ```
-//! use pal_sim::Scenario;
-//! use pal_cluster::ClusterTopology;
-//! use pal_trace::{JobId, JobSpec, Trace};
-//! use pal_cluster::JobClass;
-//! use pal_gpumodel::Workload;
-//!
-//! let job = JobSpec {
-//!     id: JobId(0), model: Workload::ResNet50, class: JobClass::A,
-//!     arrival: 0.0, gpu_demand: 2, iterations: 600, base_iter_time: 1.0,
-//! };
-//! let result = Scenario::new(Trace::new("demo", vec![job]), ClusterTopology::new(2, 4))
-//!     .run()
-//!     .expect("valid scenario");
-//! assert_eq!(result.records.len(), 1);
-//! ```
-//!
-//! Misconfiguration surfaces as a typed [`SimError`] instead of a panic,
-//! and new scenario dimensions (truth perturbation, admission control,
-//! sticky mode, …) compose through builder methods without touching any
-//! call site that doesn't care.
-//!
-//! ## Shared inputs
-//!
-//! The heavy immutable inputs — the trace, the variability profiles, and
-//! the locality model — are held behind [`Arc`]s. Every setter accepts
-//! `impl Into<Arc<T>>`, so passing an owned value works exactly as before
-//! while sweep drivers ([`crate::Campaign`] factories, figure binaries)
-//! can build the input once, wrap it in an `Arc`, and hand each scenario
-//! a cheap handle instead of a deep clone. The handles flow untouched
-//! through [`Scenario::start`] into the engine; a `Campaign` cell's
-//! marginal start-up cost is O(jobs) run-state initialization, not
-//! O(trace + profile) copying. (`ClusterTopology` is two words and
-//! `Copy`, so it flows by value.)
 
 use crate::admission::{AdmissionPolicy, AdmitAll};
 use crate::config::SimConfig;
@@ -55,7 +15,47 @@ use std::sync::Arc;
 /// Minimum number of variability classes a default (flat) profile covers.
 const DEFAULT_CLASSES: usize = 3;
 
-/// A fully described simulation run. See the [module docs](self).
+/// A fully described simulation run.
+///
+/// A scenario owns everything one simulation run needs: the trace, the
+/// cluster, the profiles, the policies, and the knob set. Every dimension
+/// beyond `(trace, topology)` has a sensible default, so the minimal run
+/// is two lines:
+///
+/// ```
+/// use pal_sim::Scenario;
+/// use pal_cluster::ClusterTopology;
+/// use pal_trace::{JobId, JobSpec, Trace};
+/// use pal_cluster::JobClass;
+/// use pal_gpumodel::Workload;
+///
+/// let job = JobSpec {
+///     id: JobId(0), model: Workload::ResNet50, class: JobClass::A,
+///     arrival: 0.0, gpu_demand: 2, iterations: 600, base_iter_time: 1.0,
+/// };
+/// let result = Scenario::new(Trace::new("demo", vec![job]), ClusterTopology::new(2, 4))
+///     .run()
+///     .expect("valid scenario");
+/// assert_eq!(result.records.len(), 1);
+/// ```
+///
+/// Misconfiguration surfaces as a typed [`SimError`] instead of a panic,
+/// and new scenario dimensions (truth perturbation, admission control,
+/// sticky mode, …) compose through builder methods without touching any
+/// call site that doesn't care.
+///
+/// ## Shared inputs
+///
+/// The heavy immutable inputs — the trace, the variability profiles, and
+/// the locality model — are held behind [`Arc`]s. Every setter accepts
+/// `impl Into<Arc<T>>`, so passing an owned value works exactly as before
+/// while sweep drivers ([`crate::Campaign`] factories, figure binaries)
+/// can build the input once, wrap it in an `Arc`, and hand each scenario
+/// a cheap handle instead of a deep clone. The handles flow untouched
+/// through [`Scenario::start`] into the engine; a `Campaign` cell's
+/// marginal start-up cost is O(jobs) run-state initialization, not
+/// O(trace + profile) copying. (`ClusterTopology` is two words and
+/// `Copy`, so it flows by value.)
 ///
 /// Build with [`Scenario::new`], customize with the chained setters, and
 /// execute with [`Scenario::run`]. For sweeps over many scenarios and
@@ -82,7 +82,7 @@ impl Scenario {
     /// Accepts an owned [`Trace`] or a pre-wrapped `Arc<Trace>` — sweeps
     /// building many scenarios over one trace should pass `Arc` handles so
     /// the jobs are shared rather than copied (see the
-    /// [module docs](self#shared-inputs)).
+    /// [type docs](Scenario#shared-inputs)).
     pub fn new(trace: impl Into<Arc<Trace>>, topology: ClusterTopology) -> Self {
         Scenario {
             trace: trace.into(),

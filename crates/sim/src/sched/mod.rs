@@ -113,7 +113,7 @@ pub(crate) mod test_util {
     use pal_trace::{JobId, JobSpec};
 
     /// Build a minimal active job for policy tests.
-    pub fn job(id: u32, arrival: f64, demand: usize, iters: u64) -> ActiveJob {
+    pub(crate) fn job(id: u32, arrival: f64, demand: usize, iters: u64) -> ActiveJob {
         ActiveJob::new(JobSpec {
             id: JobId(id),
             model: Workload::ResNet50,
@@ -126,7 +126,7 @@ pub(crate) mod test_util {
     }
 
     /// Order every job in `jobs` by priority, returning indices into it.
-    pub fn order(scheduler: &dyn super::SchedulingPolicy, jobs: &[ActiveJob]) -> Vec<usize> {
+    pub(crate) fn order(scheduler: &dyn super::SchedulingPolicy, jobs: &[ActiveJob]) -> Vec<usize> {
         let queue: Vec<usize> = (0..jobs.len()).collect();
         let (mut keys, mut out) = (Vec::new(), Vec::new());
         super::order_into(scheduler, jobs, &queue, &mut keys, &mut out);

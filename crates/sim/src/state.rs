@@ -1,54 +1,5 @@
 //! Versioned, serializable simulation state — the export/import format
 //! behind pause-resume and fork-at-T what-if replay.
-//!
-//! [`SimState`] captures what a paused [`Simulation`] needs, on top of
-//! its own scenario, to resume bit-identically: the progress of every
-//! admitted job, cluster occupancy, clocks, accumulated telemetry, the
-//! placement policy's opaque run state
-//! ([`PlacementPolicy::export_state`]), and every serving deployment's
-//! stream position/counters/replica times. Per-round scratch buffers are
-//! deliberately absent — they are rebuilt from the persistent state at
-//! the next executed round, so serializing them would only version-lock
-//! internals.
-//!
-//! ## Layout (format v3)
-//!
-//! A state saves what the run changed, not the workload:
-//!
-//! - **No job specs.** The importer already holds the trace. The state
-//!   names it (`trace`), counts its jobs (`trace_jobs`) and carries an
-//!   FNV-1a digest of its specs (`trace_digest`); an importer whose trace
-//!   differs in any of these refuses the state before touching anything.
-//!   Every resumed job is the importer's own spec plus the saved
-//!   progress, so a state file cannot rewrite the workload.
-//! - **Progress only for admitted jobs.** `jobs` holds one
-//!   [`JobProgress`] (phase, remaining work, attained service, first
-//!   start, migration and preemption counts) per job below `next_admit`,
-//!   in trace order. Admission has not reached the jobs at or past
-//!   `next_admit`, so they are still exactly `ActiveJob::new(spec)`, and
-//!   the importer resets them to that.
-//! - **Rejections as indices.** `rejected` lists the rejected jobs'
-//!   indices, strictly ascending and below `next_admit`.
-//! - **Serving positions as indices.** A deployment's requests are its
-//!   workload's, regenerated from the seed; its state holds only the
-//!   `completed` and `arrived` counts (the queue is the requests between
-//!   them), counters, latencies and replica times.
-//!
-//! ## Versioning
-//!
-//! Every exported state is stamped with [`STATE_FORMAT_VERSION`].
-//! [`Simulation::import_state`] (and the file readers in `pal-config`)
-//! refuse states from a different format version rather than guessing:
-//! the format changes exactly when the engine's persistent state grows a
-//! field, and silently dropping or defaulting one would break the
-//! resumed-equals-uninterrupted guarantee the proptests pin. Version 1
-//! stored every job's spec and runtime state, and version 2 every
-//! serving deployment's queued requests and stream lookahead; this build
-//! refuses both.
-//!
-//! [`Simulation`]: crate::Simulation
-//! [`Simulation::import_state`]: crate::Simulation::import_state
-//! [`PlacementPolicy::export_state`]: crate::PlacementPolicy::export_state
 
 use crate::engine::EPS;
 use crate::job_state::{ActiveJob, JobPhase};
@@ -62,10 +13,58 @@ use serde::{Deserialize, Emitter, Serialize, Value};
 pub const STATE_FORMAT_VERSION: u32 = 3;
 
 /// The persistent state of one simulation run at a round boundary,
-/// beyond what its scenario already holds (see the [module docs](self)
-/// for the layout). Produced by [`Simulation::export_state`], consumed by
+/// beyond what its scenario already holds. Produced by
+/// [`Simulation::export_state`], consumed by
 /// [`Simulation::import_state`]; serialize it with the canonical JSON
 /// writer in `pal-config` for on-disk round-trips.
+///
+/// It captures what a paused [`Simulation`] needs, on top of
+/// its own scenario, to resume bit-identically: the progress of every
+/// admitted job, cluster occupancy, clocks, accumulated telemetry, the
+/// placement policy's opaque run state
+/// ([`PlacementPolicy::export_state`]), and every serving deployment's
+/// stream position/counters/replica times. Per-round scratch buffers are
+/// deliberately absent — they are rebuilt from the persistent state at
+/// the next executed round, so serializing them would only version-lock
+/// internals.
+///
+/// ## Layout (format v3)
+///
+/// A state saves what the run changed, not the workload:
+///
+/// - **No job specs.** The importer already holds the trace. The state
+///   names it (`trace`), counts its jobs (`trace_jobs`) and carries an
+///   FNV-1a digest of its specs (`trace_digest`); an importer whose trace
+///   differs in any of these refuses the state before touching anything.
+///   Every resumed job is the importer's own spec plus the saved
+///   progress, so a state file cannot rewrite the workload.
+/// - **Progress only for admitted jobs.** `jobs` holds one
+///   [`JobProgress`] (phase, remaining work, attained service, first
+///   start, migration and preemption counts) per job below `next_admit`,
+///   in trace order. Admission has not reached the jobs at or past
+///   `next_admit`, so they are still exactly `ActiveJob::new(spec)`, and
+///   the importer resets them to that.
+/// - **Rejections as indices.** `rejected` lists the rejected jobs'
+///   indices, strictly ascending and below `next_admit`.
+/// - **Serving positions as indices.** A deployment's requests are its
+///   workload's, regenerated from the seed; its state holds only the
+///   `completed` and `arrived` counts (the queue is the requests between
+///   them), counters, latencies and replica times.
+///
+/// ## Versioning
+///
+/// Every exported state is stamped with [`STATE_FORMAT_VERSION`].
+/// [`Simulation::import_state`] (and the file readers in `pal-config`)
+/// refuse states from a different format version rather than guessing:
+/// the format changes exactly when the engine's persistent state grows a
+/// field, and silently dropping or defaulting one would break the
+/// resumed-equals-uninterrupted guarantee the proptests pin. Version 1
+/// stored every job's spec and runtime state, and version 2 every
+/// serving deployment's queued requests and stream lookahead; this build
+/// refuses both.
+///
+/// [`Simulation`]: crate::Simulation
+/// [`PlacementPolicy::export_state`]: crate::PlacementPolicy::export_state
 ///
 /// [`Simulation::export_state`]: crate::Simulation::export_state
 /// [`Simulation::import_state`]: crate::Simulation::import_state

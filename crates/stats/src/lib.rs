@@ -16,13 +16,14 @@
 //! undefined.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod boxplot;
-pub mod cdf;
-pub mod histogram;
-pub mod percentile;
-pub mod summary;
-pub mod timeseries;
+mod boxplot;
+mod cdf;
+mod histogram;
+mod percentile;
+mod summary;
+mod timeseries;
 
 pub use boxplot::BoxplotStats;
 pub use cdf::EmpiricalCdf;

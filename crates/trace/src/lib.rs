@@ -30,6 +30,7 @@
 //! Alibaba, Google) CSV logs.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod generator;
 mod heavytail;
