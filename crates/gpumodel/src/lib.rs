@@ -35,14 +35,12 @@
 #![warn(unreachable_pub)]
 
 mod apps;
-pub mod dvfs;
 mod gpu;
 mod kernel;
 mod pm;
 pub mod profiler;
 
 pub use apps::{AppSpec, Workload};
-pub use dvfs::{CoolingEnvironment, DieCharacteristics, DvfsModel};
 pub use gpu::{GpuSpec, ModeledGpu};
 pub use kernel::{FuncUnit, Kernel};
 pub use pm::{ClusterFlavor, PmState};

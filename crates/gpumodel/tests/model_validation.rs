@@ -1,8 +1,7 @@
 //! Cross-module validation of the GPU model: the profiles it produces must
-//! have the structure the paper's measurements show, on both GPU specs and
-//! for both the distribution-fit and DVFS-derived populations.
+//! have the structure the paper's measurements show, on both GPU specs.
 
-use pal_gpumodel::{profiler, ClusterFlavor, DvfsModel, GpuSpec, ModeledGpu, PmState, Workload};
+use pal_gpumodel::{profiler, ClusterFlavor, GpuSpec, ModeledGpu, PmState, Workload};
 
 #[test]
 fn variability_ordering_holds_on_both_gpu_specs() {
@@ -32,53 +31,6 @@ fn flavor_spreads_ordered_longhorn_widest() {
         longhorn > frontera && frontera > testbed,
         "expected Longhorn > Frontera > Testbed, got {longhorn} / {frontera} / {testbed}"
     );
-}
-
-#[test]
-fn dvfs_derived_population_resembles_flavor_sampled() {
-    // The physics-based derivation and the distribution fit should both
-    // yield: majority near nominal, meaningful slow band, small extreme
-    // tail.
-    let model = DvfsModel::v100();
-    let freqs = pal_gpumodel::dvfs::derive_frequencies(&model, 2000, 0.4, 0.04, 34.0, 12.0, 5);
-    let frac = |lo: f64, hi: f64| {
-        freqs.iter().filter(|&&f| f >= lo && f < hi).count() as f64 / freqs.len() as f64
-    };
-    assert!(frac(0.95, 1.10) > 0.5, "majority near nominal");
-    assert!(frac(0.55, 0.95) > 0.05, "visible slow band");
-    assert!(frac(0.0, 0.55) < 0.2, "extreme tail stays a tail");
-}
-
-#[test]
-fn dvfs_states_plug_into_profiling_pipeline() {
-    // Build ModeledGpus straight from the DVFS model and profile them —
-    // the full alternative pipeline.
-    let model = DvfsModel::v100();
-    let freqs = pal_gpumodel::dvfs::derive_frequencies(&model, 128, 0.5, 0.05, 36.0, 14.0, 3);
-    let spec = GpuSpec::v100();
-    let gpus: Vec<ModeledGpu> = freqs
-        .iter()
-        .map(|&f| ModeledGpu {
-            spec: spec.clone(),
-            pm: PmState {
-                freq_multiplier: f,
-                mem_multiplier: 1.0,
-            },
-        })
-        .collect();
-    let resnet = profiler::profile_cluster(&Workload::ResNet50.spec(), &gpus);
-    let pagerank = profiler::profile_cluster(&Workload::PageRank.spec(), &gpus);
-    assert!(
-        resnet.geomean_variability() > 5.0 * pagerank.geomean_variability().max(1e-4),
-        "resnet {} vs pagerank {}",
-        resnet.geomean_variability(),
-        pagerank.geomean_variability()
-    );
-    assert!(
-        resnet.max_slowdown() > 1.1,
-        "no straggler in DVFS population"
-    );
-    assert_eq!(resnet.normalized.len(), 128);
 }
 
 #[test]
