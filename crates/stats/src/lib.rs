@@ -2,8 +2,7 @@
 //!
 //! Descriptive statistics used throughout the PAL scheduler reproduction:
 //! summaries (mean / geometric mean / standard deviation), percentiles,
-//! empirical CDFs, histograms, boxplot statistics, and step-function time
-//! series.
+//! empirical CDFs, boxplot statistics, and step-function time series.
 //!
 //! The paper reports geomean improvements in job completion time (JCT),
 //! 99th-percentile JCT, makespan, and cluster utilization; the CDFs of
@@ -20,14 +19,12 @@
 
 mod boxplot;
 mod cdf;
-mod histogram;
 mod percentile;
 mod summary;
 mod timeseries;
 
 pub use boxplot::BoxplotStats;
 pub use cdf::EmpiricalCdf;
-pub use histogram::Histogram;
 pub use percentile::{median, percentile, percentile_of_sorted};
 pub use summary::{geomean, geomean_of_ratios, mean, std_dev, Summary};
 pub use timeseries::StepSeries;

@@ -2,7 +2,7 @@
 //! satisfy their defining mathematical identities on arbitrary inputs.
 
 use pal_stats::{
-    geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, Histogram, StepSeries, Summary,
+    geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, StepSeries, Summary,
 };
 use proptest::prelude::*;
 
@@ -85,17 +85,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&d));
         prop_assert!((d - b.ks_distance(&a)).abs() < 1e-12, "symmetry");
         prop_assert!(a.ks_distance(&a) == 0.0, "identity");
-    }
-
-    #[test]
-    fn histogram_conserves_samples(xs in finite_sample(), bins in 1usize..64) {
-        let mut h = Histogram::new(-1e6, 1e6, bins);
-        for &x in &xs { h.record(x); }
-        prop_assert_eq!(h.total(), xs.len() as u64);
-        let count_sum: u64 = h.counts().iter().sum();
-        prop_assert_eq!(count_sum, xs.len() as u64);
-        let frac_sum: f64 = h.normalized().iter().sum();
-        prop_assert!((frac_sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
