@@ -26,5 +26,5 @@ mod timeseries;
 pub use boxplot::BoxplotStats;
 pub use cdf::EmpiricalCdf;
 pub use percentile::{median, percentile, percentile_of_sorted};
-pub use summary::{geomean, geomean_of_ratios, mean, std_dev, Summary};
+pub use summary::{geomean, geomean_of_ratios, mean, std_dev};
 pub use timeseries::StepSeries;

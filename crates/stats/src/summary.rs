@@ -1,7 +1,4 @@
-//! Whole-sample summaries: mean, geometric mean, standard deviation, and a
-//! convenience [`Summary`] struct bundling all of them.
-
-use serde::{Deserialize, Serialize};
+//! Whole-sample summaries: mean, geometric mean and standard deviation.
 
 /// Arithmetic mean of a sample, or `None` if the sample is empty.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -49,45 +46,6 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     let ss: f64 = xs.iter().map(|&x| (x - m) * (x - m)).sum();
     Some((ss / (xs.len() - 1) as f64).sqrt())
-}
-
-/// A bundle of descriptive statistics over one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (0.0 when `count == 1`).
-    pub std_dev: f64,
-    /// Median (50th percentile, linear interpolation).
-    pub median: f64,
-    /// 99th percentile (linear interpolation).
-    pub p99: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns `None` for an empty sample.
-    pub fn of(xs: &[f64]) -> Option<Self> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-        Some(Summary {
-            count: xs.len(),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            mean: mean(xs).expect("non-empty"),
-            std_dev: std_dev(xs).unwrap_or(0.0),
-            median: crate::percentile::percentile_of_sorted(&sorted, 50.0),
-            p99: crate::percentile::percentile_of_sorted(&sorted, 99.0),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -155,36 +113,5 @@ mod tests {
     #[test]
     fn std_dev_needs_two_samples() {
         assert_eq!(std_dev(&[1.0]), None);
-    }
-
-    #[test]
-    fn summary_fields_consistent() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let s = Summary::of(&xs).unwrap();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert!((s.median - 3.0).abs() < 1e-12);
-        assert!(s.p99 <= s.max && s.p99 >= s.median);
-    }
-
-    #[test]
-    fn summary_single_element() {
-        let s = Summary::of(&[7.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 7.0);
-        assert_eq!(s.p99, 7.0);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn cov_of_constant_sample_is_zero() {
-        let s = Summary::of(&[4.0, 4.0, 4.0]).unwrap();
-        assert_eq!(s.std_dev / s.mean, 0.0);
     }
 }

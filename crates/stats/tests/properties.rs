@@ -1,9 +1,7 @@
 //! Property-based tests for pal-stats: the statistical primitives must
 //! satisfy their defining mathematical identities on arbitrary inputs.
 
-use pal_stats::{
-    geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, StepSeries, Summary,
-};
+use pal_stats::{geomean, mean, median, percentile, BoxplotStats, EmpiricalCdf, StepSeries};
 use proptest::prelude::*;
 
 fn finite_sample() -> impl Strategy<Value = Vec<f64>> {
@@ -106,15 +104,6 @@ proptest! {
         for o in &b.outliers {
             prop_assert!(*o < b.q1 - 1.5 * iqr || *o > b.q3 + 1.5 * iqr);
         }
-    }
-
-    #[test]
-    fn summary_consistent_with_parts(xs in finite_sample()) {
-        let s = Summary::of(&xs).unwrap();
-        prop_assert_eq!(s.count, xs.len());
-        prop_assert!((s.mean - mean(&xs).unwrap()).abs() < 1e-9 * (1.0 + s.mean.abs()));
-        prop_assert!((s.median - median(&xs).unwrap()).abs() < 1e-12);
-        prop_assert!(s.min <= s.median && s.median <= s.max);
     }
 
     #[test]
