@@ -64,13 +64,6 @@ pub struct BinnedScores {
     pub outlier_indices: Vec<usize>,
 }
 
-impl BinnedScores {
-    /// Number of distinct PM-score levels (inlier bins + outlier values).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-}
-
 impl ScoreBinning {
     /// Bin a 1-D variability profile (`values[i]` = GPU *i*'s iteration time
     /// normalized to the cluster median).
