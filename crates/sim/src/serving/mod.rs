@@ -86,6 +86,14 @@ type LogSlot = Arc<Mutex<Weak<RequestLog>>>;
 /// `work` in the request log, plus its latency.
 const BYTES_PER_REQUEST: u64 = 24;
 
+/// The most requests one serving stream may hold: 2.4 GB at
+/// [`BYTES_PER_REQUEST`], and 100× the largest stream any shipped config,
+/// bench or benchmark workload runs (1,000,000). The cap is fixed rather
+/// than sized to the host, so a config that validates on one machine
+/// validates on every machine; below it, a log the allocator still cannot
+/// hold fails [`RequestLog::build`]'s reservation as a typed error.
+const MAX_REQUESTS_PER_STREAM: u64 = 100_000_000;
+
 impl ServingJob {
     /// A deployment of `replicas` × `gpus_per_replica` GPUs serving
     /// `workload`, with default model identity (BERT, class A) and
@@ -229,14 +237,10 @@ pub(crate) fn validate_serving(
         };
         job.workload.validate().map_err(&invalid)?;
         job.batcher.validate().map_err(&invalid)?;
-        if job
-            .workload
-            .num_requests
-            .checked_mul(BYTES_PER_REQUEST)
-            .is_none_or(|bytes| bytes > isize::MAX as u64)
-        {
+        if job.workload.num_requests > MAX_REQUESTS_PER_STREAM {
             return Err(invalid(format!(
-                "{} requests at {BYTES_PER_REQUEST} B each overflow the address space",
+                "{} requests exceed the cap of {MAX_REQUESTS_PER_STREAM} per stream \
+                 ({BYTES_PER_REQUEST} B each)",
                 job.workload.num_requests
             )));
         }
@@ -1062,15 +1066,21 @@ mod tests {
         let topo = ClusterTopology::new(1, 4);
         let mut huge = workload(10.0, u64::MAX);
         let job = |w: &ServingWorkload| ServingJob::new(w.clone(), 1, 1);
-        assert!(matches!(
-            validate_serving(&[job(&huge)], &topo, 3),
-            Err(SimError::InvalidServingJob { reason, .. }) if reason.contains("overflow")
-        ));
-        // 2^58 requests pass the address-space bound but not the
-        // allocator: their 2 EiB columns exceed any address space, so the
-        // reservation fails before a byte is touched.
-        huge.num_requests = 1 << 58;
+        for n in [u64::MAX, 1 << 58, MAX_REQUESTS_PER_STREAM + 1] {
+            huge.num_requests = n;
+            assert!(
+                matches!(
+                    validate_serving(&[job(&huge)], &topo, 3),
+                    Err(SimError::InvalidServingJob { reason, .. }) if reason.contains("cap")
+                ),
+                "{n} requests"
+            );
+        }
+        huge.num_requests = MAX_REQUESTS_PER_STREAM;
         assert!(validate_serving(&[job(&huge)], &topo, 3).is_ok());
+        // The reservation still refuses what no allocator can hold: the
+        // 2 EiB columns of 2^58 requests fail before a byte is touched.
+        huge.num_requests = 1 << 58;
         let err = job(&huge).request_log().unwrap_err();
         assert!(
             matches!(&err, SimError::InvalidServingJob { reason, .. } if reason.contains("cannot allocate")),
