@@ -2,9 +2,9 @@
 //! executed in parallel with deterministic per-cell seeds and tagged
 //! results.
 
-pub(crate) mod runner;
-pub(crate) mod sink;
-pub(crate) mod what_if;
+mod runner;
+mod sink;
+mod what_if;
 
 pub use runner::{CampaignRunStats, FALLBACK_WORKERS};
 pub use sink::{MemorySink, ResultSink};
