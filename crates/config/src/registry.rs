@@ -1,4 +1,18 @@
 //! The pluggable generator/policy registry.
+//!
+//! Registering a trace kind from outside the crate:
+//!
+//! ```
+//! use pal_config::{Args, ConfigError, Registry, TraceCtx};
+//! use pal_trace::Trace;
+//!
+//! let mut registry = Registry::with_builtins();
+//! registry.register_trace("always-empty", |args: &Args, _ctx: &TraceCtx| {
+//!     let name = args.get_or("name", "empty".to_string())?;
+//!     Ok::<_, ConfigError>(Trace::new(name, vec![]))
+//! });
+//! assert!(registry.trace("always-empty").is_ok());
+//! ```
 
 use crate::error::ConfigError;
 use crate::import::read_jsonl_trace;
@@ -188,19 +202,7 @@ pub struct PolicyEntry {
 /// profile and placement-policy kinds to builder functions.
 /// [`Registry::with_builtins`] registers every family shipped in the
 /// workspace; downstream code adds its own with the `register_*` methods
-/// — **no edits inside this crate required**:
-///
-/// ```
-/// use pal_config::{Args, ConfigError, Registry, TraceCtx};
-/// use pal_trace::Trace;
-///
-/// let mut registry = Registry::with_builtins();
-/// registry.register_trace("always-empty", |args: &Args, _ctx: &TraceCtx| {
-///     let name = args.get_or("name", "empty".to_string())?;
-///     Ok::<_, ConfigError>(Trace::new(name, vec![]))
-/// });
-/// assert!(registry.trace("always-empty").is_ok());
-/// ```
+/// — **no edits inside this crate required**.
 ///
 /// The scheduler and admission kinds are fixed (the paper's FIFO, LAS,
 /// SRTF and SRSF orders and four admission rules) and resolve through a

@@ -140,8 +140,7 @@ impl Simulation {
     /// transitions, serving batches, accumulator updates) is also
     /// delivered to `sink`. Replaces any previously attached sink. Sinks
     /// observe without perturbing: the run's outcome is bit-identical
-    /// whatever the sink does. See [`MetricsSink`] for event cadence
-    /// and a custom-sink example.
+    /// whatever the sink does. See [`MetricsSink`] for event cadence.
     pub fn attach_sink(&mut self, sink: Box<dyn MetricsSink + Send>) {
         self.sink = Some(sink);
     }

@@ -1,5 +1,50 @@
 //! Pluggable run observability: the [`MetricsSink`] trait and the event
 //! types the engine emits through it.
+//!
+//! A custom sink overrides only the events it consumes:
+//!
+//! ```
+//! use pal_cluster::{ClusterTopology, JobClass};
+//! use pal_gpumodel::Workload;
+//! use pal_sim::{JobEvent, JobEventKind, MetricsSink, Scenario};
+//! use pal_trace::{JobId, JobSpec, Trace};
+//! use std::sync::{Arc, Mutex};
+//!
+//! /// Streams job completion times into shared state as they happen.
+//! struct FinishLog {
+//!     finishes: Arc<Mutex<Vec<(JobId, f64)>>>,
+//! }
+//!
+//! impl MetricsSink for FinishLog {
+//!     fn on_job(&mut self, ev: &JobEvent) {
+//!         if ev.kind == JobEventKind::Finished {
+//!             self.finishes.lock().unwrap().push((ev.job, ev.t));
+//!         }
+//!     }
+//! }
+//!
+//! let jobs = (0..4)
+//!     .map(|i| JobSpec {
+//!         id: JobId(i),
+//!         model: Workload::ResNet50,
+//!         class: JobClass::A,
+//!         arrival: i as f64 * 100.0,
+//!         gpu_demand: 1 + i as usize % 2,
+//!         iterations: 600,
+//!         base_iter_time: 1.0,
+//!     })
+//!     .collect();
+//! let finishes = Arc::new(Mutex::new(Vec::new()));
+//! let mut sim = Scenario::new(Trace::new("doc", jobs), ClusterTopology::new(2, 4))
+//!     .start()
+//!     .unwrap();
+//! sim.attach_sink(Box::new(FinishLog {
+//!     finishes: Arc::clone(&finishes),
+//! }));
+//! let result = sim.run_to_completion().unwrap();
+//! // The sink saw every completion the result records, as it happened.
+//! assert_eq!(finishes.lock().unwrap().len(), result.records.len());
+//! ```
 
 use pal_trace::JobId;
 use serde::{Deserialize, Serialize};
@@ -102,53 +147,6 @@ pub struct ServingBatchEvent {
 /// granularity as [`Simulation::step`](crate::Simulation::step) — so a
 /// skipped span delivers its accumulation bit-identically but only one
 /// round event at the hop's end.
-///
-/// ## Writing a custom sink
-///
-/// Every method has a no-op default; override only what you consume:
-///
-/// ```
-/// use pal_cluster::{ClusterTopology, JobClass};
-/// use pal_gpumodel::Workload;
-/// use pal_sim::{JobEvent, JobEventKind, MetricsSink, Scenario};
-/// use pal_trace::{JobId, JobSpec, Trace};
-/// use std::sync::{Arc, Mutex};
-///
-/// /// Streams job completion times into shared state as they happen.
-/// struct FinishLog {
-///     finishes: Arc<Mutex<Vec<(JobId, f64)>>>,
-/// }
-///
-/// impl MetricsSink for FinishLog {
-///     fn on_job(&mut self, ev: &JobEvent) {
-///         if ev.kind == JobEventKind::Finished {
-///             self.finishes.lock().unwrap().push((ev.job, ev.t));
-///         }
-///     }
-/// }
-///
-/// let jobs = (0..4)
-///     .map(|i| JobSpec {
-///         id: JobId(i),
-///         model: Workload::ResNet50,
-///         class: JobClass::A,
-///         arrival: i as f64 * 100.0,
-///         gpu_demand: 1 + i as usize % 2,
-///         iterations: 600,
-///         base_iter_time: 1.0,
-///     })
-///     .collect();
-/// let finishes = Arc::new(Mutex::new(Vec::new()));
-/// let mut sim = Scenario::new(Trace::new("doc", jobs), ClusterTopology::new(2, 4))
-///     .start()
-///     .unwrap();
-/// sim.attach_sink(Box::new(FinishLog {
-///     finishes: Arc::clone(&finishes),
-/// }));
-/// let result = sim.run_to_completion().unwrap();
-/// // The sink saw every completion the result records, as it happened.
-/// assert_eq!(finishes.lock().unwrap().len(), result.records.len());
-/// ```
 ///
 /// Every method defaults to a no-op, so implementations override only the
 /// events they consume. Sinks observe; they cannot perturb the run —

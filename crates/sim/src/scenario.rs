@@ -1,4 +1,23 @@
 //! The [`Scenario`] builder — the primary entry point to the simulator.
+//!
+//! The minimal run:
+//!
+//! ```
+//! use pal_sim::Scenario;
+//! use pal_cluster::ClusterTopology;
+//! use pal_trace::{JobId, JobSpec, Trace};
+//! use pal_cluster::JobClass;
+//! use pal_gpumodel::Workload;
+//!
+//! let job = JobSpec {
+//!     id: JobId(0), model: Workload::ResNet50, class: JobClass::A,
+//!     arrival: 0.0, gpu_demand: 2, iterations: 600, base_iter_time: 1.0,
+//! };
+//! let result = Scenario::new(Trace::new("demo", vec![job]), ClusterTopology::new(2, 4))
+//!     .run()
+//!     .expect("valid scenario");
+//! assert_eq!(result.records.len(), 1);
+//! ```
 
 use crate::admission::{AdmissionPolicy, AdmitAll};
 use crate::config::SimConfig;
@@ -20,24 +39,7 @@ const DEFAULT_CLASSES: usize = 3;
 /// A scenario owns everything one simulation run needs: the trace, the
 /// cluster, the profiles, the policies, and the knob set. Every dimension
 /// beyond `(trace, topology)` has a sensible default, so the minimal run
-/// is two lines:
-///
-/// ```
-/// use pal_sim::Scenario;
-/// use pal_cluster::ClusterTopology;
-/// use pal_trace::{JobId, JobSpec, Trace};
-/// use pal_cluster::JobClass;
-/// use pal_gpumodel::Workload;
-///
-/// let job = JobSpec {
-///     id: JobId(0), model: Workload::ResNet50, class: JobClass::A,
-///     arrival: 0.0, gpu_demand: 2, iterations: 600, base_iter_time: 1.0,
-/// };
-/// let result = Scenario::new(Trace::new("demo", vec![job]), ClusterTopology::new(2, 4))
-///     .run()
-///     .expect("valid scenario");
-/// assert_eq!(result.records.len(), 1);
-/// ```
+/// is [`Scenario::new`] followed by [`Scenario::run`].
 ///
 /// Misconfiguration surfaces as a typed [`SimError`] instead of a panic,
 /// and new scenario dimensions (truth perturbation, admission control,
