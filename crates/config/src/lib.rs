@@ -41,9 +41,9 @@
 //!
 //! [`save_state`] and [`load_state`] persist exported engine state
 //! ([`pal_sim::SimState`]) as canonical-JSON files with an up-front
-//! format-version check — the on-disk half of pause-resume and `palsim what-if` forking — and
-//! [`MetricsDir`] streams live engine events to per-cell JSONL/CSV files
-//! through [`pal_sim::Campaign::metrics_sinks`].
+//! format-version check — the on-disk half of pause-resume and `palsim
+//! what-if` forking — and [`MetricsDir`] streams live engine events to
+//! per-cell JSONL/CSV files through [`pal_sim::Campaign::metrics_sinks`].
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
