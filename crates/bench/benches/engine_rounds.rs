@@ -30,14 +30,23 @@
 //! keys overtake at staggered rounds — order changes the skip mode must
 //! stop at. The 100k-size run asserts that skipping executes ≥2× fewer
 //! rounds than fixed-round stepping.
+//!
+//! Last, `main` runs the paper's own policies at **fleet scale**: PM-First
+//! and PAL, non-sticky, on 2,500 × 4 modeled Longhorn V100s under LAS with
+//! per-model Frontera locality, over a 100k-job heavy-tail trace at 6,000
+//! jobs/hour (`large_run/{pmfirst,pal}_10k_gpus` wall times,
+//! `rounds/{pmfirst,pal}_10k_gpus/*` round counts). Both share one
+//! PM-score table, built once outside the timed runs.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use pal::{PalPlacement, PmFirstPlacement, PmScoreTable};
+use pal_bench::{modeled_longhorn_profile, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
 use pal_gpumodel::GpuSpec;
 use pal_sim::placement::PackedPlacement;
 use pal_sim::sched::{Las, Srtf};
-use pal_sim::{Scenario, StepOutcome};
-use pal_trace::{JobId, JobSpec, ModelCatalog, SynergyConfig, Trace};
+use pal_sim::{PlacementPolicy, Scenario, StepOutcome};
+use pal_trace::{HeavyTailConfig, JobId, JobSpec, ModelCatalog, SynergyConfig, Trace};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -344,6 +353,53 @@ fn large_scale_accounting(entries: &mut Vec<(String, f64)>) {
     }
 }
 
+/// Run PM-First and PAL once each at fleet scale (see the module docs),
+/// appending their wall times and simulated/executed round counts.
+fn fleet_scale_accounting(entries: &mut Vec<(String, f64)>) {
+    let topo = ClusterTopology::new(2_500, 4);
+    let profile = Arc::new(modeled_longhorn_profile(topo.total_gpus(), PROFILE_SEED));
+    let start = Instant::now();
+    let table = Arc::new(PmScoreTable::build_default(&profile));
+    eprintln!("fleet scale: PM-score table built in {:?}", start.elapsed());
+    let catalog = ModelCatalog::table2(&GpuSpec::v100());
+    let trace = Arc::new(
+        HeavyTailConfig {
+            num_jobs: 100_000,
+            jobs_per_hour: 6_000.0,
+            ..Default::default()
+        }
+        .generate(&catalog),
+    );
+    let policies: [(&str, Box<dyn PlacementPolicy + Send>); 2] = [
+        (
+            "pmfirst_10k_gpus",
+            Box::new(PmFirstPlacement::from_shared(Arc::clone(&table))),
+        ),
+        (
+            "pal_10k_gpus",
+            Box::new(PalPlacement::from_shared(Arc::clone(&table))),
+        ),
+    ];
+    for (label, placement) in policies {
+        let start = Instant::now();
+        let r = Scenario::new(Arc::clone(&trace), topo)
+            .profile(Arc::clone(&profile))
+            .locality(LocalityModel::frontera_per_model())
+            .scheduler(Las::default())
+            .placement_boxed(placement)
+            .run()
+            .expect("fleet-scale run");
+        let wall = start.elapsed();
+        eprintln!(
+            "{label}: {wall:?}; {} simulated rounds, {} executed",
+            r.rounds, r.executed_rounds
+        );
+        entries.push((format!("large_run/{label}"), wall.as_nanos() as f64));
+        entries.push((format!("rounds/{label}/simulated"), r.rounds as f64));
+        entries.push((format!("rounds/{label}/executed"), r.executed_rounds as f64));
+    }
+}
+
 criterion_group!(
     benches,
     bench_full_run,
@@ -374,6 +430,7 @@ fn main() {
         ));
     }
     large_scale_accounting(&mut entries);
+    fleet_scale_accounting(&mut entries);
     pal_bench::bench_json::update_workspace("engine_rounds", &entries)
         .expect("update BENCH_engine.json");
 }

@@ -13,9 +13,10 @@
 //!   including the paper's sample-without-repetition construction from
 //!   measured profiles,
 //! - [`ClusterState`]: GPU occupancy tracking (free lists, allocate/release),
+//!   with an [`OccupancyToken`] that tells whether a GPU was freed,
 //! - [`ClusterView`]: the incrementally maintained free-GPU view placement
 //!   policies borrow, plus the lazily built per-class score orderings
-//!   ([`ClassOrders`]),
+//!   and their walk cursors ([`ClassOrders`]),
 //! - [`GpuId`], [`NodeId`] and [`JobClass`]: typed identifiers.
 
 #![warn(missing_docs)]
@@ -31,6 +32,6 @@ mod view;
 pub use ids::{GpuId, JobClass, NodeId};
 pub use locality::LocalityModel;
 pub use profile::VariabilityProfile;
-pub use state::ClusterState;
+pub use state::{ClusterState, OccupancyToken};
 pub use topology::ClusterTopology;
 pub use view::{ClassOrders, ClusterView, NodeFree, NodeFreeIter};

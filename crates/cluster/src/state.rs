@@ -4,7 +4,8 @@
 use crate::ids::GpuId;
 use crate::topology::ClusterTopology;
 use crate::view::ClusterView;
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Emitter, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Occupancy state of every GPU in a cluster.
 ///
@@ -13,13 +14,123 @@ use serde::{Deserialize, Serialize};
 /// allocate/release, so neither the O(1)/O(nodes) count queries nor the
 /// free-list reads placement policies issue on each decision ever rescan
 /// the GPU bitmap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Each state also carries an [`OccupancyToken`] that changes on every
+/// [`release`](Self::release). It is run-time only: equality and the
+/// serialized form see the occupancy fields alone, and a clone or a
+/// deserialized state starts with a token of its own.
+#[derive(Debug)]
 pub struct ClusterState {
     topology: ClusterTopology,
     in_use: Vec<bool>,
     free_total: usize,
     free_per_node: Vec<usize>,
     view: ClusterView,
+    token: OccupancyToken,
+}
+
+/// Proof that no GPU of one [`ClusterState`] instance has been freed
+/// since the token was read ([`ClusterState::occupancy_token`]).
+///
+/// Two reads return equal tokens exactly when they come from the same
+/// instance with no [`release`](ClusterState::release) in between, so a
+/// fact of the form "these GPUs are busy" that was true at the first read
+/// still holds. Allocation leaves the token unchanged; it only makes more
+/// GPUs busy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OccupancyToken {
+    /// Unique per state instance: drawn from [`NEXT_INSTANCE`] by
+    /// `new`, `clone` and `from_value`, so a clone never shares a token
+    /// with its source even when both make the same number of releases.
+    instance: u64,
+    /// `release` calls on this instance so far.
+    releases: u64,
+}
+
+/// Instance ids handed out so far. Bumped once per state construction,
+/// never per release, so concurrent simulations do not contend on it.
+/// Id 0 is never handed out: [`OccupancyToken::NONE`] uses it.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+impl OccupancyToken {
+    /// A token no state ever returns.
+    pub(crate) const NONE: OccupancyToken = OccupancyToken {
+        instance: 0,
+        releases: 0,
+    };
+
+    /// A token for a freshly constructed state instance.
+    fn fresh() -> Self {
+        OccupancyToken {
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            releases: 0,
+        }
+    }
+}
+
+impl Clone for ClusterState {
+    fn clone(&self) -> Self {
+        ClusterState {
+            topology: self.topology,
+            in_use: self.in_use.clone(),
+            free_total: self.free_total,
+            free_per_node: self.free_per_node.clone(),
+            view: self.view.clone(),
+            token: OccupancyToken::fresh(),
+        }
+    }
+}
+
+impl PartialEq for ClusterState {
+    fn eq(&self, other: &Self) -> bool {
+        self.topology == other.topology
+            && self.in_use == other.in_use
+            && self.free_total == other.free_total
+            && self.free_per_node == other.free_per_node
+            && self.view == other.view
+    }
+}
+
+// The field map a derive would write, without the token.
+impl Serialize for ClusterState {
+    fn emit(&self, out: &mut dyn Emitter) {
+        out.map(5);
+        out.key("topology");
+        self.topology.emit(out);
+        out.key("in_use");
+        self.in_use.emit(out);
+        out.key("free_total");
+        self.free_total.emit(out);
+        out.key("free_per_node");
+        self.free_per_node.emit(out);
+        out.key("view");
+        self.view.emit(out);
+        out.end();
+    }
+}
+
+impl<'de> Deserialize<'de> for ClusterState {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        fn field<T: for<'a> Deserialize<'a>>(
+            entries: &[(String, Value)],
+            name: &str,
+        ) -> Result<T, DeError> {
+            T::from_value(de::struct_field(entries, name)).map_err(|e| e.context(name))
+        }
+        let entries = de::as_struct_map(
+            value,
+            "ClusterState",
+            &["topology", "in_use", "free_total", "free_per_node", "view"],
+        )?;
+        Ok(ClusterState {
+            topology: field(entries, "topology")?,
+            in_use: field(entries, "in_use")?,
+            free_total: field(entries, "free_total")?,
+            free_per_node: field(entries, "free_per_node")?,
+            view: field(entries, "view")?,
+            token: OccupancyToken::fresh(),
+        })
+    }
 }
 
 impl ClusterState {
@@ -31,7 +142,13 @@ impl ClusterState {
             free_per_node: vec![topology.gpus_per_node; topology.nodes],
             view: ClusterView::all_free(&topology),
             topology,
+            token: OccupancyToken::fresh(),
         }
+    }
+
+    /// The current [`OccupancyToken`]. O(1).
+    pub fn occupancy_token(&self) -> OccupancyToken {
+        self.token
     }
 
     /// The underlying topology.
@@ -121,8 +238,10 @@ impl ClusterState {
         }
     }
 
-    /// Mark GPUs free. Panics if any was not in use.
+    /// Mark GPUs free and change the [`OccupancyToken`]. Panics if any
+    /// was not in use.
     pub fn release(&mut self, gpus: &[GpuId]) {
+        self.token.releases += 1;
         for &g in gpus {
             assert!(self.in_use[g.index()], "releasing free GPU {g}");
             let node = self.topology.node_of(g);
@@ -210,6 +329,66 @@ mod tests {
         // at all times.
         let from_view: Vec<usize> = s.view().per_node().map(|nf| nf.len()).collect();
         assert_eq!(s.free_count_by_node(), &from_view[..]);
+    }
+
+    #[test]
+    fn release_changes_the_token_and_allocate_does_not() {
+        let mut s = state();
+        let t0 = s.occupancy_token();
+        s.allocate(&[GpuId(1), GpuId(6)]);
+        assert_eq!(s.occupancy_token(), t0);
+        s.release(&[GpuId(6)]);
+        let t1 = s.occupancy_token();
+        assert_ne!(t1, t0);
+        s.release(&[GpuId(1)]);
+        assert_ne!(s.occupancy_token(), t1);
+        assert_ne!(s.occupancy_token(), t0);
+    }
+
+    #[test]
+    fn copies_get_tokens_of_their_own() {
+        let mut s = state();
+        s.allocate(&[GpuId(2)]);
+        s.release(&[GpuId(2)]);
+        let copies = [
+            s.clone(),
+            s.clone(),
+            ClusterState::from_value(&s.to_value()).unwrap(),
+            ClusterState::from_value(&s.to_value()).unwrap(),
+            state(),
+        ];
+        for (i, a) in copies.iter().enumerate() {
+            assert_ne!(a.occupancy_token(), s.occupancy_token());
+            for b in &copies[i + 1..] {
+                assert_ne!(a.occupancy_token(), b.occupancy_token());
+            }
+        }
+    }
+
+    #[test]
+    fn token_is_invisible_to_equality_and_serialization() {
+        let mut s = state();
+        s.allocate(&[GpuId(3), GpuId(4)]);
+        let mut t = state();
+        t.allocate(&[GpuId(0), GpuId(3), GpuId(4)]);
+        t.release(&[GpuId(0)]);
+        assert_ne!(s.occupancy_token(), t.occupancy_token());
+        assert_eq!(s, t);
+        assert_eq!(s.to_value(), t.to_value());
+        let keys: Vec<String> = match s.to_value() {
+            Value::Map(entries) => entries.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("state serialized as {}", other.kind()),
+        };
+        assert_eq!(
+            keys,
+            ["topology", "in_use", "free_total", "free_per_node", "view"]
+        );
+        let back = ClusterState::from_value(&s.to_value()).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.check_consistent(), Ok(()));
+        let err = ClusterState::from_value(&Value::Map(vec![("token".into(), Value::Int(0))]))
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown field `token`"), "{err}");
     }
 
     #[test]

@@ -22,11 +22,17 @@
 //! lazily built, per-class ordering of *all* GPUs by ascending score.
 //! Selecting the best free GPUs then degenerates to walking the ordering
 //! and skipping busy devices — no per-call sort, no per-call allocation.
+//! Each class also keeps a cursor: the position of the first GPU the last
+//! walk found free, stamped with the state's
+//! [`OccupancyToken`](crate::OccupancyToken). Every GPU before it is busy
+//! until the next release, so while the token still matches a walk starts
+//! at the cursor instead of re-skipping the GPUs earlier placements took.
 //! An ordering is built once and never changes: a policy whose scores
 //! drift (Adaptive-PAL's online re-bin) builds a new policy, and with it
 //! a new, empty `ClassOrders`.
 
 use crate::ids::{GpuId, NodeId};
+use crate::state::{ClusterState, OccupancyToken};
 use crate::topology::ClusterTopology;
 use serde::{Deserialize, Serialize};
 
@@ -220,16 +226,22 @@ impl Iterator for NodeFreeIter<'_> {
 }
 
 /// Lazily built per-class orderings of all GPUs by ascending score (ties
-/// broken by GPU id, so every ordering is total and deterministic).
+/// broken by GPU id, so every ordering is total and deterministic), each
+/// with a walk cursor.
 ///
 /// Score-driven placement policies (PM-First, PAL's spread arm) own one of
 /// these next to their score table: [`ensure`](ClassOrders::ensure) builds
-/// a class's ordering on first use and [`get`](ClassOrders::get) borrows
-/// it allocation-free afterwards. The cache belongs to one score table;
-/// new scores need a new cache.
+/// a class's ordering on first use, [`get`](ClassOrders::get) borrows it
+/// and [`first_free_into`](ClassOrders::first_free_into) takes its best
+/// free GPUs, all allocation-free afterwards. The cache belongs to one
+/// score table; new scores need a new cache.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClassOrders {
     orders: Vec<Vec<GpuId>>,
+    /// Per class `(position, token)`: every GPU before `position` in the
+    /// class's ordering was busy when `token` was read, and stays busy
+    /// while the state's token still equals it.
+    cursors: Vec<(usize, OccupancyToken)>,
 }
 
 impl ClassOrders {
@@ -237,6 +249,7 @@ impl ClassOrders {
     pub fn new(num_classes: usize) -> Self {
         ClassOrders {
             orders: vec![Vec::new(); num_classes],
+            cursors: vec![(0, OccupancyToken::NONE); num_classes],
         }
     }
 
@@ -262,12 +275,49 @@ impl ClassOrders {
     pub fn get(&self, class: usize) -> &[GpuId] {
         &self.orders[class]
     }
+
+    /// Write the first `demand` GPUs of `class`'s ordering that are free
+    /// in `state` into `out`, in ordering order (fewer if fewer are free)
+    /// — the same GPUs as sorting the free list by (score, GPU id) and
+    /// truncating.
+    ///
+    /// The walk starts at the class's cursor when `state`'s
+    /// [`OccupancyToken`] still matches the one stored with it, and at
+    /// the start of the ordering otherwise; it then moves the cursor to
+    /// the first free GPU it sees. Between releases each GPU is therefore
+    /// skipped as busy at most once per class, however many placements
+    /// walk past it.
+    pub fn first_free_into(
+        &mut self,
+        class: usize,
+        demand: usize,
+        state: &ClusterState,
+        out: &mut Vec<GpuId>,
+    ) {
+        out.clear();
+        let token = state.occupancy_token();
+        let cursor = &mut self.cursors[class];
+        let start = if cursor.1 == token { cursor.0 } else { 0 };
+        let rest = &self.orders[class][start..];
+        let busy = rest
+            .iter()
+            .position(|&g| state.is_free(g))
+            .unwrap_or(rest.len());
+        *cursor = (start + busy, token);
+        for &g in &rest[busy..] {
+            if state.is_free(g) {
+                out.push(g);
+                if out.len() == demand {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::ClusterState;
 
     fn state() -> ClusterState {
         ClusterState::new(ClusterTopology::new(2, 4))
@@ -351,6 +401,34 @@ mod tests {
             &[GpuId(3), GpuId(1), GpuId(0), GpuId(2)],
             "ascending score, ties by id"
         );
+    }
+
+    #[test]
+    fn first_free_walk_resumes_at_its_cursor_until_a_release() {
+        let mut s = state();
+        let mut orders = ClassOrders::new(1);
+        orders.ensure(0, 8, |g| -(g.index() as f64)); // 7, 6, …, 0
+        let mut out = Vec::new();
+        orders.first_free_into(0, 2, &s, &mut out);
+        assert_eq!(out, [GpuId(7), GpuId(6)]);
+        s.allocate(&out);
+        orders.first_free_into(0, 2, &s, &mut out);
+        assert_eq!(out, [GpuId(5), GpuId(4)]);
+        assert_eq!(orders.cursors[0].0, 2, "skipped 7 and 6 as busy");
+        s.allocate(&out);
+        orders.first_free_into(0, 1, &s, &mut out);
+        assert_eq!(orders.cursors[0].0, 4);
+        // A release behind the cursor: the walk starts over.
+        s.release(&[GpuId(6)]);
+        orders.first_free_into(0, 1, &s, &mut out);
+        assert_eq!(out, [GpuId(6)]);
+        assert_eq!(orders.cursors[0].0, 1);
+        s.allocate(&out);
+        orders.first_free_into(0, 1, &s, &mut out);
+        assert_eq!(out, [GpuId(3)]);
+        // So does a walk over another state instance.
+        orders.first_free_into(0, 1, &state(), &mut out);
+        assert_eq!(out, [GpuId(7)]);
     }
 
     #[test]

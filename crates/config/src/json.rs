@@ -1,32 +1,22 @@
-//! A hand-rolled JSON parser over [`serde::Value`], for `.json` campaign
-//! files and JSONL trace imports.
-//!
-//! Standard JSON with two ergonomic extensions that cost nothing to
-//! accept: `//` line comments and trailing commas (both common in
-//! hand-maintained config files). `null` maps to [`Value::Unit`] — the
-//! same "absent" encoding the deserializer gives missing keys. Numbers
-//! without a fraction or exponent become [`Value::Int`]; everything else
-//! becomes [`Value::Float`].
-//!
-//! Errors reuse [`TomlError`] so both formats
-//! report positions identically (`file:line:col: message`).
-//!
-//! [`to_json`] is the inverse: a canonical single-line writer that
-//! streams any [`Serialize`] value's [`emit`](Serialize::emit) events
-//! straight to text, with no [`Value`] tree in between. The spill sink
-//! (JSONL result/manifest lines), the metrics sink (event lines) and
-//! state files write through it; [`write_json`] is the same writer fed
-//! from an already-built tree. Canonical means deterministic bytes for a
-//! given value — fields in emit order, no whitespace,
-//! shortest-round-trip float formatting — so identical results serialize
-//! to identical lines and a resumed run's output can be compared
-//! byte-for-byte against an uninterrupted one.
+//! JSON for `.json` campaign files, JSONL trace imports and the
+//! canonical-JSON spill, metrics and state files: [`parse_json`] reads,
+//! [`to_json`] writes.
 
 use crate::toml::TomlError;
 use serde::{Deserialize, Emitter, Serialize, Value};
 use std::fmt::Write;
 
 /// Serialize `value` as one line of canonical JSON.
+///
+/// The writer streams `value`'s [`emit`](Serialize::emit) events straight
+/// to text, with no [`Value`] tree in between. The spill sink (JSONL
+/// result/manifest lines), the metrics sink (event lines) and state files
+/// write through it; [`write_json`] is the same writer fed from an
+/// already-built tree. Canonical means deterministic bytes for a given
+/// value — fields in emit order, no whitespace, shortest-round-trip float
+/// formatting — so identical results serialize to identical lines and a
+/// resumed run's output can be compared byte-for-byte against an
+/// uninterrupted one.
 ///
 /// The round trip through [`parse_json`] is exact: floats use Rust's
 /// shortest-round-trip `Display` (integral floats like `2.0` print as
@@ -156,6 +146,15 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 /// Parse one JSON document; trailing content after the value is an error.
+///
+/// A hand-rolled parser over [`serde::Value`]: standard JSON with two
+/// extensions that cost nothing to accept, `//` line comments and
+/// trailing commas (both common in hand-maintained config files). `null`
+/// maps to [`Value::Unit`] — the same "absent" encoding the deserializer
+/// gives missing keys. Numbers without a fraction or exponent become
+/// [`Value::Int`]; everything else becomes [`Value::Float`]. Errors reuse
+/// [`TomlError`], so both formats report positions identically
+/// (`file:line:col: message`).
 pub fn parse_json(src: &str) -> Result<Value, TomlError> {
     let mut p = JsonParser { src, pos: 0 };
     p.skip_filler();

@@ -1,23 +1,5 @@
-//! The typed campaign-file schema.
-//!
-//! A campaign file describes everything the [`pal_sim::Campaign`] /
-//! [`pal_sim::Scenario`] builders can express — topology, locality,
-//! profiles, scheduler, admission, placement policies, training traces,
-//! serving workloads, load sweeps, seeds — as plain data. Where the
-//! simulator already has a serde-derived config struct
-//! ([`ClusterTopology`], [`LocalityModel`], [`ServingWorkload`],
-//! [`BatcherConfig`]), the schema reuses it directly, so the file format
-//! and the Rust API cannot drift apart.
-//!
-//! Pluggable pieces — trace generators, profiles, schedulers, admission
-//! and placement policies — appear as [`GeneratorRef`]/[`PolicyRef`]:
-//! a kind plus free-form parameters, resolved at build time (traces,
-//! profiles and policies against a [`Registry`](crate::Registry), the
-//! fixed scheduler and admission kinds by name). Their serialized form
-//! supports a shorthand: `scheduler = "las"` is the same as
-//! `scheduler = { kind = "las" }`, and any keys besides the reserved
-//! ones ride along as parameters (`{ kind = "las",
-//! threshold_gpu_seconds = 7200.0 }`).
+//! The typed campaign-file schema: [`CampaignFile`] and the
+//! [`GeneratorRef`]/[`PolicyRef`] references it resolves at build time.
 
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel};
 use pal_gpumodel::Workload;
@@ -28,6 +10,21 @@ use serde::{emit_value, DeError, Deserialize, Emitter, Serialize, Value};
 
 /// A complete campaign file: cluster-wide defaults plus a scenario × policy
 /// grid. See `configs/` for commented examples.
+///
+/// A campaign file describes everything the [`pal_sim::Campaign`] /
+/// [`pal_sim::Scenario`] builders can express — topology, locality,
+/// profiles, scheduler, admission, placement policies, training traces,
+/// serving workloads, load sweeps, seeds — as plain data. Where the
+/// simulator already has a serde-derived config struct
+/// ([`ClusterTopology`], [`LocalityModel`], [`ServingWorkload`],
+/// [`BatcherConfig`]), the schema reuses it directly, so the file format
+/// and the Rust API cannot drift apart.
+///
+/// Pluggable pieces — trace generators, profiles, schedulers, admission
+/// and placement policies — appear as [`GeneratorRef`]/[`PolicyRef`]: a
+/// kind plus free-form parameters, resolved at build time (traces,
+/// profiles and policies against a [`Registry`](crate::Registry), the
+/// fixed scheduler and admission kinds by name).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignFile {
     /// Campaign-level knobs (`[campaign]`).

@@ -1,28 +1,30 @@
-//! 1-D PM-score binning (Section III-B, Figure 5).
-//!
-//! Pipeline, exactly as the paper describes:
-//!
-//! 1. Separate extreme outliers (more than 3σ from the mean) — they distort
-//!    silhouette coefficients.
-//! 2. Sweep K from 2 to 11 on the inliers, selecting the K whose **worst
-//!    per-bin** mean silhouette is highest ("as close to +1 as possible for
-//!    all bins").
-//! 3. Every inlier GPU's PM-score becomes its bin centroid; each outlier
-//!    keeps its own exact normalized performance as its PM-score ("these
-//!    extreme outliers are assigned their own PM-score equal to the GPU's
-//!    normalized performance").
-//!
-//! Each candidate K costs one K-Means fit plus one exact 1-D worst-bin
-//! silhouette, O(n·K·log n) ([`min_cluster_silhouette_1d`]) rather than
-//! the O(n²) pairwise reference
-//! ([`min_cluster_silhouette`](crate::silhouette::min_cluster_silhouette)),
-//! so a 2,500-GPU class bins in about 0.1 s, most of it in K-Means.
+//! 1-D PM-score binning (Section III-B, Figure 5): [`ScoreBinning`] and
+//! its result, [`BinnedScores`].
 
 use crate::kmeans::KMeans;
 use crate::silhouette::min_cluster_silhouette_1d;
 use serde::{Deserialize, Serialize};
 
-/// Configuration for the PM-score binning pipeline.
+/// Configuration for the PM-score binning pipeline (Section III-B,
+/// Figure 5).
+///
+/// The pipeline, exactly as the paper describes:
+///
+/// 1. Separate extreme outliers (more than 3σ from the mean) — they
+///    distort silhouette coefficients.
+/// 2. Sweep K from 2 to 11 on the inliers, selecting the K whose **worst
+///    per-bin** mean silhouette is highest ("as close to +1 as possible
+///    for all bins").
+/// 3. Every inlier GPU's PM-score becomes its bin centroid; each outlier
+///    keeps its own exact normalized performance as its PM-score ("these
+///    extreme outliers are assigned their own PM-score equal to the GPU's
+///    normalized performance").
+///
+/// Each candidate K costs one K-Means fit plus one exact 1-D worst-bin
+/// silhouette, O(n·K·log n) ([`min_cluster_silhouette_1d`]) rather than
+/// the O(n²) pairwise reference
+/// ([`min_cluster_silhouette`](crate::min_cluster_silhouette)), so a
+/// 2,500-GPU class bins in about 0.1 s, most of it in K-Means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreBinning {
     /// Smallest K to try (paper: 2).

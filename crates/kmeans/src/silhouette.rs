@@ -1,21 +1,5 @@
-//! Silhouette analysis (Rousseeuw 1987), the paper's criterion for choosing
-//! the number of PM-score bins K: "We select the K value that gives
-//! silhouette scores as close to +1 as possible for all bins so that we get
-//! distinct and relatively well-separated bins" (Section III-B).
-//!
-//! Two implementations of one definition:
-//!
-//! - [`min_cluster_silhouette_1d`], the kernel PM-score binning runs, is
-//!   exact for 1-D points in O(n·K·log n): each bin's members are sorted
-//!   once with prefix sums, so a point's summed distance to a bin is one
-//!   binary search plus two prefix-sum lookups.
-//! - [`silhouette_samples`] and [`min_cluster_silhouette`] compute every
-//!   pairwise distance, O(n²) for any dimension. They are the reference
-//!   oracle the 1-D kernel is tested against.
-//!
-//! The two differ only by floating-point rounding: at most 1.2e-15 over
-//! every candidate K of 132 Longhorn class profiles (16–2,500 GPUs), far
-//! inside the 1e-12 margin binning uses to compare two K.
+//! Silhouette analysis (Rousseeuw 1987): the 1-D kernel PM-score binning
+//! runs, [`min_cluster_silhouette_1d`], and its O(n²) reference oracle.
 
 use crate::kmeans::sq_dist;
 
@@ -62,7 +46,25 @@ pub fn min_cluster_silhouette<const D: usize>(points: &[[f64; D]], assignments: 
     worst_bin_mean(assignments, &silhouette_samples(points, assignments))
 }
 
-/// [`min_cluster_silhouette`] for 1-D points in O(n·K·log n).
+/// [`min_cluster_silhouette`] for 1-D points in O(n·K·log n): the kernel
+/// PM-score binning runs.
+///
+/// Silhouette analysis (Rousseeuw 1987) is the paper's criterion for
+/// choosing the number of PM-score bins K: "We select the K value that
+/// gives silhouette scores as close to +1 as possible for all bins so
+/// that we get distinct and relatively well-separated bins" (Section
+/// III-B).
+///
+/// There are two implementations of one definition. This one is exact
+/// for 1-D points: each bin's members are sorted once with prefix sums,
+/// so a point's summed distance to a bin is one binary search plus two
+/// prefix-sum lookups. [`silhouette_samples`] and
+/// [`min_cluster_silhouette`] compute every pairwise distance, O(n²) for
+/// any dimension; they are the reference oracle this kernel is tested
+/// against. The two differ only by floating-point rounding: at most
+/// 1.2e-15 over every candidate K of 132 Longhorn class profiles
+/// (16–2,500 GPUs), far inside the 1e-12 margin binning uses to compare
+/// two K.
 ///
 /// Each bin's members are sorted once and shifted by the bin's minimum
 /// (which keeps prefix sums small and limits cancellation); the summed

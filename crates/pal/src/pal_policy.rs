@@ -33,7 +33,10 @@
 //! - **Spread `(L_across, V_i)`.** PM-First over the capped free list *is*
 //!   plain PM-First whenever its `N_j`-th GPU passes the cap, so one lazy
 //!   walk of the class ordering fixes the pick and each entry tests that
-//!   GPU's score.
+//!   GPU's score. The walk is PM-First's own
+//!   ([`ClassOrders::first_free_into`]): it resumes at the class's cursor
+//!   while no GPU has been released, so it skips the GPUs earlier
+//!   placements took only once.
 //!
 //! A node's packed cost depends only on its free-bitset words, so the
 //! costs are cached per (class, `N_j`) next to the words they were computed
@@ -43,7 +46,7 @@
 
 use crate::lv::{LocalityLevel, LvMatrix};
 use crate::pm_scores::PmScoreTable;
-use crate::pmfirst::{class_priority_order_into, ensure_class_order, pmfirst_into};
+use crate::pmfirst::{class_priority_order_into, ensure_class_order};
 use pal_cluster::{
     ClassOrders, ClusterState, ClusterView, GpuId, JobClass, NodeId, VariabilityProfile,
 };
@@ -337,16 +340,19 @@ impl PlacementPolicy for PalPlacement {
         let demand = request.gpu_demand;
         let class = request.class;
         ensure_class_order(&self.table, &mut self.orders, class);
-        let order = self.orders.get(class.0);
 
         if demand > 1 && demand <= state.topology().gpus_per_node {
             // The first entry is always packed (`l_across >= l_within`,
             // ties resolve Within first), so the packed costs are needed
             // up front; the spread pick's `demand`-th score is computed on
             // the first `L_across` entry reached.
-            let (local, costs, packed_min) =
-                self.packed
-                    .refresh(&self.table, class, order, demand, ctx.view);
+            let (local, costs, packed_min) = self.packed.refresh(
+                &self.table,
+                class,
+                self.orders.get(class.0),
+                demand,
+                ctx.view,
+            );
             let matrix = lv_matrix(
                 &mut self.lv_cache,
                 &self.table,
@@ -366,7 +372,7 @@ impl PlacementPolicy for PalPlacement {
                     }
                     LocalityLevel::Across => {
                         let max = *spread_max.get_or_insert_with(|| {
-                            pmfirst_into(order, demand, state, out);
+                            self.orders.first_free_into(class.0, demand, state, out);
                             if out.len() == demand {
                                 self.table.score(class, out[demand - 1])
                             } else {
@@ -382,7 +388,7 @@ impl PlacementPolicy for PalPlacement {
         }
         // N_j == 1, N_j > GPUS_PER_NODE, or (defensively) an exhausted
         // traversal: PM-First selection.
-        pmfirst_into(order, demand, state, out);
+        self.orders.first_free_into(class.0, demand, state, out);
     }
 }
 

@@ -8,10 +8,15 @@
 //! Selection is allocation-free: next to its score table the policy keeps
 //! lazily built per-class orderings of *all* GPUs by ascending binned
 //! score ([`ClassOrders`]) — static while the table is static — and each
-//! `place_into` just walks the job's class ordering, skipping busy GPUs.
+//! `place_into` walks the job's class ordering, skipping busy GPUs. The
+//! walk starts at the class's cursor, the first GPU the previous walk
+//! found free: until the cluster state reports a release (its
+//! [`OccupancyToken`](pal_cluster::OccupancyToken) changes), every GPU
+//! before it is still busy, so a round of placements skips each busy GPU
+//! once per class instead of once per job.
 
 use crate::pm_scores::PmScoreTable;
-use pal_cluster::{ClassOrders, ClusterState, GpuId, JobClass, VariabilityProfile};
+use pal_cluster::{ClassOrders, ClusterState, JobClass, VariabilityProfile};
 use pal_sim::{Allocation, PlacementCtx, PlacementPolicy, PlacementRequest};
 use std::sync::Arc;
 
@@ -67,27 +72,6 @@ pub(crate) fn ensure_class_order(table: &PmScoreTable, orders: &mut ClassOrders,
     orders.ensure(class.0, table.num_gpus(), |g| table.score(class, g));
 }
 
-/// Greedy best-scores-first selection (`GET_PMFIRST_GPUS`): walk the
-/// class's score ordering and take the first `demand` free GPUs.
-/// Equivalent to sorting the free list by (binned score, GPU id) and
-/// truncating — without the per-call sort or allocation.
-pub(crate) fn pmfirst_into(
-    order: &[GpuId],
-    demand: usize,
-    state: &ClusterState,
-    out: &mut Allocation,
-) {
-    out.clear();
-    for &g in order {
-        if state.is_free(g) {
-            out.push(g);
-            if out.len() == demand {
-                return;
-            }
-        }
-    }
-}
-
 impl PlacementPolicy for PmFirstPlacement {
     fn name(&self) -> &str {
         "PM-First"
@@ -113,20 +97,17 @@ impl PlacementPolicy for PmFirstPlacement {
         state: &ClusterState,
         out: &mut Allocation,
     ) {
+        // Greedy best-scores-first selection (`GET_PMFIRST_GPUS`).
         ensure_class_order(&self.table, &mut self.orders, request.class);
-        pmfirst_into(
-            self.orders.get(request.class.0),
-            request.gpu_demand,
-            state,
-            out,
-        );
+        self.orders
+            .first_free_into(request.class.0, request.gpu_demand, state, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pal_cluster::{ClusterTopology, LocalityModel};
+    use pal_cluster::{ClusterTopology, GpuId, LocalityModel};
     use pal_trace::JobId;
 
     /// 2 nodes × 4 GPUs; class-A scores make GPUs 4..8 (node 1) the fast

@@ -1,39 +1,5 @@
-//! The round-based simulation engine.
-//!
-//! The engine is decomposed into three crate-private layers plus one
-//! public stepper:
-//!
-//! - `state`: `EngineState` — the job table, cluster occupancy, clocks,
-//!   the incrementally maintained active queue, and the scratch buffers
-//!   the hot loop reuses so that a steady-state round performs no heap
-//!   allocation.
-//! - `round`: `step_round` — one scheduling round (admission → ordering
-//!   → prefix marking → placement → execution → telemetry), advancing an
-//!   `EngineState` by one epoch — and `skip_stable_rounds`, the one fast
-//!   path (see below).
-//! - `telemetry`: the `Telemetry` accumulators (GPUs-in-use series,
-//!   busy GPU-seconds, per-round policy compute time) and the final
-//!   [`SimResult`](crate::SimResult) assembly.
-//! - `stepper`: [`Simulation`], the public pause-inspect-resume driver
-//!   returned by [`Scenario::start`](crate::Scenario::start).
-//!
-//! The engine steps in one of two modes, chosen by
-//! [`SimConfig::event_driven`]:
-//!
-//! - *event-driven* (the default): after a sticky round in which every
-//!   prefix job kept running, `skip_stable_rounds` fast-replays the rounds
-//!   up to the next event (arrival, completion, or a change in the
-//!   re-derived scheduling order) in one hop;
-//! - *fixed-round* (`event_driven = false`): every round is executed. This
-//!   is the reference oracle the goldens and proptests compare against.
-//!
-//! Both modes give bit-identical outcomes; only `executed_rounds` records
-//! the difference.
-//!
-//! [`crate::Scenario::run`] and [`crate::Campaign`] are thin drivers over
-//! the stepper. (The former positional `Simulator::run*` entry points,
-//! deprecated in 0.2, have been removed — build a [`crate::Scenario`]
-//! instead.)
+//! The round-based simulation engine; [`Simulation`] documents its
+//! layers and stepping modes.
 
 mod round;
 mod state;

@@ -56,6 +56,41 @@ pub(crate) struct SimulationParts {
 /// side-effect-free between rounds: a run driven round-by-round (with any
 /// number of [`export_state`](Simulation::export_state)s taken along the way) is
 /// bit-identical to [`Scenario::run`](crate::Scenario::run).
+/// [`Scenario::run`](crate::Scenario::run) and [`Campaign`](crate::Campaign)
+/// are thin drivers over this stepper.
+///
+/// # Engine layers
+///
+/// Underneath, the round-based engine has three crate-private layers:
+///
+/// - the engine state: the job table, cluster occupancy, clocks, the
+///   incrementally maintained active queue, and the scratch buffers the
+///   hot loop reuses so that a steady-state round performs no heap
+///   allocation;
+/// - the round: one scheduling round (admission → ordering → prefix
+///   marking → placement → execution → telemetry), advancing the engine
+///   state by one epoch, plus the one fast path that skips stable rounds
+///   (see below);
+/// - telemetry: the accumulators (GPUs-in-use series, busy GPU-seconds,
+///   per-round policy compute time) and the final
+///   [`SimResult`](crate::SimResult) assembly.
+///
+/// # Stepping modes
+///
+/// The engine steps in one of two modes, chosen by
+/// [`SimConfig::event_driven`](crate::SimConfig::event_driven):
+///
+/// - *event-driven* (the default): after a sticky round in which every
+///   prefix job kept running, the engine fast-replays the rounds up to
+///   the next event (arrival, completion, or a change in the re-derived
+///   scheduling order) in one hop;
+/// - *fixed-round* (`event_driven = false`): every round is executed.
+///   This is the reference oracle the goldens and proptests compare
+///   against.
+///
+/// Both modes give bit-identical outcomes; only
+/// [`executed_rounds`](crate::SimResult::executed_rounds) records the
+/// difference.
 pub struct Simulation {
     trace_name: String,
     /// [`trace_digest`] of the trace's specs, computed by the first

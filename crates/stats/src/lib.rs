@@ -1,7 +1,7 @@
 //! # pal-stats
 //!
 //! Descriptive statistics used throughout the PAL scheduler reproduction:
-//! summaries (mean / geometric mean / standard deviation), percentiles,
+//! summaries (mean / geometric mean), percentiles,
 //! empirical CDFs, boxplot statistics, and step-function time series.
 //!
 //! The paper reports geomean improvements in job completion time (JCT),
@@ -26,5 +26,5 @@ mod timeseries;
 pub use boxplot::BoxplotStats;
 pub use cdf::EmpiricalCdf;
 pub use percentile::{median, percentile, percentile_of_sorted};
-pub use summary::{geomean, geomean_of_ratios, mean, std_dev};
+pub use summary::{geomean, geomean_of_ratios, mean};
 pub use timeseries::StepSeries;

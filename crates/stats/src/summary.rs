@@ -1,4 +1,4 @@
-//! Whole-sample summaries: mean, geometric mean and standard deviation.
+//! Whole-sample summaries: mean and geometric mean.
 
 /// Arithmetic mean of a sample, or `None` if the sample is empty.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -34,18 +34,6 @@ pub fn geomean_of_ratios(num: &[f64], den: &[f64]) -> Option<f64> {
     }
     let ratios: Vec<f64> = num.iter().zip(den).map(|(&n, &d)| n / d).collect();
     geomean(&ratios)
-}
-
-/// Sample standard deviation (Bessel-corrected, `n - 1` denominator).
-///
-/// Returns `None` for samples with fewer than two elements.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    let ss: f64 = xs.iter().map(|&x| (x - m) * (x - m)).sum();
-    Some((ss / (xs.len() - 1) as f64).sqrt())
 }
 
 #[cfg(test)]
@@ -100,18 +88,5 @@ mod tests {
     #[test]
     fn geomean_of_ratios_length_mismatch() {
         assert_eq!(geomean_of_ratios(&[1.0], &[1.0, 2.0]), None);
-    }
-
-    #[test]
-    fn std_dev_known_value() {
-        // Sample {2, 4, 4, 4, 5, 5, 7, 9}: mean 5, sample variance 32/7.
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let sd = std_dev(&xs).unwrap();
-        assert!((sd - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn std_dev_needs_two_samples() {
-        assert_eq!(std_dev(&[1.0]), None);
     }
 }
