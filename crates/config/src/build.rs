@@ -16,6 +16,15 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
+/// The most GPUs one cluster may hold: 1,048,576, which is 419× the
+/// largest cluster any shipped config or benchmark workload runs (2,500)
+/// and 104× the fleet-scale bench's (10,000). Building a campaign
+/// allocates a probe profile of 3 × GPUs scores, 24 MiB at the cap. The
+/// cap is fixed rather than sized to the host, so a config that validates
+/// on one machine validates on every machine; GPU ids are `u32`s, which
+/// it also keeps in range.
+const MAX_CLUSTER_GPUS: usize = 1 << 20;
+
 /// Parse campaign text into the typed schema. `label` names the source
 /// in errors (a path, or something like `"<inline>"`); text is parsed as
 /// JSON when the label ends in `.json` or the text leads with `{`, as
@@ -104,19 +113,17 @@ pub fn build_campaign(
             ),
         });
     }
-    // GPU ids are `u32`s; checked, because the product can also wrap.
+    // Checked, because the product can also wrap.
     let gpus = file
         .cluster
         .nodes
         .checked_mul(file.cluster.gpus_per_node)
-        .filter(|&gpus| u32::try_from(gpus).is_ok())
+        .filter(|&gpus| gpus <= MAX_CLUSTER_GPUS)
         .ok_or_else(|| ConfigError::BadParam {
             context: "cluster".to_string(),
             message: format!(
-                "{} nodes × {} GPUs per node exceeds the limit of {} GPUs",
-                file.cluster.nodes,
-                file.cluster.gpus_per_node,
-                u32::MAX
+                "{} nodes × {} GPUs per node exceeds the limit of {MAX_CLUSTER_GPUS} GPUs",
+                file.cluster.nodes, file.cluster.gpus_per_node,
             ),
         })?;
     if let Some(l) = &file.locality {
@@ -724,22 +731,33 @@ loads = [0.5, 1.0, 2.0]
     #[test]
     fn oversized_cluster_is_a_typed_error() {
         // 2^62 + 1 nodes × 4 GPUs wraps to 4 GPUs in a release build;
-        // 2^61 × 4 does not wrap, but no GPU vector can hold 2^63 GPUs.
-        for nodes in ["4611686018427387905", "2305843009213693952", "1073741824"] {
+        // 2^61 × 4 does not wrap, but no GPU vector can hold 2^63 GPUs;
+        // 2^30 × 4 is one past `u32` GPU ids; 2^18 + 1 nodes × 4 GPUs is
+        // one node past the cap, whose probe profile would still fit.
+        let build = |nodes: &str| {
             let src = format!(
                 "policy = [\"random\"]\n[cluster]\nnodes = {nodes}\ngpus_per_node = 4\n\
                  [[scenario]]\ntag = \"t\"\ntrace = {{ kind = \"synergy\", num_jobs = 2 }}\n"
             );
             let file = parse_campaign_str(&src, "<inline>").unwrap();
-            match build_campaign(&file, &Registry::with_builtins(), Path::new(".")) {
+            build_campaign(&file, &Registry::with_builtins(), Path::new("."))
+        };
+        for nodes in [
+            "4611686018427387905",
+            "2305843009213693952",
+            "1073741824",
+            "262145",
+        ] {
+            match build(nodes) {
                 Err(ConfigError::BadParam { context, message }) => {
                     assert_eq!(context, "cluster");
-                    assert!(message.contains("limit of 4294967295 GPUs"), "{message}");
+                    assert!(message.contains("limit of 1048576 GPUs"), "{message}");
                 }
                 Err(other) => panic!("{nodes} nodes: expected BadParam, got {other}"),
                 Ok(_) => panic!("{nodes} nodes: built"),
             }
         }
+        build("262144").expect("a cluster of exactly the cap builds");
     }
 
     #[test]

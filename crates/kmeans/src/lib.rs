@@ -23,6 +23,8 @@
 //! Binning scores every candidate K with an exact 1-D worst-bin
 //! silhouette in O(n·K·log n) ([`min_cluster_silhouette_1d`]); the O(n²)
 //! pairwise [`min_cluster_silhouette`] is kept as its reference oracle.
+//! Its K-Means fits assign points by a sweep over the sorted values that
+//! matches the O(n·K) nearest-centroid scan bit for bit ([`KMeans`]).
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]

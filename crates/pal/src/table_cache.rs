@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 /// a stale entry the way raw-pointer interning could, and a fingerprint
 /// collision costs a probe rather than serving the wrong table. Fingerprinting and verification are
 /// O(classes × GPUs) — noise next to the K-Means sweep they avoid, which
-/// costs about 0.3 s for a 2,500-GPU, 3-class profile.
+/// costs about 0.1 s for a 2,500-GPU, 3-class profile.
 ///
 /// The cache counts its [`builds`](PmTableCache::builds), which is what
 /// lets tests and the `campaign_startup` benchmark pin "an N×M grid over
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 /// of *distinct* profiles also serialize, and every worker that needs a
 /// table waits out the build. That is the intended trade — a campaign
 /// sweeps a handful of design-time profiles, each built once: a few
-/// milliseconds at 64 GPUs, about 0.3 s at 2,500 GPUs (the
+/// milliseconds at 64 GPUs, about 0.1 s at 2,500 GPUs (the
 /// `campaign_startup` bench's `table_build/longhorn_2500`, 2-vCPU host)
 /// — and determinism of `builds()` is what the CI gate pins.)
 #[derive(Debug, Default)]
