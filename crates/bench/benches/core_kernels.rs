@@ -1,9 +1,9 @@
 //! Criterion benchmarks for the core algorithmic kernels underlying PAL:
-//! K-Means binning, silhouette scoring, classifier fitting, L×V matrix
-//! construction, and a full end-to-end Sia simulation round-trip.
+//! K-Means binning, silhouette scoring, classifier fitting, and a full
+//! end-to-end Sia simulation round-trip.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pal::{AppClassifier, LvMatrix, PalPlacement, PmFirstPlacement};
+use pal::{AppClassifier, PalPlacement, PmFirstPlacement};
 use pal_bench::{longhorn_profile, modeled_longhorn_profile, LONGHORN_MEASURED_GPUS, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::{GpuSpec, Workload};
@@ -55,13 +55,6 @@ fn bench_classifier_fit(c: &mut Criterion) {
     });
 }
 
-fn bench_lv_matrix(c: &mut Criterion) {
-    let levels: Vec<f64> = (0..12).map(|i| 0.85 + i as f64 * 0.15).collect();
-    c.bench_function("lv_matrix_build_12_levels", |b| {
-        b.iter(|| black_box(LvMatrix::new(&levels, 1.0, 1.7)))
-    });
-}
-
 fn bench_full_simulation(c: &mut Criterion) {
     let topo = ClusterTopology::sia_64();
     let profile = longhorn_profile(64, PROFILE_SEED);
@@ -101,7 +94,6 @@ criterion_group!(
     bench_kmeans,
     bench_binning,
     bench_classifier_fit,
-    bench_lv_matrix,
     bench_full_simulation
 );
 criterion_main!(benches);

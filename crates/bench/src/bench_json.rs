@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-/// Sections of the benchmark file: bench name → (label → mean ns/iter or
-/// other scalar).
+/// Sections of the benchmark file: bench name → (label → median ns/iter
+/// or other scalar).
 pub type BenchSections = BTreeMap<String, BTreeMap<String, f64>>;
 
 /// Merge `entries` in as section `section` of the JSON file at `path`

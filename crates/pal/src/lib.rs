@@ -15,10 +15,13 @@
 //! - [`LvMatrix`]: the L×V matrix of Section III-C.1 — the combined
 //!   locality-variability slowdown entries ([`LvEntry`], one per
 //!   [`LocalityLevel`] × score level), traversed in ascending LV-product
-//!   order.
+//!   order. It is the printed table and the tests' reference.
 //! - [`PalPlacement`]: the PAL placement policy (Algorithm 2) —
-//!   co-optimizes locality and variability via L×V traversal for
-//!   intra-node-sized jobs, falling back to PM-First for larger jobs.
+//!   co-optimizes locality and variability for intra-node-sized jobs by
+//!   taking the L×V matrix's first feasible entry, found in closed form
+//!   (one binary search over the class's score levels per locality row)
+//!   rather than by building and walking the matrix; larger jobs fall
+//!   back to PM-First.
 //!
 //! - [`AdaptivePal`]: online PM-score updates (the extension Section V-A
 //!   motivates after finding stale profiles cost 11–14 % JCT), configured

@@ -6,9 +6,13 @@
 //! (locality, variability) combination. PAL traverses entries in ascending
 //! LV-product order, taking the first that admits a feasible allocation.
 //!
-//! The matrix is tiny: its size is bounded by (#locality levels) ×
-//! (#PM-score bins), independent of cluster size — that is what makes PAL
-//! cheap at scale.
+//! The matrix holds 2 × (#PM-score levels) entries, and that count grows
+//! with the cluster: every outlier score is its own level, so classes A
+//! and B have 5–6 levels on 64 modeled Longhorn GPUs, 78 on 2,500 and 303
+//! on 10,000. [`PalPlacement`](crate::PalPlacement) therefore never builds
+//! one: it finds the first feasible entry of each row with a binary search
+//! over the levels. `LvMatrix` is the reference that choice is tested
+//! against and the table `examples/profile_and_classify.rs` prints.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,34 +50,18 @@ impl LvMatrix {
     /// construction; ties resolve Within before Across (packing is free to
     /// prefer when products are equal), then lower V first.
     pub fn new(levels: &[f64], l_within: f64, l_across: f64) -> Self {
-        let mut m = LvMatrix {
-            entries: Vec::with_capacity(levels.len() * 2),
-        };
-        m.rebuild(levels, l_within, l_across);
-        m
-    }
-
-    /// Rebuild this matrix in place for new levels/multipliers, reusing
-    /// the entry buffer — the allocation-free path PAL uses to keep a
-    /// cached per-class matrix current inside `place_into`.
-    ///
-    /// The `(product, locality-rank, v)` sort key is a strict total order
-    /// (levels are distinct, so equal products within a row are
-    /// impossible and equal products across rows pin identical `v`), so
-    /// the allocation-free unstable sort is deterministic.
-    pub fn rebuild(&mut self, levels: &[f64], l_within: f64, l_across: f64) {
         assert!(!levels.is_empty(), "L×V matrix needs at least one V level");
         assert!(
             l_within > 0.0 && l_across >= l_within,
             "bad locality values"
         );
-        self.entries.clear();
+        let mut entries = Vec::with_capacity(levels.len() * 2);
         for &(locality, l) in &[
             (LocalityLevel::Within, l_within),
             (LocalityLevel::Across, l_across),
         ] {
             for &v in levels {
-                self.entries.push(LvEntry {
+                entries.push(LvEntry {
                     locality,
                     l_value: l,
                     v_value: v,
@@ -81,7 +69,10 @@ impl LvMatrix {
                 });
             }
         }
-        self.entries.sort_unstable_by(|a, b| {
+        // The key is a strict total order (levels are distinct, and `v`
+        // breaks every tie the rounded products leave), so the unstable
+        // sort is deterministic.
+        entries.sort_unstable_by(|a, b| {
             a.product
                 .partial_cmp(&b.product)
                 .expect("NaN LV product")
@@ -94,6 +85,7 @@ impl LvMatrix {
                 })
                 .then(a.v_value.partial_cmp(&b.v_value).expect("NaN V"))
         });
+        LvMatrix { entries }
     }
 
     /// Entries in ascending LV-product (traversal) order.

@@ -17,7 +17,8 @@
 //!
 //! Neither arm's best allocation depends on an entry's score cap — only
 //! whether it *qualifies* does — so each arm is evaluated once per decision
-//! and every L×V entry is then a single comparison:
+//! and no matrix is built: both rows ascend with the class's score levels,
+//! so each row's first feasible entry is one `partition_point` over them.
 //!
 //! - **Packed `(L_within, V_i)`.** The policy keeps, per class, every
 //!   node's GPUs in ascending (binned score, GPU id) order with the score
@@ -31,12 +32,14 @@
 //!   the winning entry folds over the qualifying nodes (max, then sum, then
 //!   lowest node id). No per-entry re-scan, filter or sort.
 //! - **Spread `(L_across, V_i)`.** PM-First over the capped free list *is*
-//!   plain PM-First whenever its `N_j`-th GPU passes the cap, so one lazy
-//!   walk of the class ordering fixes the pick and each entry tests that
-//!   GPU's score. The walk is PM-First's own
+//!   plain PM-First whenever its `N_j`-th GPU passes the cap, so one walk
+//!   of the class ordering fixes the pick and its `N_j`-th score places the
+//!   row's `partition_point`. The walk is PM-First's own
 //!   ([`ClassOrders::first_free_into`]): it resumes at the class's cursor
 //!   while no GPU has been released, so it skips the GPUs earlier
-//!   placements took only once.
+//!   placements took only once. Because it moves that cursor, it runs only
+//!   when the traversal would reach an Across entry — when the Across
+//!   row's first product is below the Within winner's.
 //!
 //! A node's packed cost depends only on its free-bitset words, so the
 //! costs are cached per (class, `N_j`) next to the words they were computed
@@ -44,7 +47,7 @@
 //! decision with the same key. One `place_into` call allocates nothing once
 //! the node-local orders and cost caches have warmed up.
 
-use crate::lv::{LocalityLevel, LvMatrix};
+use crate::lv::LocalityLevel;
 use crate::pm_scores::PmScoreTable;
 use crate::pmfirst::{class_priority_order_into, ensure_class_order};
 use pal_cluster::{
@@ -68,18 +71,6 @@ pub struct PalPlacement {
     table: Arc<PmScoreTable>,
     orders: ClassOrders,
     packed: PackedIndex,
-    /// Cached per-class L×V matrices, keyed by the locality multipliers
-    /// they were built with (one model's `l_across` at a time; rebuilt in
-    /// place when a request's model maps to different multipliers).
-    lv_cache: Vec<Option<LvSlot>>,
-}
-
-/// One cached L×V matrix plus the locality multipliers it encodes.
-#[derive(Debug, Clone)]
-struct LvSlot {
-    l_within: f64,
-    l_across: f64,
-    matrix: LvMatrix,
 }
 
 /// A node-local order entry: `(binned score, local bit)`.
@@ -193,12 +184,10 @@ impl PalPlacement {
     /// campaign cell's policy borrows it by reference count.
     pub fn from_shared(table: Arc<PmScoreTable>) -> Self {
         let orders = ClassOrders::new(table.num_classes());
-        let lv_cache = vec![None; table.num_classes()];
         PalPlacement {
             table,
             orders,
             packed: PackedIndex::default(),
-            lv_cache,
         }
     }
 
@@ -214,35 +203,29 @@ impl PalPlacement {
     }
 }
 
-/// The class's L×V matrix for the request's locality multipliers, from
-/// the policy's cache — rebuilt in place (no allocation once warm) only
-/// when the multipliers change (e.g. per-model `l_across`). A free
-/// function over the individual fields so callers can keep borrowing the
-/// table/orders/scratch alongside the returned matrix.
-fn lv_matrix<'a>(
-    cache: &'a mut [Option<LvSlot>],
-    table: &PmScoreTable,
-    class: JobClass,
+/// The first entry, as `(row, V_i)`, in [`LvMatrix`](crate::LvMatrix)
+/// traversal order whose row cost is `≤ V_i + EPS` — `packed_min` for
+/// Within, `spread_max()` for Across — or `None`. Ties on product go to
+/// Within, as in the matrix's sort key. `spread_max` runs exactly when the
+/// traversal would reach an Across entry.
+fn first_feasible_entry(
+    levels: &[f64],
     l_within: f64,
     l_across: f64,
-) -> &'a LvMatrix {
-    let slot = &mut cache[class.0];
-    match slot {
-        Some(s) if s.l_within == l_within && s.l_across == l_across => {}
-        Some(s) => {
-            s.matrix.rebuild(table.levels(class), l_within, l_across);
-            s.l_within = l_within;
-            s.l_across = l_across;
-        }
-        None => {
-            *slot = Some(LvSlot {
-                l_within,
-                l_across,
-                matrix: LvMatrix::new(table.levels(class), l_within, l_across),
-            });
+    packed_min: f64,
+    spread_max: impl FnOnce() -> f64,
+) -> Option<(LocalityLevel, f64)> {
+    let w = levels.partition_point(|&v| packed_min > v + EPS);
+    let within = levels.get(w).copied();
+    let beats_within = |p: f64| within.is_none_or(|v| p < l_within * v);
+    if levels.first().is_some_and(|&v| beats_within(l_across * v)) {
+        let spread_max = spread_max();
+        let a = levels.partition_point(|&v| spread_max > v + EPS);
+        if let Some(&v) = levels.get(a).filter(|&&v| beats_within(l_across * v)) {
+            return Some((LocalityLevel::Across, v));
         }
     }
-    &slot.as_ref().expect("slot just filled").matrix
+    within.map(|v| (LocalityLevel::Within, v))
 }
 
 /// Whether local GPU `bit` is set in a node's free-bitset `words`.
@@ -342,10 +325,10 @@ impl PlacementPolicy for PalPlacement {
         ensure_class_order(&self.table, &mut self.orders, class);
 
         if demand > 1 && demand <= state.topology().gpus_per_node {
-            // The first entry is always packed (`l_across >= l_within`,
-            // ties resolve Within first), so the packed costs are needed
-            // up front; the spread pick's `demand`-th score is computed on
-            // the first `L_across` entry reached.
+            // One `partition_point` per row over the class's levels: on the
+            // smallest node cost for Within, then, only if the Across row's
+            // first product undercuts that winner (the walk moves the class
+            // cursor), on the spread walk's `demand`-th score.
             let (local, costs, packed_min) = self.packed.refresh(
                 &self.table,
                 class,
@@ -353,41 +336,31 @@ impl PlacementPolicy for PalPlacement {
                 demand,
                 ctx.view,
             );
-            let matrix = lv_matrix(
-                &mut self.lv_cache,
-                &self.table,
-                class,
+            let entry = first_feasible_entry(
+                self.table.levels(class),
                 ctx.locality.l_within,
                 ctx.locality.l_across_for(request.model),
+                packed_min,
+                || {
+                    self.orders.first_free_into(class.0, demand, state, out);
+                    if out.len() == demand {
+                        self.table.score(class, out[demand - 1])
+                    } else {
+                        f64::INFINITY
+                    }
+                },
             );
-            let mut spread_max: Option<f64> = None;
-            for entry in matrix.traverse() {
-                let cap = entry.v_value + EPS;
-                match entry.locality {
-                    LocalityLevel::Within => {
-                        if packed_min <= cap {
-                            packed_pick_into(local, costs, demand, cap, ctx.view, out);
-                            return;
-                        }
-                    }
-                    LocalityLevel::Across => {
-                        let max = *spread_max.get_or_insert_with(|| {
-                            self.orders.first_free_into(class.0, demand, state, out);
-                            if out.len() == demand {
-                                self.table.score(class, out[demand - 1])
-                            } else {
-                                f64::INFINITY
-                            }
-                        });
-                        if max <= cap {
-                            return; // `out` holds the spread pick
-                        }
-                    }
+            match entry {
+                Some((LocalityLevel::Within, v)) => {
+                    packed_pick_into(local, costs, demand, v + EPS, ctx.view, out);
+                    return;
                 }
+                Some((LocalityLevel::Across, _)) => return, // `out` holds the spread pick
+                None => {}
             }
         }
-        // N_j == 1, N_j > GPUS_PER_NODE, or (defensively) an exhausted
-        // traversal: PM-First selection.
+        // N_j == 1, N_j > GPUS_PER_NODE, or (defensively) no feasible
+        // L×V entry: PM-First selection.
         self.orders.first_free_into(class.0, demand, state, out);
     }
 }
@@ -395,8 +368,10 @@ impl PlacementPolicy for PalPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lv::LvMatrix;
     use pal_cluster::{ClusterTopology, LocalityModel};
     use pal_trace::JobId;
+    use proptest::prelude::*;
 
     fn req(job: u32, class: JobClass, demand: usize) -> PlacementRequest {
         PlacementRequest {
@@ -625,6 +600,93 @@ mod tests {
                 (achieved - best).abs() < 1e-9,
                 "PAL product {achieved} != exhaustive min {best} \
                  (demand {demand}, l_across {l_across})"
+            );
+        }
+    }
+
+    /// The traversal [`first_feasible_entry`] stands for: walk the sorted
+    /// matrix and take the first entry whose row cost is `≤ V_i + EPS`,
+    /// asking for the spread cost on the first Across entry reached.
+    /// Returns the entry and whether the spread cost was asked for.
+    fn traversal_entry(
+        levels: &[f64],
+        l_within: f64,
+        l_across: f64,
+        packed_min: f64,
+        spread_max: f64,
+    ) -> (Option<(LocalityLevel, f64)>, bool) {
+        let mut spread = None;
+        for e in LvMatrix::new(levels, l_within, l_across).traverse() {
+            let cost = match e.locality {
+                LocalityLevel::Within => packed_min,
+                LocalityLevel::Across => *spread.get_or_insert(spread_max),
+            };
+            if cost <= e.v_value + EPS {
+                return (Some((e.locality, e.v_value)), spread.is_some());
+            }
+        }
+        (None, spread.is_some())
+    }
+
+    /// A row cost near `levels`: ∞, below or above every level, or a level
+    /// itself, its cap `v + EPS`, or one ulp either side of that cap.
+    fn cost_near(levels: &[f64], (kind, i, x): (usize, usize, f64)) -> f64 {
+        let v = levels[i % levels.len()];
+        match kind {
+            0 => f64::INFINITY,
+            1 => levels[0] * x,
+            2 => levels[levels.len() - 1] + 1.0 + x,
+            3 => v,
+            4 => v + EPS,
+            5 => (v + EPS).next_up(),
+            _ => (v + EPS).next_down(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The closed form picks the traversal's first feasible entry and
+        /// runs the spread walk exactly when the traversal reaches an
+        /// Across entry. Levels are one to twelve ascending values whose
+        /// gaps may be one ulp, about `EPS`, or wide; `l_across` may equal
+        /// `l_within` (Figure 13's C1.0) or sit one ulp above it.
+        #[test]
+        fn closed_form_matches_traversal(
+            base in 0.5f64..1.5,
+            gaps in proptest::collection::vec((0usize..3, 0.0f64..1.0), 0..12),
+            l_within in prop_oneof![Just(1.0), 0.5f64..2.0],
+            l_kind in 0usize..3,
+            l_x in 0.0f64..2.0,
+            packed in (0usize..7, 0usize..12, 0.0f64..1.0),
+            spread in (0usize..7, 0usize..12, 0.0f64..1.0),
+        ) {
+            let mut levels = vec![base];
+            for (kind, x) in gaps {
+                let prev = levels[levels.len() - 1];
+                levels.push(match kind {
+                    0 => prev.next_up(),
+                    1 => prev + EPS * (0.5 + x),
+                    _ => prev + x + EPS,
+                });
+            }
+            let l_across = match l_kind {
+                0 => l_within,
+                1 => l_within.next_up(),
+                _ => l_within * (1.0 + l_x),
+            };
+            let packed_min = cost_near(&levels, packed);
+            let spread_max = cost_near(&levels, spread);
+            let (want, want_walk) = traversal_entry(&levels, l_within, l_across, packed_min, spread_max);
+            let mut walked = false;
+            let got = first_feasible_entry(&levels, l_within, l_across, packed_min, || {
+                walked = true;
+                spread_max
+            });
+            prop_assert_eq!(
+                (got, walked), (want, want_walk),
+                "levels {:?}, l {}/{}, packed_min {}, spread_max {}",
+                levels, l_within, l_across, packed_min, spread_max
             );
         }
     }

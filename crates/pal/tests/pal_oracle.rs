@@ -1,5 +1,5 @@
-//! PAL's one-pass-per-arm traversal against the per-entry reference it
-//! replaced.
+//! PAL's closed-form L×V choice and one-pass-per-arm picks against the
+//! per-entry traversal they replaced.
 //!
 //! The reference below is the original Algorithm 2 traversal, kept
 //! verbatim as an oracle: every L×V entry re-scans every node, filters the
@@ -137,19 +137,27 @@ fn reference_place(
         .collect()
 }
 
-/// `l_across == l_within`, a typical uniform penalty, or per-model
-/// overrides (one of them equal to `l_within`).
+/// `l_across == l_within`, a typical uniform penalty, per-model overrides
+/// (one of them equal to `l_within`), or the paper's Frontera per-model
+/// penalties, under which consecutive requests switch `l_across`.
 fn locality(kind: usize, rng: &mut Mix) -> LocalityModel {
     match kind {
         0 => LocalityModel::uniform(1.0),
         1 => LocalityModel::uniform(1.0 + 2.0 * rng.unit()),
-        _ => LocalityModel::uniform(1.5)
+        2 => LocalityModel::uniform(1.5)
             .with_model_penalty("vgg19", 1.0 + 3.0 * rng.unit())
             .with_model_penalty("pointnet", 1.0),
+        _ => LocalityModel::frontera_per_model(),
     }
 }
 
+/// The locality kind whose requests draw from [`FRONTERA_MODELS`].
+const FRONTERA: usize = 3;
+
 const MODELS: [&str; 3] = ["resnet50", "vgg19", "pointnet"];
+
+/// The six models `LocalityModel::frontera_per_model` prices.
+const FRONTERA_MODELS: [&str; 6] = ["vgg19", "dcgan", "bert", "gpt2", "resnet50", "pointnet"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -159,13 +167,14 @@ proptest! {
         seed in 0u64..1_000_000,
         shape in 0usize..3,
         longhorn in any::<bool>(),
-        loc in 0usize..3,
+        loc in 0usize..4,
     ) {
         let mut rng = Mix(seed);
         let topo = topology(shape, &mut rng);
         let n = topo.total_gpus();
         let profile = profile(n, longhorn, seed, &mut rng);
         let locality = locality(loc, &mut rng);
+        let models: &[&'static str] = if loc == FRONTERA { &FRONTERA_MODELS } else { &MODELS };
         let table = PmScoreTable::build_default(&profile);
         let mut pal = PalPlacement::from_shared(std::sync::Arc::new(table.clone()));
 
@@ -191,7 +200,7 @@ proptest! {
             };
             let request = PlacementRequest {
                 job: JobId(step),
-                model: MODELS[rng.below(MODELS.len())],
+                model: models[rng.below(models.len())],
                 class: JobClass(rng.below(3)),
                 gpu_demand: demand,
             };

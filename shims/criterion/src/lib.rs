@@ -4,9 +4,9 @@
 //! Supports the subset the workspace's benches use: `criterion_group!` /
 //! `criterion_main!`, benchmark groups with `bench_function` /
 //! `bench_with_input` / `sample_size` / `finish`, [`BenchmarkId`], and
-//! [`Bencher::iter`]. Each benchmark is timed with `std::time::Instant`
-//! and the mean ns/iter is printed to stdout; there is no statistical
-//! analysis, outlier rejection, or HTML report.
+//! [`Bencher::iter`]. Each iteration is timed with `std::time::Instant`
+//! and the median ns/iter is printed to stdout; there is no statistical
+//! analysis beyond that median, and no HTML report.
 
 #![warn(missing_docs)]
 
@@ -16,10 +16,10 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Measurements recorded by every reported benchmark of this process, as
-/// `(label, mean ns/iter)` pairs, in execution order.
+/// `(label, median ns/iter)` pairs, in execution order.
 static MEASUREMENTS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
-/// Drain the measurements recorded so far (label → mean ns/iter).
+/// Drain the measurements recorded so far (label → median ns/iter).
 ///
 /// Extension over upstream criterion: benches with a custom `main` call
 /// this after running their groups to emit machine-readable results (e.g.
@@ -67,44 +67,69 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Timed iterations every benchmark gets however slow it is (fewer only
+/// if its group's `sample_size` is smaller).
+const MIN_SAMPLES: u64 = 10;
+
+/// Once [`MIN_SAMPLES`] are in, sampling stops after this much time.
+const TIME_BUDGET: Duration = Duration::from_millis(200);
+
 /// Times one closure; handed to the user's benchmark function.
 #[derive(Debug, Default)]
 pub struct Bencher {
+    /// Most iterations to time (the group's `sample_size`).
     samples: u64,
-    total: Duration,
+    /// Each timed iteration's wall time.
+    times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Run `f` repeatedly and record the mean wall-clock time.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up, then time enough iterations for a stable mean.
-        for _ in 0..2 {
-            std_black_box(f());
+    fn new(samples: u64) -> Self {
+        Bencher {
+            samples,
+            times: Vec::new(),
         }
-        let mut iters = 0u64;
+    }
+
+    /// Run `f` repeatedly, timing each iteration: `sample_size` of them,
+    /// or fewer once the time budget is spent, but never fewer than
+    /// `min(10, sample_size)`.
+    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        for _ in 0..2 {
+            std_black_box(f()); // warm-up
+        }
+        let floor = self.samples.min(MIN_SAMPLES);
+        self.times.clear();
         let start = Instant::now();
         loop {
+            let t = Instant::now();
             std_black_box(f());
-            iters += 1;
-            if iters >= self.samples || start.elapsed() > Duration::from_millis(200) {
+            self.times.push(t.elapsed());
+            let n = self.times.len() as u64;
+            if n >= self.samples || (n >= floor && start.elapsed() > TIME_BUDGET) {
                 break;
             }
         }
-        self.total = start.elapsed();
-        self.samples = iters;
     }
 
-    fn report(&self, label: &str) {
-        if self.samples == 0 {
+    fn report(&mut self, label: &str) {
+        let n = self.times.len();
+        if n == 0 {
             println!("{label}: no samples");
             return;
         }
-        let per_iter = self.total.as_nanos() as f64 / self.samples as f64;
-        println!("{label}: {per_iter:.0} ns/iter ({} iters)", self.samples);
+        self.times.sort_unstable();
+        let ns = |i: usize| self.times[i].as_nanos() as f64;
+        let median = if n % 2 == 1 {
+            ns(n / 2)
+        } else {
+            (ns(n / 2 - 1) + ns(n / 2)) / 2.0
+        };
+        println!("{label}: {median:.0} ns/iter (median of {n} iters)");
         MEASUREMENTS
             .lock()
             .expect("measurement registry poisoned")
-            .push((label.to_string(), per_iter));
+            .push((label.to_string(), median));
     }
 }
 
@@ -128,10 +153,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut b = Bencher {
-            samples: self.sample_size,
-            total: Duration::ZERO,
-        };
+        let mut b = Bencher::new(self.sample_size);
         f(&mut b);
         b.report(&format!("{}/{}", self.name, id.label));
         self
@@ -147,10 +169,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut b = Bencher {
-            samples: self.sample_size,
-            total: Duration::ZERO,
-        };
+        let mut b = Bencher::new(self.sample_size);
         f(&mut b, input);
         b.report(&format!("{}/{}", self.name, id.label));
         self
@@ -180,10 +199,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut b = Bencher {
-            samples: 100,
-            total: Duration::ZERO,
-        };
+        let mut b = Bencher::new(100);
         f(&mut b);
         b.report(&id.label);
         self
