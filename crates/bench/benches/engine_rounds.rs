@@ -37,6 +37,13 @@
 //! jobs/hour (`large_run/{pmfirst,pal}_10k_gpus` wall times,
 //! `rounds/{pmfirst,pal}_10k_gpus/*` round counts). Both share one
 //! PM-score table, built once outside the timed runs.
+//!
+//! The **backlog** run times the scheduling order under a deep queue:
+//! PM-First under LAS on 112 × 4 modeled Longhorn V100s, a 30,000-job
+//! heavy-tail trace at 500 jobs/hour, which arrive faster than the
+//! cluster drains them (`large_run/las_backlog_448`,
+//! `rounds/las_backlog_448/*`) — the shape of the e2e `contended_fork`
+//! workload, run from the start rather than forked.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pal::{PalPlacement, PmFirstPlacement, PmScoreTable};
@@ -400,6 +407,38 @@ fn fleet_scale_accounting(entries: &mut Vec<(String, f64)>) {
     }
 }
 
+/// Run PM-First under LAS on an over-subscribed 448-GPU cluster, the
+/// shape of the e2e `contended_fork` workload (see the module docs),
+/// appending its wall time and simulated/executed round counts.
+fn backlog_accounting(entries: &mut Vec<(String, f64)>) {
+    let topo = ClusterTopology::new(112, 4);
+    let profile = Arc::new(modeled_longhorn_profile(topo.total_gpus(), PROFILE_SEED));
+    let placement = PmFirstPlacement::new(&profile);
+    let trace = HeavyTailConfig {
+        num_jobs: 30_000,
+        jobs_per_hour: 500.0,
+        ..Default::default()
+    }
+    .generate(&ModelCatalog::table2(&GpuSpec::v100()));
+    let label = "las_backlog_448";
+    let start = Instant::now();
+    let r = Scenario::new(trace, topo)
+        .profile(profile)
+        .locality(LocalityModel::uniform(1.5))
+        .scheduler(Las::default())
+        .placement(placement)
+        .run()
+        .expect("backlog run");
+    let wall = start.elapsed();
+    eprintln!(
+        "{label}: {wall:?}; {} simulated rounds, {} executed",
+        r.rounds, r.executed_rounds
+    );
+    entries.push((format!("large_run/{label}"), wall.as_nanos() as f64));
+    entries.push((format!("rounds/{label}/simulated"), r.rounds as f64));
+    entries.push((format!("rounds/{label}/executed"), r.executed_rounds as f64));
+}
+
 criterion_group!(
     benches,
     bench_full_run,
@@ -431,6 +470,7 @@ fn main() {
     }
     large_scale_accounting(&mut entries);
     fleet_scale_accounting(&mut entries);
+    backlog_accounting(&mut entries);
     pal_bench::bench_json::update_workspace("engine_rounds", &entries)
         .expect("update BENCH_engine.json");
 }

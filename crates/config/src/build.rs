@@ -141,7 +141,10 @@ pub fn build_campaign(
     let table_cache = Arc::new(PmTableCache::new());
     // Probe profile for eager parameter validation: every policy factory
     // runs once here so a typo'd parameter fails at load, not mid-sweep.
+    // The probe gets its own throwaway table cache, so the shared one
+    // holds tables only for profiles that cells run on.
     let probe = Arc::new(VariabilityProfile::from_raw(vec![vec![1.0; gpus]; 3]));
+    let probe_cache = Arc::new(PmTableCache::new());
     for pref in &file.policy {
         let entry = registry.policy(&pref.kind)?.clone();
         let name = pref
@@ -157,7 +160,7 @@ pub fn build_campaign(
                 &PolicyCtx {
                     profile: &probe,
                     seed: 0,
-                    table_cache: &table_cache,
+                    table_cache: &probe_cache,
                 },
             )?;
             args.finish()?;

@@ -5,9 +5,11 @@
 //! golden tests pin the outputs bit-for-bit — but allocation-free at
 //! steady state:
 //!
-//! - the incrementally maintained active queue is ordered by a cached-key
-//!   sort over [`SchedulingPolicy::key`] (keys computed once, borrowed
-//!   jobs, reused buffers) instead of sorting a cloned `Vec<ActiveJob>`;
+//! - the scheduling order persists across rounds as sorted
+//!   [`SchedulingPolicy::key`]s: each executed round re-keys only the
+//!   running jobs and the new admissions, sorts those and merges them
+//!   into the retained run (debug builds check it against a full re-key
+//!   and sort), instead of sorting a cloned `Vec<ActiveJob>` every round;
 //! - admission-control context comes from two incrementally maintained
 //!   counters instead of an O(active) rescan per arrival;
 //! - preemption/re-placement *move* GPU vectors out of the job phase
@@ -103,6 +105,7 @@ pub(crate) fn step_round(
     // arrived by now (Blox admits at queue entry). The context counters
     // are maintained incrementally — a burst of k arrivals costs O(k),
     // not O(k × active).
+    let first_new = st.active_queue.len();
     while st.next_admit < st.jobs.len() && st.jobs[st.next_admit].spec.arrival <= t + EPS {
         let a_ctx = AdmissionCtx {
             total_gpus,
@@ -168,29 +171,36 @@ pub(crate) fn step_round(
         return Ok(StepOutcome::Running);
     }
 
-    // 2. Scheduling order over the active queue (cached-key sort over
-    // borrowed jobs — no clones, no per-round allocation).
-    sched::order_into(
+    // 2. Scheduling order over the active queue: last round's sorted keys
+    // with only the running jobs and this round's admissions re-keyed and
+    // merged back in (no clones, no per-round allocation).
+    sched::update_order(
         scheduler,
         &st.jobs,
         &st.active_queue,
+        first_new,
+        &st.scratch.progress_per_round,
         &mut st.scratch.sched_keys,
-        &mut st.scratch.order,
+        &mut st.scratch.sched_moved,
+    );
+    debug_assert_eq!(
+        st.scratch.sched_keys,
+        full_order(scheduler, &st.jobs, &st.active_queue),
+        "incremental scheduling order diverged from the full sort"
     );
 
     // 3. Mark the schedulable prefix (Figure 4): maximal prefix of the
     // ordered queue whose cumulative demand fits the cluster.
     st.scratch.prefix.clear();
     let mut demand_sum = 0usize;
-    for i in 0..st.scratch.order.len() {
-        let ji = st.scratch.order[i];
-        let d = st.jobs[ji].spec.gpu_demand;
+    for k in &st.scratch.sched_keys {
+        let d = st.jobs[k.job].spec.gpu_demand;
         if demand_sum + d > total_gpus {
             break;
         }
         demand_sum += d;
-        st.scratch.prefix.push(ji);
-        st.scratch.in_prefix[ji] = true;
+        st.scratch.prefix.push(k.job);
+        st.scratch.in_prefix[k.job] = true;
     }
 
     // 4a. Preempt running jobs that fell out of the prefix (O(active) via
@@ -500,27 +510,34 @@ fn emit_round(st: &EngineState, obs: &mut Observer<'_>, running: usize) {
     });
 }
 
-/// Re-derive the cached keys from the current job state and check the
-/// cached sequence is still sorted under the strict `(key, arrival, id)`
-/// order — which, the order being total, holds exactly when
-/// [`sched::order_into`] would reproduce the sequence.
-///
-/// Only *running* jobs' keys are re-derived. A key depends only on its
-/// job (see [`SchedulingPolicy`]), and a job that is not running has
-/// frozen remaining work and attained service, so its cached key is
-/// already exact and the probe costs O(prefix) key evaluations per
-/// boundary rather than O(active).
+/// The reference the incremental order is checked against in debug
+/// builds: every queued job keyed afresh and sorted.
+fn full_order(
+    scheduler: &dyn SchedulingPolicy,
+    jobs: &[crate::job_state::ActiveJob],
+    queue: &[usize],
+) -> Vec<SchedKey> {
+    let mut keys = Vec::new();
+    sched::order_into(scheduler, jobs, queue, &mut keys);
+    keys
+}
+
+/// Re-derive the running jobs' cached keys from the current job state
+/// and check the cached sequence is still sorted under the strict
+/// `(key, arrival, id)` order — which, the order being total, holds
+/// exactly when [`sched::order_into`] would reproduce the sequence. A key
+/// depends only on its job (see [`SchedulingPolicy`]), so the waiting
+/// jobs' keys are already exact and the probe costs O(prefix) key
+/// evaluations per boundary rather than O(active). A failed probe leaves
+/// the rewritten keys out of order; the next executed round pulls every
+/// running entry out before merging, so that is harmless.
 fn order_still_holds(
     scheduler: &dyn SchedulingPolicy,
     jobs: &[crate::job_state::ActiveJob],
     progress_per_round: &[f64],
     sorted: &mut [SchedKey],
 ) -> bool {
-    for k in sorted.iter_mut() {
-        if progress_per_round[k.job] > 0.0 {
-            k.key = scheduler.key(&jobs[k.job]);
-        }
-    }
+    sched::rekey_running(scheduler, jobs, progress_per_round, sorted);
     sorted
         .windows(2)
         .all(|w| w[0].cmp_total(&w[1]) != std::cmp::Ordering::Greater)

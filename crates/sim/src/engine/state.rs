@@ -55,10 +55,12 @@ pub(crate) const NO_SLOT: usize = usize::MAX;
 /// Per-round temporaries, allocated once and reused every round.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
-    /// Cached-key sort scratch for the scheduling order.
+    /// The scheduling order: the active queue's sort keys as of the last
+    /// executed round, kept across rounds so the next one merges in only
+    /// the keys that moved (`sched::update_order`).
     pub(crate) sched_keys: Vec<SchedKey>,
-    /// Scheduling order of the active queue (job indices).
-    pub(crate) order: Vec<usize>,
+    /// The keys pulled out of `sched_keys` to be re-sorted and merged back.
+    pub(crate) sched_moved: Vec<SchedKey>,
     /// The schedulable prefix (job indices, scheduling order).
     pub(crate) prefix: Vec<usize>,
     /// Prefix membership flags, indexed by job; reset after every round.

@@ -21,7 +21,7 @@ impl SchedulingPolicy for Fifo {
 #[cfg(test)]
 mod tests {
     use super::super::order_into;
-    use super::super::test_util::{job, order};
+    use super::super::test_util::{job, job_order, order};
     use super::*;
 
     #[test]
@@ -55,12 +55,15 @@ mod tests {
             job(2, 20.0, 1, 10),
         ];
         let mut keys = Vec::new();
-        let mut out = Vec::new();
-        order_into(&Fifo, &jobs, &[0, 1, 2], &mut keys, &mut out);
-        assert_eq!(out, order(&Fifo, &jobs));
+        order_into(&Fifo, &jobs, &[0, 1, 2], &mut keys);
+        assert_eq!(job_order(&keys), order(&Fifo, &jobs));
         // Same buffers, different (partial, reordered) queue.
-        order_into(&Fifo, &jobs, &[2, 0], &mut keys, &mut out);
-        assert_eq!(out, vec![2, 0], "partial queue sorted by arrival");
+        order_into(&Fifo, &jobs, &[2, 0], &mut keys);
+        assert_eq!(
+            job_order(&keys),
+            vec![2, 0],
+            "partial queue sorted by arrival"
+        );
         assert_eq!(keys.len(), 2, "scratch reflects the last call only");
     }
 }

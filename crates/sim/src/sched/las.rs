@@ -46,7 +46,7 @@ impl SchedulingPolicy for Las {
 #[cfg(test)]
 mod tests {
     use super::super::order_into;
-    use super::super::test_util::{job, order};
+    use super::super::test_util::{job, job_order, order};
     use super::*;
 
     #[test]
@@ -86,11 +86,11 @@ mod tests {
         old.attained_service = 10_000.0;
         let fresh = job(1, 500.0, 1, 1000);
         let jobs = vec![old, fresh];
-        let (mut keys, mut out) = (Vec::new(), Vec::new());
-        order_into(&Las::default(), &jobs, &[0, 1], &mut keys, &mut out);
-        let forward = out.clone();
-        order_into(&Las::default(), &jobs, &[1, 0], &mut keys, &mut out);
-        assert_eq!(forward, out);
-        assert_eq!(out, vec![1, 0]);
+        let mut keys = Vec::new();
+        order_into(&Las::default(), &jobs, &[0, 1], &mut keys);
+        let forward = job_order(&keys);
+        order_into(&Las::default(), &jobs, &[1, 0], &mut keys);
+        assert_eq!(job_order(&keys), forward);
+        assert_eq!(forward, vec![1, 0]);
     }
 }

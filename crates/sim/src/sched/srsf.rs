@@ -24,7 +24,7 @@ impl SchedulingPolicy for Srsf {
 #[cfg(test)]
 mod tests {
     use super::super::order_into;
-    use super::super::test_util::{job, order};
+    use super::super::test_util::{job, job_order, order};
     use super::*;
 
     #[test]
@@ -60,8 +60,12 @@ mod tests {
             job(1, 0.0, 1, 300), // 300 GPU-s
             job(2, 0.0, 1, 50),  // 50 GPU-s, not in queue
         ];
-        let (mut keys, mut out) = (Vec::new(), Vec::new());
-        order_into(&Srsf, &jobs, &[0, 1], &mut keys, &mut out);
-        assert_eq!(out, vec![1, 0], "job 2 excluded, table indices kept");
+        let mut keys = Vec::new();
+        order_into(&Srsf, &jobs, &[0, 1], &mut keys);
+        assert_eq!(
+            job_order(&keys),
+            vec![1, 0],
+            "job 2 excluded, table indices kept"
+        );
     }
 }

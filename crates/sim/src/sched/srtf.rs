@@ -23,7 +23,7 @@ impl SchedulingPolicy for Srtf {
 #[cfg(test)]
 mod tests {
     use super::super::order_into;
-    use super::super::test_util::{job, order};
+    use super::super::test_util::{job, job_order, order};
     use super::*;
 
     #[test]
@@ -55,12 +55,12 @@ mod tests {
         // progress between calls (as the engine does every round) is
         // reflected on the next ordering.
         let mut jobs = vec![job(0, 0.0, 1, 100), job(1, 0.0, 1, 50)];
-        let (mut keys, mut out) = (Vec::new(), Vec::new());
-        order_into(&Srtf, &jobs, &[0, 1], &mut keys, &mut out);
-        assert_eq!(out, vec![1, 0]);
+        let mut keys = Vec::new();
+        order_into(&Srtf, &jobs, &[0, 1], &mut keys);
+        assert_eq!(job_order(&keys), vec![1, 0]);
         jobs[0].remaining_work = 10.0;
-        order_into(&Srtf, &jobs, &[0, 1], &mut keys, &mut out);
-        assert_eq!(out, vec![0, 1]);
+        order_into(&Srtf, &jobs, &[0, 1], &mut keys);
+        assert_eq!(job_order(&keys), vec![0, 1]);
         assert_eq!(keys[0].key, 10.0, "cached key reflects current state");
     }
 }

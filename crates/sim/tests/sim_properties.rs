@@ -354,3 +354,87 @@ proptest! {
         }
     }
 }
+
+/// A LAS backlog four times the cluster's size, exported right after
+/// skip hops that ended on an order change: the running jobs crossing the
+/// demotion threshold break each hop, leaving their cached keys re-keyed
+/// in place and out of order. A run resumed from such a state starts
+/// with an empty cached order over a full queue and must key all of it;
+/// the run that keeps going must pull the out-of-order entries before
+/// merging. Both must match the uninterrupted run, in skip and in
+/// fixed-round stepping (the latter exported at the same round counts).
+#[test]
+fn resume_after_a_hop_broken_by_an_order_change_matches_uninterrupted() {
+    let topo = ClusterTopology::new(2, 2);
+    let jobs: Vec<JobSpec> = (0..16)
+        .map(|i| JobSpec {
+            id: JobId(i),
+            model: Workload::ALL[i as usize % Workload::ALL.len()],
+            class: JobClass(i as usize % 3),
+            // Twelve queued at once, four more long after the first hops.
+            arrival: if i < 12 {
+                0.0
+            } else {
+                40_000.0 + 900.0 * i as f64
+            },
+            gpu_demand: 1 + i as usize % 2,
+            iterations: 20_000 + 1_500 * i as u64,
+            base_iter_time: 1.0,
+        })
+        .collect();
+    let trace = Trace::new("las-backlog", jobs);
+    let scores: Vec<f64> = (0..topo.total_gpus())
+        .map(|g| 1.0 + 0.1 * g as f64)
+        .collect();
+    let build = |event_driven: bool| {
+        Scenario::new(trace.clone(), topo)
+            .profile(VariabilityProfile::from_raw(vec![scores.clone(); 3]))
+            .locality(LocalityModel::uniform(1.5))
+            .scheduler(Las {
+                threshold_gpu_seconds: 1800.0,
+            })
+            .placement(RandomPlacement::new(3))
+            .sticky(true)
+            .event_driven(event_driven)
+    };
+
+    // The round counts at which skip-mode hops end before 20,000 s.
+    // Every job needs at least 20,000 s of service and none arrives
+    // before 40,000 s, so each of these hops ended on an order change.
+    let mut probe = build(true).start().unwrap();
+    let mut export_rounds = Vec::new();
+    while probe.time() < 20_000.0 {
+        let before = probe.rounds();
+        probe.step().unwrap();
+        if probe.rounds() > before + 1 && probe.time() < 20_000.0 {
+            export_rounds.push(probe.rounds());
+        }
+    }
+    assert!(
+        export_rounds.len() >= 3,
+        "expected several hops to break before the late arrivals: {export_rounds:?}"
+    );
+
+    for event_driven in [true, false] {
+        let reference = build(event_driven).run().unwrap();
+        for &target in &export_rounds {
+            let mut first = build(event_driven).start().unwrap();
+            while first.rounds() < target {
+                first.step().unwrap();
+            }
+            assert_eq!(first.rounds(), target, "event_driven = {event_driven}");
+            let mut resumed = build(event_driven).start().unwrap();
+            resumed.import_state(&first.export_state()).unwrap();
+            let from_resume = resumed.run_to_completion().unwrap();
+            let from_first = first.run_to_completion().unwrap();
+            assert!(
+                reference.same_outcome(&from_first),
+                "event_driven = {event_driven}: stepped run diverged at round {target}"
+            );
+            assert!(
+                reference.same_outcome(&from_resume),
+                "event_driven = {event_driven}: resume at round {target} diverged"
+            );
+        }
+    }
+}
